@@ -20,7 +20,11 @@ records three timings per experiment to ``benchmarks/output/timings.txt``
 Every timing is also recorded as a machine-readable row in
 ``benchmarks/output/BENCH_vectorized.json`` (the ``bench_json`` fixture),
 so the cell-scheduling numbers live in the same perf-trajectory file as
-the kernel numbers from ``bench_vectorized.py``.
+the kernel numbers from ``bench_vectorized.py``.  The scheduling rows
+carry their own backend labels (``sweep-serial`` / ``sweep-process``):
+``tools/smoke_vectorized.py`` writes ``cells-serial`` / ``cells-process``
+rows for the same ``(experiment, n)`` points with the vectorized kernels,
+and rows sharing a key would replace each other.
 
 Run with::
 
@@ -71,13 +75,13 @@ def test_bench_sweep_serial_process_cache(name, timing_sink, bench_json, tmp_pat
         f"{name}-sweep", "serial", 1,
         lambda: run_experiment(name, exec_config=serial_cfg, **kwargs),
     )
-    bench_json(name, case["n"], "cells-serial", t_serial, cells, trials)
+    bench_json(name, case["n"], "sweep-serial", t_serial, cells, trials)
     cfg = ExecutionConfig(backend="process", workers=WORKERS, kernel="serial")
     par_table, t_par = timing_sink(
         f"{name}-sweep", "process", WORKERS,
         lambda: run_experiment(name, exec_config=cfg, **kwargs),
     )
-    bench_json(name, case["n"], "cells-process", t_par, cells, trials)
+    bench_json(name, case["n"], "sweep-process", t_par, cells, trials)
     assert serial_table.render() == par_table.render()  # parity unconditional
     if CORES >= 4:
         assert t_serial / t_par >= 1.5, (

@@ -187,11 +187,10 @@ def measure_static_search_routed(
 ) -> StaticSearchStats:
     """The vectorized measurement over an already-routed probe batch.
 
-    The seam E2's stacked-cell pass uses: all cells share one substrate
-    ``H``, so their probes route in a *single* ``route_many`` call and
-    each cell's row slice lands here.  Every statistic is a padding-masked
-    per-row reduction, so a batch routed as part of a wider concatenation
-    yields bit-equal stats to routing the cell's probes alone.
+    :func:`measure_static_search`'s one-shot path: the caller routes every
+    probe in one ``route_many`` call and the secure-search classification
+    and statistics happen here.  Every statistic is a padding-masked
+    per-row reduction over the batch.
     """
     n = gg.n
     router = SecureRouter(gg)

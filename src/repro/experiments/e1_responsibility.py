@@ -24,7 +24,7 @@ from ..core.params import SystemParams
 from ..core.static_case import measure_responsibility_bound
 from ..inputgraph import make_input_graph
 from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import StackedCells, SweepSpec, run_sweep
+from ..sim.sweep import SweepSpec, run_sweep
 
 __all__ = ["run", "build_spec"]
 
@@ -38,21 +38,6 @@ def _cell(rng: np.random.Generator, *, topology: str, n: int, probes: int, seed:
         topology, n, f"{rho.max():.2e}", f"{rho.mean():.2e}",
         f"{bound:.2e}", "ok" if rho.max() <= bound else "FAIL",
     ]]
-
-
-def _stack(batch: StackedCells, *, probes: int, seed: int):
-    """Stacked-cell pass: one call covers a whole (topology x n) span.
-
-    Cells here differ in topology *and* scale, so there is no shared
-    substrate to lockstep; the stacked win is dispatch — one task (one
-    shm-transported result) per worker span instead of one per cell —
-    while each cell runs the identical ``_cell`` arithmetic on its own
-    spawned stream.
-    """
-    return [
-        _cell(rng, probes=probes, seed=seed, **coords)
-        for rng, coords in zip(batch.generators(), batch.coords)
-    ]
 
 
 def build_spec(
@@ -72,7 +57,6 @@ def build_spec(
         axes=(("topology", tuple(topologies)), ("n", ns)),
         context=dict(probes=probes, seed=seed),
         seed=seed,
-        stack=_stack,
         notes=(
             "all-blue graph: search paths equal full H paths, so this doubles "
             "as the P4 congestion check at group granularity",

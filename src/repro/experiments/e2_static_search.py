@@ -25,15 +25,10 @@ import numpy as np
 
 from ..analysis.tables import TableResult
 from ..core.params import SystemParams
-from ..core.static_case import (
-    measure_static_search,
-    measure_static_search_routed,
-    measure_static_search_streamed,
-    synthetic_static_graph,
-)
+from ..core.static_case import measure_static_search, synthetic_static_graph
 from ..inputgraph import make_input_graph
 from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import CellOut, StackedCells, SweepSpec, run_sweep
+from ..sim.sweep import CellOut, SweepSpec, run_sweep
 
 __all__ = ["run", "build_spec"]
 
@@ -63,46 +58,6 @@ def _cell(
         gg, probes, rng, kernel=kernel, probe_chunk=probe_chunk
     )
     return _cell_out(pf, stats)
-
-
-def _stack(
-    batch: StackedCells, *, topology: str, n: int, probes: int, seed: int,
-    kernel: str = "vectorized", probe_chunk: int | None = None,
-):
-    """Stacked-cell pass: the whole ``p_f`` axis sharing one substrate.
-
-    Every cell routes on the *identical* substrate (the graph is a
-    function of the experiment seed alone), so the span builds ``H`` and
-    its finger/distance tables once instead of once per cell.  Each
-    cell's probes still route in their own ``route_many`` call — one
-    cell's batch is already at the kernel's cache-friendly size, and a
-    whole-axis concatenation measurably *degrades* the batched walk (the
-    ``(q, hops)`` path array falls out of cache).  Per-cell draw order
-    (colouring, then sources, then targets) matches ``_cell`` exactly
-    and every statistic is a padding-masked per-row reduction, so the
-    rows are bit-identical to per-cell execution.
-    """
-    ids = np.random.default_rng(seed).random(n)
-    H = make_input_graph(topology, ids)
-    params = SystemParams(n=n, seed=seed)
-    outs = []
-    for rng, coords in zip(batch.generators(), batch.coords):
-        gg = synthetic_static_graph(H, params, coords["pf"], rng)
-        # same draw order as measure_static_search
-        sources = rng.integers(0, n, size=probes)
-        targets = rng.random(probes)
-        if probe_chunk is not None and 0 < probe_chunk < probes:
-            # window-streamed variant: bit-equal at any window size (all
-            # stats reduce through integer accumulators / probes)
-            stats = measure_static_search_streamed(
-                gg, sources, targets, probes, probe_chunk=probe_chunk
-            )
-        else:
-            stats = measure_static_search_routed(
-                gg, H.route_many(sources, targets), probes
-            )
-        outs.append(_cell_out(coords["pf"], stats))
-    return outs
 
 
 def _finalize(table: TableResult, results, context) -> None:
@@ -148,7 +103,6 @@ def build_spec(
         seed=seed,
         finalize=_finalize,
         pass_kernel=True,
-        stack=_stack,
     )
 
 

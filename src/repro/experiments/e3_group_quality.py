@@ -29,7 +29,7 @@ from ..core.groups import build_groups_fast, classify_groups
 from ..core.params import SystemParams
 from ..idspace.ring import Ring
 from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import StackedCells, SweepSpec, run_sweep
+from ..sim.sweep import SweepSpec, run_sweep
 
 __all__ = ["run", "build_spec"]
 
@@ -53,23 +53,6 @@ def _cell(
         f"{beta:.2f}", f"{d2:.0f}", m, f"{q.bad_group_fraction:.4f}",
         f"{pred:.2e}", f"{cher:.2e}", "ok" if ok else "FAIL",
     ]]
-
-
-def _stack(
-    batch: StackedCells, *, n: int, seed: int, kernel: str = "vectorized",
-):
-    """Stacked-cell pass: one worker invocation runs a whole (beta, d2) span.
-
-    Cells share no substrate (each places its own adversarial population
-    from its spawned stream), so this is purely a scheduling win: a span
-    dispatched to a pool worker amortizes task overhead over its cells
-    instead of paying it per cell.  Each cell's body *is* ``_cell`` on the
-    cell's own generator — bit-identical rows by construction.
-    """
-    return [
-        _cell(rng, n=n, seed=seed, kernel=kernel, **coords)
-        for rng, coords in zip(batch.generators(), batch.coords)
-    ]
 
 
 def _finalize(table: TableResult, results, context) -> None:
@@ -107,7 +90,6 @@ def build_spec(
         seed=seed,
         finalize=_finalize,
         pass_kernel=True,
-        stack=_stack,
     )
 
 

@@ -24,11 +24,11 @@ Part A is a ``p_f0``-axis :class:`~repro.sim.sweep.SweepSpec` — each cell
 runs its dual/single transition pair (both variants share one sub-seed so
 the comparison stays paired; the pair shares one substrate build, forking
 the generator state at the divergence point) on its own spawned stream,
-cell-parallel under the process backend with a stacked pass that runs
-whole spans of the axis per worker.  Part B is deterministic and assembled in the
-spec's finalize hook.  The transition machinery (``build_new_graph``)
-batches its per-slot searches internally, so the cell is kernel-neutral:
-serial and vectorized backends render the identical table.
+cell-parallel under the process backend.  Part B is deterministic and
+assembled in the spec's finalize hook.  The transition machinery
+(``build_new_graph``) batches its per-slot searches internally, so the
+cell is kernel-neutral: serial and vectorized backends render the
+identical table.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from ..core.params import SystemParams
 from ..idspace.ring import Ring
 from ..inputgraph import make_input_graph
 from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import StackedCells, SweepSpec, run_sweep
+from ..sim.sweep import SweepSpec, run_sweep
 
 __all__ = ["run", "build_spec"]
 
@@ -152,27 +152,6 @@ def _cell(
     return [_pair_row(pf0, r2, r1, n)]
 
 
-def _stack(
-    batch: StackedCells, *, n: int, beta: float, topology: str, seed: int,
-    **_finalize_only,
-):
-    """Stacked-cell pass: the ``pf0`` axis as one span.
-
-    Each cell's substrate is keyed by its own stream's sub-seed, so cells
-    cannot share state; the stacked value here is scheduling — one call
-    (and, under the process backend, one shm-transported task per worker
-    span) instead of one task per cell — with the cells computed by the
-    exact per-cell arithmetic.
-    """
-    params = SystemParams(n=n, beta=beta, seed=seed)
-    outs = []
-    for rng, coords in zip(batch.generators(), batch.coords):
-        sub = int(rng.integers(0, 2**32))
-        r2, r1 = _transition_pair(n, beta, coords["pf0"], params, sub, topology)
-        outs.append([_pair_row(coords["pf0"], r2, r1, n)])
-    return outs
-
-
 # Part B delegates to the shared epoch-map model (analysis.regimes), which
 # also powers the stability checks of E4's parameter choice.
 
@@ -231,7 +210,6 @@ def build_spec(
         ),
         seed=seed,
         finalize=_finalize,
-        stack=_stack,
     )
 
 

@@ -28,7 +28,7 @@ from ..core.secure_routing import SecureRouter
 from ..core.static_case import constructive_static_graph
 from ..inputgraph import make_input_graph
 from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import CellOut, StackedCells, SweepSpec, run_sweep
+from ..sim.sweep import CellOut, SweepSpec, run_sweep
 
 __all__ = ["run", "build_spec"]
 
@@ -89,26 +89,6 @@ def _cell(
     )
 
 
-def _stack(
-    batch: StackedCells, *, beta: float, topology: str, probes: int,
-    seed: int, kernel: str = "vectorized",
-):
-    """Stacked-cell pass: one worker invocation runs a whole ``n`` span.
-
-    Every scale builds its own ring/topology/constructions (nothing to
-    share across cells), so stacking is a pure scheduling win — task
-    overhead amortized over the span.  Each cell's body *is* ``_cell`` on
-    the cell's own generator, so rows are bit-identical by construction.
-    """
-    return [
-        _cell(
-            rng, beta=beta, topology=topology, probes=probes, seed=seed,
-            kernel=kernel, **coords,
-        )
-        for rng, coords in zip(batch.generators(), batch.coords)
-    ]
-
-
 def build_spec(
     seed: int = 0,
     fast: bool = True,
@@ -131,7 +111,6 @@ def build_spec(
         context=dict(beta=beta, topology=topology, probes=probes, seed=seed),
         seed=seed,
         pass_kernel=True,
-        stack=_stack,
     )
 
 

@@ -120,7 +120,9 @@ class RoutingService:
             req = json.loads(line)
             if not isinstance(req, dict):
                 raise ValueError("request must be a JSON object")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: nesting past the interpreter's recursion
+            # limit, which a line well under the reader's limit can reach
             return (
                 json.dumps({"error": f"bad request: {exc}"}), "error", snap.epoch
             )

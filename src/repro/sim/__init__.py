@@ -26,7 +26,6 @@ from .sweep import (
     Cell,
     CellOut,
     CellResult,
-    StackedCells,
     SweepSpec,
     cells_executed,
     reset_cells_executed,
@@ -43,7 +42,6 @@ __all__ = [
     "MCResult",
     "ShmArena",
     "ShmRef",
-    "StackedCells",
     "SweepSpec",
     "aggregate_trials",
     "cells_executed",

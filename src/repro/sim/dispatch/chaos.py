@@ -298,7 +298,6 @@ def run_chaos(
             "seed": spec.seed,
             "fast": True,
             "overrides": {},
-            "kernel": "vectorized",
             "fingerprint": fingerprint,
             "n_cells": len(units),
             "lease_timeout": float(lease_timeout),

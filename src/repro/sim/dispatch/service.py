@@ -68,7 +68,6 @@ def serve(
     overrides: Mapping | None = None,
     spool: str | os.PathLike | None = None,
     lease_timeout: float = 300.0,
-    kernel: str = "vectorized",
     cache: bool = False,
     force: bool = False,
     cache_dir: str | None = None,
@@ -106,7 +105,7 @@ def serve(
 
     validate_overrides(experiment.upper(), overrides, registry=registry)
     spec, units = units_for_request(
-        experiment, seed, fast, overrides, kernel=kernel, registry=registry
+        experiment, seed, fast, overrides, registry=registry
     )
     fingerprint = units[0].fingerprint if units else sweep_fingerprint(
         experiment, seed, fast, overrides
@@ -118,7 +117,6 @@ def serve(
         "seed": int(seed),
         "fast": bool(fast),
         "overrides": overrides,
-        "kernel": kernel,
         "fingerprint": fingerprint,
         "n_cells": len(units),
         "lease_timeout": float(lease_timeout),

@@ -16,7 +16,7 @@ operation on one filesystem::
 
     <spool>/
       manifest.json            sweep identity: experiment/seed/fast/
-                               overrides/kernel/fingerprint/n_cells/
+                               overrides/fingerprint/n_cells/
                                lease_timeout/replicas/max_attempts
       units/unit-00042.json    immutable originals (requeue source)
       pending/unit-00042.r1.a2.json   claimable replica slots

@@ -7,7 +7,7 @@ another process — or on another machine — can execute with nothing but
 the unit JSON and the experiment registry:
 
 * the unit carries the *request* (experiment, seed, fast, overrides,
-  grid index, kernel), never the spec object: the worker rebuilds the
+  grid index), never the spec object: the worker rebuilds the
   spec through ``build_spec`` exactly as the local runner does, so the
   cell function, its context, and its RNG stream are re-derived, not
   shipped as pickled state;
@@ -41,9 +41,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-import numpy as np
-
-from ..sweep import CellResult, SweepSpec, _normalize, count_cells_executed
+from ..montecarlo import resolve_kernel
+from ..sweep import CellResult, SweepSpec, _run_cell, count_cells_executed
 
 __all__ = [
     "DispatchError",
@@ -136,9 +135,7 @@ class WorkUnit:
 
     ``overrides`` are the ``build_spec`` keyword overrides (JSON-native:
     tuples arrive as lists, which every builder accepts and the cache key
-    canonicalizes identically); ``kernel`` is the execution hint threaded
-    into ``pass_kernel`` cells — byte-identical tables either way, so it
-    is excluded from the fingerprint.  ``replica`` names the quorum slot
+    canonicalizes identically).  ``replica`` names the quorum slot
     this copy of the unit fills (0..r-1, plus tiebreakers) and
     ``attempt`` how many times that slot has been leased; both are
     transport state, excluded from identity and equality-irrelevant for
@@ -151,7 +148,6 @@ class WorkUnit:
     overrides: dict
     index: int
     n_cells: int
-    kernel: str = "vectorized"
     fingerprint: str = ""
     replica: int = 0
     attempt: int = 0
@@ -168,7 +164,6 @@ class WorkUnit:
                 "overrides": _jsonable(dict(self.overrides)),
                 "index": self.index,
                 "n_cells": self.n_cells,
-                "kernel": self.kernel,
                 "fingerprint": self.fingerprint,
                 "replica": self.replica,
                 "attempt": self.attempt,
@@ -188,7 +183,6 @@ class WorkUnit:
                 overrides=dict(data["overrides"]),
                 index=int(data["index"]),
                 n_cells=int(data["n_cells"]),
-                kernel=str(data["kernel"]),
                 fingerprint=str(data["fingerprint"]),
                 # pre-quorum unit JSON has neither field: decode to the
                 # r=1 defaults so existing spools stay readable
@@ -293,7 +287,6 @@ def units_for_request(
     seed: int,
     fast: bool,
     overrides: Mapping,
-    kernel: str = "vectorized",
     registry: Mapping[str, Callable[..., SweepSpec]] | None = None,
 ) -> tuple[SweepSpec, list[WorkUnit]]:
     """Serialize a sweep request into its spec plus one unit per grid cell."""
@@ -308,7 +301,6 @@ def units_for_request(
             overrides=dict(overrides),
             index=cell.index,
             n_cells=len(cells),
-            kernel=kernel,
             fingerprint=fingerprint,
         )
         for cell in cells
@@ -371,10 +363,11 @@ def execute_unit(
         # sweep substrate's process backend)
         context["exec_config"] = None
     if spec.pass_kernel:
-        context["kernel"] = unit.kernel
-    rng = np.random.Generator(np.random.PCG64(spec.seed_sequence_for(cell)))
+        # the kernel run_sweep resolves with no config: kernels are
+        # byte-identical, so the unit needs no hint of its own
+        context["kernel"] = resolve_kernel(None)
     count_cells_executed()
-    out = _normalize(cell.index, cell.coords, spec.cell(rng, **cell.coords, **context))
+    out = _run_cell(spec.cell, cell, spec.seed_sequence_for(cell), context)
     payload = encode_payload(out)
     return WorkResult(
         fingerprint=unit.fingerprint,

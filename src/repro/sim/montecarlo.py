@@ -12,18 +12,16 @@ their trial values become estimates:
 * :func:`aggregate_trials` turns trial values into an :class:`MCResult`.
 
 Orthogonal to the backend (how cells are *scheduled*), a sweep cell may
-support several *kernels* (how the cell body computes):
-``"vectorized"`` array kernels — the default execution path for the
-static-case experiments — the ``"serial"`` reference loops they are
-parity-tested against, and ``"stacked"`` (sweeps that declare a
-``SweepSpec.stack`` pass run whole spans of independent cells as one
-lockstep array computation).  :func:`resolve_kernel` maps an
+support two *kernels* (how the cell body computes): ``"vectorized"``
+array kernels — the default execution path for the static-case
+experiments — and the ``"serial"`` reference loops they are
+parity-tested against.  :func:`resolve_kernel` maps an
 :class:`ExecutionConfig` to the kernel its cells should use: an explicit
 ``backend="serial"`` requests the reference loops, everything else (and
 no config at all) the kernels, and ``ExecutionConfig(kernel=...)``
-overrides the mapping (e.g. process-pool workers run serial cell
-scheduling with vectorized kernels).  Kernels are byte-identical by
-contract, so the choice never shows up in a table.
+overrides the mapping (e.g. a process-backend run of the reference
+loops).  Kernels are byte-identical by contract, so the choice never
+shows up in a table.
 
 Confidence intervals: 0/1-valued trials are detected and get the Wilson
 score interval (the normal approximation produces ``lo < 0`` / ``hi > 1``
@@ -58,7 +56,7 @@ __all__ = [
 ]
 
 BACKENDS = ("serial", "process", "vectorized")
-KERNELS = ("serial", "vectorized", "stacked")
+KERNELS = ("serial", "vectorized")
 
 
 @dataclass(frozen=True)
@@ -72,11 +70,8 @@ class ExecutionConfig:
     workers:
         Process count for the ``process`` backend (``None`` -> CPU count).
     kernel:
-        Explicit cell-kernel override (``"serial"`` | ``"vectorized"`` |
-        ``"stacked"``); ``None`` derives it from the backend via
-        :func:`resolve_kernel`.  ``"stacked"`` requests the stacked-cell
-        pass on sweeps that declare one (``SweepSpec.stack``); specs
-        without one run their cells per-cell vectorized as usual.
+        Explicit cell-kernel override (``"serial"`` | ``"vectorized"``);
+        ``None`` derives it from the backend via :func:`resolve_kernel`.
     """
 
     backend: str = "serial"
@@ -124,8 +119,8 @@ def resolve_kernel(config: "ExecutionConfig | None") -> str:
     ``"vectorized"`` array kernels — the promoted default execution path.
     An explicit ``backend="serial"`` is the request for the reference loop
     implementations (the parity oracle).  ``ExecutionConfig.kernel``
-    overrides both, which is how process-pool workers combine serial cell
-    scheduling with vectorized cell kernels.
+    overrides both, which is how a process-backend run selects the
+    reference loops.
     """
     if config is None:
         return "vectorized"
@@ -210,7 +205,7 @@ def spawn_map(
     """Order-preserving ``map(fn, *iterables)`` across the warm spawn pool.
 
     The shared dispatch seam for every process-backend call site (sweep
-    cells, E12 churn cases, ``run_all`` experiments): gates on worker and
+    spans, E12 churn cases, ``run_all`` experiments): gates on worker and
     item count (either <= 1 runs serially in-process), draws workers from
     the process-wide warm pool (``repro.sim.pool`` — spawn cost is paid
     once per process, not once per call), and degrades to the serial map
@@ -229,7 +224,7 @@ def spawn_map(
     ``shm_input_transport=True`` is the mirror for the *task* direction:
     each item's argument tuple is packed by one
     :class:`~repro.sim.shm.ShmInputBatch`, so large input arrays (a built
-    graph's CSR arrays, probe batches, a stacked span's shared context)
+    graph's CSR arrays, probe batches, a sweep span's shared context)
     cross as keep-on-load segments — and an array shared by every item
     ships **once**, not once per task.  Values are byte-equal either way;
     volume lands in a ``shm.input_bytes`` event.  Composable with

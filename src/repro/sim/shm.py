@@ -283,7 +283,7 @@ def _load_shared_keep(ref: ShmRef) -> np.ndarray:
 
     Result transport is consume-once (one producer, one consumer, the
     consumer retires the segment).  Inputs are the opposite shape: the same
-    large array — a built graph's CSR arrays, a probe batch, a stacked
+    large array — a built graph's CSR arrays, a probe batch, a sweep
     span's shared context — appears in many payloads and is read by many
     workers, so the segment must outlive every individual load.  The
     producer retires the batch's segments after the whole map completes

@@ -27,17 +27,10 @@ cell can be re-run in isolation and reproduce exactly its slice of the
 full sweep — the seed discipline that lets the result cache and (next) a
 sharded dispatcher hand out cells without coordination.
 
-A sweep may additionally declare a **stacked-cell pass**
-(``SweepSpec.stack``): a function that receives a whole span of
-independent cells (:class:`StackedCells` — indices, coordinates, and the
-*same* per-cell seed sequences the per-cell path would use) and computes
-them as one lockstep array computation — e.g. E2 builds its shared
-substrate once and routes every cell's probes in a single batched kernel
-call.  Stacking changes scheduling, never values: the pass must be
-byte-identical to running ``cell`` per cell (property-tested), the
-per-cell path remains the reference oracle, and under the ``process``
-backend the grid is split into contiguous spans with one stacked call
-per worker.
+Under the ``process`` backend the grid splits into ``min(workers,
+cells)`` contiguous spans; each span is one warm-pool task that runs the
+cell function on each of its cells' own streams, so the schedule never
+reaches a value.
 
 The module also keeps a cell-execution counter (:func:`cells_executed`)
 so tests — and the CI cache smoke job — can assert that a warm cache run
@@ -64,7 +57,6 @@ __all__ = [
     "Cell",
     "CellOut",
     "CellResult",
-    "StackedCells",
     "SweepSpec",
     "assemble_table",
     "cells_executed",
@@ -129,33 +121,7 @@ class CellResult:
     aux: object
 
 
-@dataclass(frozen=True)
-class StackedCells:
-    """A span of independent cells handed to a ``SweepSpec.stack`` pass.
-
-    Carries, in span order, each cell's grid index, coordinate mapping,
-    and — crucially — the *same* :class:`numpy.random.SeedSequence` the
-    per-cell path would hand it, so a stacked pass can reproduce every
-    cell's stream exactly and stay byte-identical to per-cell execution.
-    """
-
-    indices: tuple
-    coords: tuple
-    seed_seqs: tuple
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def generators(self) -> list:
-        """One fresh generator per cell — identical to the streams the
-        per-cell path constructs, in span order."""
-        return [
-            np.random.Generator(np.random.PCG64(ss)) for ss in self.seed_seqs
-        ]
-
-
 CellFn = Callable[..., "CellOut | list"]
-StackFn = Callable[..., list]
 
 
 @dataclass(frozen=True)
@@ -169,8 +135,8 @@ class SweepSpec:
     cell:
         ``cell(rng, **coords, **context) -> CellOut | list[rows]``.  Must be
         a module-level callable (picklable) for the ``process`` backend to
-        ship it to spawn workers; unpicklable cells degrade to the serial
-        path with a warning.
+        ship it to spawn workers; unpicklable cells degrade to the
+        in-process path with a warning and a ``sweep.degrade`` event.
     axes:
         Ordered ``(name, values)`` pairs; the grid is their cartesian
         product in declaration order.  An empty ``axes`` declares a
@@ -195,19 +161,6 @@ class SweepSpec:
         explicit serial backend selects the reference loops.  Cells must
         be kernel-transparent — both choices produce the identical rows —
         so the flag never changes a table, only how fast it is computed.
-    stack:
-        Optional stacked-cell pass: ``stack(batch: StackedCells,
-        **context)`` returning one ``CellOut | list`` per cell in batch
-        order, **byte-identical** to running ``cell`` on each of the
-        batch's streams.  When declared, it becomes the default execution
-        path wherever the vectorized kernel would run (the per-cell path
-        stays the reference oracle — select it with an explicit
-        ``kernel="vectorized"`` or the serial backend); an explicit
-        ``kernel="stacked"`` requests it by name.  Under the ``process``
-        backend the grid is split into contiguous spans, one stacked call
-        per worker, so must be module-level (picklable); unpicklable
-        stacks degrade to the in-process stacked pass with a warning and
-        a ``sweep.degrade`` event.
     notes:
         Static notes appended after the per-cell notes.
     """
@@ -222,7 +175,6 @@ class SweepSpec:
     finalize: Callable[[TableResult, list, dict], None] | None = None
     pass_exec_config: bool = False
     pass_kernel: bool = False
-    stack: StackFn | None = None
     notes: tuple = ()
 
     def cells(self) -> list[Cell]:
@@ -270,45 +222,25 @@ def _normalize(index: int, coords: dict, out) -> CellResult:
     )
 
 
-def _exec_cell(payload) -> CellResult:
-    """Worker entry point: run one cell from its shipped stream.
+def _run_cell(
+    fn: CellFn, cell: Cell, seed_seq: np.random.SeedSequence, context: dict
+) -> CellResult:
+    """Run one cell on its own stream and normalize its output."""
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    return _normalize(cell.index, cell.coords, fn(rng, **cell.coords, **context))
+
+
+def _exec_span(payload) -> list[CellResult]:
+    """Worker entry point: run one contiguous span of cells in grid order.
 
     Module-level (picklable under the ``spawn`` start method); the cell
     function arrives pre-pickled so every worker unpickles the identical
-    callable.
+    callable, and each cell runs on the seed sequence the parent spawned
+    for it.
     """
-    fn_bytes, index, coords, ss, context = payload
+    fn_bytes, cells, seed_seqs, context = payload
     fn: CellFn = pickle.loads(fn_bytes)
-    rng = np.random.Generator(np.random.PCG64(ss))
-    return _normalize(index, coords, fn(rng, **coords, **context))
-
-
-def _normalize_stack(batch: StackedCells, outs) -> list[CellResult]:
-    outs = list(outs)
-    if len(outs) != len(batch):
-        raise ValueError(
-            f"stacked pass returned {len(outs)} outputs for a span of "
-            f"{len(batch)} cells"
-        )
-    return [
-        _normalize(index, coords, out)
-        for index, coords, out in zip(batch.indices, batch.coords, outs)
-    ]
-
-
-def _exec_cells_stacked(payload) -> list[CellResult]:
-    """Worker entry point: run one contiguous span through the stacked pass.
-
-    Module-level (picklable under ``spawn``); the stacked pass arrives
-    pre-pickled, the span's per-cell seed sequences arrive exactly as the
-    per-cell path would spawn them.
-    """
-    fn_bytes, indices, coords, seed_seqs, context = payload
-    fn: StackFn = pickle.loads(fn_bytes)
-    batch = StackedCells(
-        indices=tuple(indices), coords=tuple(coords), seed_seqs=tuple(seed_seqs)
-    )
-    return _normalize_stack(batch, fn(batch, **context))
+    return [_run_cell(fn, c, ss, context) for c, ss in zip(cells, seed_seqs)]
 
 
 def assemble_table(spec: SweepSpec, results: Sequence[CellResult]) -> TableResult:
@@ -347,27 +279,15 @@ def run_sweep(
     The per-cell seed sequences are spawned in the parent before any cell
     runs, and rows are reassembled by grid index, so the table content is
     bit-identical across backends and worker counts.  Multi-cell grids
-    under the ``process`` backend dispatch cells across the warm spawn
-    pool; single-cell grids always run in-process (where an
-    ``exec_config``-aware cell may still parallelize its inner trial
-    loops).  Sweeps that declare a stacked pass (``spec.stack``) run it
-    wherever the vectorized kernel would apply — whole grid in-process,
-    contiguous spans (one stacked call per worker) under the process
-    backend — with the per-cell path as the reference oracle.
+    under the ``process`` backend split into ``min(workers, cells)``
+    contiguous spans, one warm-pool task each; single-cell grids always
+    run in-process (where an ``exec_config``-aware cell may still
+    parallelize its inner trial loops).
     """
     global _CELLS_EXECUTED
     cells = spec.cells()
     seed_seqs = [spec.seed_sequence_for(c) for c in cells]
     kernel = resolve_kernel(exec_config)
-    explicit_kernel = exec_config is not None and exec_config.kernel is not None
-    use_stack = spec.stack is not None and (
-        kernel == "stacked" or (kernel == "vectorized" and not explicit_kernel)
-    )
-    if kernel == "stacked" and spec.stack is None:
-        kernel = "vectorized"  # no stacked pass declared: per-cell kernels
-    # what pass_kernel cells see: the stacked pass is built from the
-    # vectorized kernels, so stacking never leaks into cell bodies
-    cell_kernel = "vectorized" if use_stack else kernel
     use_pool = (
         exec_config is not None
         and exec_config.backend == "process"
@@ -376,9 +296,8 @@ def run_sweep(
     )
     fn_bytes = None
     if use_pool:
-        shipped = spec.stack if use_stack else spec.cell
         try:
-            fn_bytes = pickle.dumps(shipped)
+            fn_bytes = pickle.dumps(spec.cell)
         except Exception as exc:  # lambdas, closures, bound local state
             emit_default(
                 "sweep.degrade",
@@ -386,13 +305,9 @@ def run_sweep(
                 reason="unpicklable-cell",
                 detail=repr(exc)[:200],
             )
-            fallback = (
-                "running the stacked pass in-process" if use_stack
-                else "falling back to the serial path"
-            )
             warnings.warn(
-                f"sweep {'stack' if use_stack else 'cell'} {shipped!r} is "
-                f"not picklable ({exc}); {fallback}",
+                f"sweep cell {spec.cell!r} is not picklable ({exc}); "
+                "falling back to the serial path",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -404,63 +319,32 @@ def run_sweep(
     if spec.pass_exec_config:
         context["exec_config"] = None if use_pool else exec_config
     if spec.pass_kernel:
-        context["kernel"] = cell_kernel
+        context["kernel"] = kernel
 
-    label_kernel = "stacked" if use_stack else kernel
     backend = "serial" if exec_config is None else exec_config.backend
     sweep_t0 = time.perf_counter()
-    results: list[CellResult]
-    if use_stack:
-        _CELLS_EXECUTED += len(cells)
-        if use_pool:
-            nspans = min(exec_config.resolved_workers(), len(cells))
-            spans = np.array_split(np.arange(len(cells)), nspans)
-            payloads = [
-                (
-                    fn_bytes,
-                    tuple(cells[i].index for i in span),
-                    tuple(cells[i].coords for i in span),
-                    tuple(seed_seqs[i] for i in span),
-                    context,
-                )
-                for span in spans
-                if span.size
-            ]
-            span_results = spawn_map(
-                _exec_cells_stacked,
-                payloads,
-                workers=exec_config.resolved_workers(),
-                shm_transport=True,
-                shm_input_transport=True,
-            )
-            results = [res for chunk in span_results for res in chunk]
-        else:
-            batch = StackedCells(
-                indices=tuple(c.index for c in cells),
-                coords=tuple(c.coords for c in cells),
-                seed_seqs=tuple(seed_seqs),
-            )
-            results = _normalize_stack(batch, spec.stack(batch, **context))
-    elif use_pool:
+    _CELLS_EXECUTED += len(cells)
+    results: list[CellResult] = []
+    if use_pool:
+        workers = exec_config.resolved_workers()
+        spans = np.array_split(np.arange(len(cells)), min(workers, len(cells)))
         payloads = [
-            (fn_bytes, c.index, c.coords, ss, context)
-            for c, ss in zip(cells, seed_seqs)
+            (fn_bytes, [cells[i] for i in span], [seed_seqs[i] for i in span],
+             context)
+            for span in spans
         ]
-        _CELLS_EXECUTED += len(cells)
-        results = spawn_map(
-            _exec_cell,
+        for span_results in spawn_map(
+            _exec_span,
             payloads,
-            workers=exec_config.resolved_workers(),
+            workers=workers,
             shm_transport=True,
             shm_input_transport=True,
-        )
+        ):
+            results.extend(span_results)
     else:
-        results = []
         for c, ss in zip(cells, seed_seqs):
-            rng = np.random.Generator(np.random.PCG64(ss))
-            _CELLS_EXECUTED += 1
             t0 = time.perf_counter()
-            results.append(_normalize(c.index, c.coords, spec.cell(rng, **c.coords, **context)))
+            results.append(_run_cell(spec.cell, c, ss, context))
             emit_default(
                 "sweep.cell",
                 experiment=spec.experiment,
@@ -473,7 +357,7 @@ def run_sweep(
         "sweep.run",
         experiment=spec.experiment,
         cells=len(cells),
-        kernel=label_kernel,
+        kernel=kernel,
         backend=backend,
         wall_s=round(time.perf_counter() - sweep_t0, 6),
     )

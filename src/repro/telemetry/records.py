@@ -73,7 +73,7 @@ EVENT_TYPES: dict[str, dict[str, tuple]] = {
         "backend": (str,), "wall_s": _NUMBER,
     },
     # a sweep silently losing parallelism is not silent any more: emitted
-    # when an unpicklable cell/stack forces the in-process path
+    # when an unpicklable cell forces the in-process path
     "sweep.degrade": {"experiment": (str,), "reason": (str,)},
     # pool layer — warm worker-pool lifecycle + shm result transport volume
     "pool.spawn": {"workers": (int,), "mp_method": (str,)},

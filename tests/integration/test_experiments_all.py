@@ -10,7 +10,7 @@ is the coverage net.
 import pytest
 
 from repro.analysis.tables import TableResult
-from repro.experiments import EXPERIMENTS, run_all, run_experiment
+from repro.experiments import EXPERIMENTS, SPEC_BUILDERS, run_all, run_experiment
 
 # tiny-config overrides so the full sweep stays fast in CI
 FAST_OVERRIDES = {
@@ -156,16 +156,25 @@ def test_exec_config_process_matches_serial():
     assert serial.rows == par.rows
 
 
-# the genuinely cell-parallel sweeps; ISSUE-2 acceptance: bit-identical
-# tables across serial, 2-worker, and 4-worker cell-parallel runs
-CELL_PARALLEL = ("E1", "E2", "E3", "E5")
+# the five multi-cell sweeps must render bit-identical tables across
+# serial, 2-worker, and 4-worker cell-parallel runs; each grid needs more
+# than one cell, since run_sweep runs a 1-cell grid in-process whatever
+# the backend
+CELL_PARALLEL = {
+    "E1": dict(FAST_OVERRIDES["E1"], n_values=(128, 256)),
+    "E2": FAST_OVERRIDES["E2"],
+    "E3": FAST_OVERRIDES["E3"],
+    "E5": FAST_OVERRIDES["E5"],
+    "E6": dict(FAST_OVERRIDES["E6"], n_values=(256, 512)),
+}
 
 
 @pytest.mark.parametrize("name", CELL_PARALLEL)
 def test_sweep_cell_parallel_bit_identical(name):
     from repro.sim import ExecutionConfig
 
-    kwargs = dict(seed=1, fast=True, **FAST_OVERRIDES[name])
+    kwargs = dict(seed=1, fast=True, **CELL_PARALLEL[name])
+    assert len(SPEC_BUILDERS[name](**kwargs).cells()) > 1
     serial = run_experiment(name, **kwargs)
     for workers in (2, 4):
         par = run_experiment(

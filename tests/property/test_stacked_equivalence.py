@@ -1,20 +1,17 @@
-"""Property tests: stacked-cell passes == per-cell execution, byte-for-byte.
+"""Property tests: the multi-cell sweeps are schedule- and kernel-invisible.
 
-The stacked-cell contract from the sweep substrate: a ``SweepSpec.stack``
-pass changes *scheduling* — one lockstep call over a span of cells — and
-never values.  For every experiment that declares one (E1, E2, E3, E5,
-E6), the rendered table from the default stacked path must be
+For every multi-cell experiment (E1, E2, E3, E5, E6) the rendered table
+from the default path (in-process, vectorized kernels) must be
 byte-identical to
 
-* the per-cell vectorized path (``ExecutionConfig(kernel="vectorized")``,
-  the reference oracle the stack is defined against), and
-* the per-cell serial reference loops (``ExecutionConfig(backend="serial")``),
+* the serial reference loops (``ExecutionConfig(backend="serial")``),
+  over random grids, scales, and seeds, and
+* the process backend's contiguous worker spans at 2 and 3 workers, on
+  one fixed grid per experiment,
 
-over random grids, scales, and seeds — so the kernel choice can never
-leak into a table.
+so neither the kernel choice nor the schedule can leak into a table.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,13 +24,10 @@ from repro.sim import ExecutionConfig, run_sweep
 
 
 def _assert_kernel_invariant(spec_fn, **kw):
-    stacked = run_sweep(spec_fn(**kw))  # default path: the stacked pass
-    percell = run_sweep(spec_fn(**kw),
-                        exec_config=ExecutionConfig(kernel="vectorized"))
+    default = run_sweep(spec_fn(**kw))
     serial = run_sweep(spec_fn(**kw),
                        exec_config=ExecutionConfig(backend="serial"))
-    assert stacked.render() == percell.render()
-    assert stacked.render() == serial.render()
+    assert default.render() == serial.render()
 
 
 @given(
@@ -118,22 +112,18 @@ def test_e6_stacked_matches_per_cell(seed, n_values, probes):
 def test_e2_probe_chunk_is_table_invisible():
     """The streaming window is a memory knob, not a statistics knob: any
     chunk size — including pathological width-1 windows — must render the
-    byte-identical table on both the stacked and per-cell paths."""
+    byte-identical table."""
     kw = dict(seed=5, n=64, pf_values=(0.01, 0.05, 0.1), probes=230)
     reference = run_sweep(e2_spec(**kw)).render()
     for chunk in (1, 7, 64, 229, 230, 1000):
         assert run_sweep(e2_spec(**kw, probe_chunk=chunk)).render() == \
             reference
-        cfg = ExecutionConfig(kernel="vectorized")
-        assert run_sweep(
-            e2_spec(**kw, probe_chunk=chunk), exec_config=cfg
-        ).render() == reference
 
 
 def test_process_spans_match_in_process_stack():
     """One fixed grid per experiment through the process backend: the
-    contiguous worker spans (one stacked call each) must reassemble to
-    the identical table at any worker count."""
+    contiguous worker spans (one pool task each) must reassemble to the
+    identical table at any worker count."""
     cases = [
         (e1_spec, dict(seed=3, n_values=(32, 48), probes=200)),
         (e2_spec, dict(seed=3, n=64, pf_values=(0.01, 0.05, 0.1), probes=200)),

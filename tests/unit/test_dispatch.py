@@ -42,6 +42,11 @@ def toy_cell(rng, *, x, scale):
     return [[x, scale, f"{rng.random():.12f}"]]
 
 
+def kernel_cell(rng, *, x, kernel):
+    # no default for ``kernel``: the cell needs the injected keyword
+    return [[x, kernel]]
+
+
 def build_toy_spec(seed=0, fast=True, xs=(1, 2, 3), scale=2):
     return SweepSpec(
         experiment="TOY",
@@ -72,7 +77,7 @@ def toy_spool(root, clock=None, **manifest):
     broker.initialize(
         {
             "experiment": "TOY", "seed": 0, "fast": True, "overrides": {},
-            "kernel": "vectorized", "fingerprint": units[0].fingerprint,
+            "fingerprint": units[0].fingerprint,
             "n_cells": len(units), "lease_timeout": 10.0, **manifest,
         },
         units,
@@ -95,9 +100,11 @@ class TestWire:
         clone = WorkUnit.from_json(units[1].to_json())
         assert clone == WorkUnit(
             experiment="TOY", seed=0, fast=True, overrides={"xs": [4, 5]},
-            index=1, n_cells=2, kernel="vectorized",
-            fingerprint=units[0].fingerprint,
+            index=1, n_cells=2, fingerprint=units[0].fingerprint,
         )
+        # unit JSON carrying the old per-unit kernel hint still decodes
+        legacy = {**json.loads(units[1].to_json()), "kernel": "serial"}
+        assert WorkUnit.from_json(json.dumps(legacy)) == clone
 
     def test_result_json_round_trip(self):
         spec, units = toy_units()
@@ -152,10 +159,27 @@ class TestWire:
         assert sweep_fingerprint("TOY", 1, True, {}) != base
         assert sweep_fingerprint("TOY", 0, False, {}) != base
         assert sweep_fingerprint("TOY", 0, True, {"xs": [1]}) != base
-        # kernel choice never changes a table, so it is not identity
-        _, units_v = toy_units()
-        spec, units_s = units_for_request("TOY", 0, True, {}, kernel="serial", registry=TOY)
-        assert units_v[0].fingerprint == units_s[0].fingerprint
+        # every unit carries its request's identity and nothing else
+        _, units = toy_units()
+        assert {u.fingerprint for u in units} == {base}
+
+    def test_pass_kernel_cell_receives_default_kernel(self):
+        spec = SweepSpec(
+            experiment="TOY", title="t", headers=["x", "kernel"],
+            cell=kernel_cell, axes=(("x", (1, 2)),), context={},
+            pass_kernel=True,
+        )
+        units = [
+            WorkUnit(
+                experiment="TOY", seed=0, fast=True, overrides={}, index=i,
+                n_cells=2, fingerprint="",
+            )
+            for i in range(2)
+        ]
+        rows = [execute_unit(u, spec=spec).payload["rows"] for u in units]
+        # the same kernel run_sweep hands the cell with no exec config
+        assert rows == [[row] for row in run_sweep(spec).rows]
+        assert rows == [[[1, "vectorized"]], [[2, "vectorized"]]]
 
     def test_non_jsonable_payload_raises_clearly(self):
         def opaque_cell(rng, *, x, scale):
@@ -401,7 +425,7 @@ class TestForeignSpoolInput:
         broker.initialize(
             {
                 "experiment": "TOY", "seed": 0, "fast": True, "overrides": {},
-                "kernel": "vectorized", "fingerprint": units[0].fingerprint,
+                "fingerprint": units[0].fingerprint,
                 "n_cells": len(units), "lease_timeout": 10.0,
             },
             units,

@@ -162,6 +162,11 @@ class TestService:
         line, outcome, _ = service._dispatch(b'[1, 2, 3]\n')
         assert "error" in json.loads(line) and outcome == "error"
 
+        # nested past the recursion limit, yet far under the line limit
+        line, outcome, _ = service._dispatch(b"[" * 5000 + b"\n")
+        assert "bad request" in json.loads(line)["error"]
+        assert outcome == "error"
+
         line, outcome, _ = service._dispatch(
             b'{"op": "query", "source": -5, "target": 0.5}\n'
         )

@@ -41,23 +41,6 @@ def kernel_probe_cell(rng, *, k, kernel):
     return [[k, kernel]]
 
 
-def draw_stack(batch, *, seed):
-    # the reference definition of a correct stack: per-cell arithmetic on
-    # the batch's own streams, in span order
-    return [
-        draw_cell(rng, seed=seed, **coords)
-        for rng, coords in zip(batch.generators(), batch.coords)
-    ]
-
-
-def exploding_stack(batch, *, seed):
-    raise AssertionError("stacked pass must not run here")
-
-
-def short_stack(batch, *, seed):
-    return draw_stack(batch, seed=seed)[:-1]
-
-
 def _spec(**kw):
     defaults = dict(
         experiment="TOY",
@@ -153,76 +136,17 @@ class TestRunSweep:
 
 
 class TestStackedPass:
-    """A SweepSpec.stack pass changes scheduling, never values: it is the
-    default execution path when declared, spans reassemble bit-identically
-    under the process backend, and the serial/vectorized kernels bypass it
-    (the per-cell path stays the reference oracle)."""
-
-    def test_stack_is_default_and_bit_identical(self):
-        reference = run_sweep(_spec())
-        stacked = run_sweep(_spec(stack=draw_stack))
-        assert stacked.rows == reference.rows
-        assert stacked.render() == reference.render()
-
-    def test_explicit_stacked_kernel_selects_it(self):
-        cfg = ExecutionConfig(kernel="stacked")
-        assert run_sweep(_spec(stack=draw_stack), exec_config=cfg).rows == \
-            run_sweep(_spec()).rows
-
-    def test_stacked_kernel_without_stack_degrades_to_per_cell(self):
-        cfg = ExecutionConfig(kernel="stacked")
-        assert run_sweep(_spec(), exec_config=cfg).rows == \
-            run_sweep(_spec()).rows
-
-    def test_serial_and_vectorized_kernels_bypass_the_stack(self):
-        reference = run_sweep(_spec())
-        spec = _spec(stack=exploding_stack)
-        for cfg in (ExecutionConfig(backend="serial"),
-                    ExecutionConfig(kernel="vectorized")):
-            assert run_sweep(spec, exec_config=cfg).rows == reference.rows
+    """Process-backend spans at the edge of the pool size: a 2-cell grid
+    run by as many workers as cells, and by more workers than cells."""
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_process_spans_bit_identical(self, workers):
-        reference = run_sweep(_spec())
+        spec = _spec(axes=(("a", (1, 2)), ("b", ("x",))))
+        reference = run_sweep(spec)
         cfg = ExecutionConfig(backend="process", workers=workers)
-        par = run_sweep(_spec(stack=draw_stack), exec_config=cfg)
+        par = run_sweep(spec, exec_config=cfg)
         assert par.rows == reference.rows
         assert par.render() == reference.render()
-
-    def test_stack_run_labeled_in_telemetry(self):
-        from repro.telemetry import TelemetryBuffer, set_default_writer
-
-        buf = TelemetryBuffer()
-        previous = set_default_writer(buf)
-        try:
-            run_sweep(_spec(stack=draw_stack))
-        finally:
-            set_default_writer(previous)
-        (run,) = buf.of_type("sweep.run")
-        assert run["kernel"] == "stacked" and run["cells"] == 6
-
-    def test_wrong_output_count_rejected(self):
-        with pytest.raises(ValueError, match="stacked pass returned"):
-            run_sweep(_spec(stack=short_stack))
-
-    def test_unpicklable_stack_degrades_in_process_with_event(self):
-        from repro.telemetry import TelemetryBuffer, set_default_writer
-
-        reference = run_sweep(_spec())
-        bad = _spec(stack=lambda batch, *, seed: draw_stack(batch, seed=seed))
-        cfg = ExecutionConfig(backend="process", workers=2)
-        buf = TelemetryBuffer()
-        previous = set_default_writer(buf)
-        try:
-            with pytest.warns(RuntimeWarning, match="not picklable"):
-                degraded = run_sweep(bad, exec_config=cfg)
-        finally:
-            set_default_writer(previous)
-        # degraded to the *in-process stacked* pass, not per-cell serial
-        assert degraded.rows == reference.rows
-        (event,) = buf.of_type("sweep.degrade")
-        assert event["experiment"] == "TOY"
-        assert event["reason"] == "unpicklable-cell"
 
 
 class TestCellOut:
@@ -308,8 +232,9 @@ class TestKernelPassthrough:
         ]
 
     def test_invalid_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            ExecutionConfig(kernel="gpu")
+        for kernel in ("gpu", "stacked"):
+            with pytest.raises(ValueError, match="kernel"):
+                ExecutionConfig(kernel=kernel)
 
 
 class TestExecutionCounter:

@@ -183,9 +183,10 @@ through **shared-memory segments** instead of the executor's result pipe
 (`ShmInputBatch`: keep-on-load segments memoized by identity, so an
 array shared by every task — a built graph's CSR arrays, a probe batch —
 crosses once instead of once per task; volume in `shm.input_bytes`
-events), and executes sweeps that declare a stacked-cell pass (E1, E2,
-E3, E5, E6) as **contiguous spans** — one stacked call, one
-shm-transported result per worker, instead of one task per cell.
+events), and splits each multi-cell sweep (E1, E2, E3, E5, E6) into
+**contiguous spans** — one task per worker that runs its span's cells in
+grid order and returns one shm-transported result, instead of one task
+per cell.
 Together these flip the old economics: per-cell dispatch overhead no
 longer swamps the vectorized kernels, so on a multi-core host `--backend
 process` beats the in-process default on every multi-cell experiment at
@@ -200,9 +201,11 @@ a `RuntimeWarning` plus a `sweep.degrade` telemetry event — the table is
 still produced, and still bit-identical, but serially; module-level cell
 functions avoid it.  Determinism is never backend-dependent: per-cell
 `SeedSequence` streams are spawned in the parent, so serial, vectorized,
-stacked, and process execution render byte-identical tables at any
-worker count (property-tested in
-`tests/property/test_stacked_equivalence.py`).
+and process execution render byte-identical tables at any worker count
+(property-tested in `tests/property/test_stacked_equivalence.py`).
+`tools/smoke_parallel.py` separately checks the experiment-level pool
+(`run_all` on the process backend, one experiment per task) against the
+in-process suite: all fifteen fast tables must render byte-identical.
 
 Both the static-case pipeline and the sequential-trajectory experiments
 run on vectorized kernels by default: group construction is a one-pass CSR

@@ -10,7 +10,7 @@ tool to compare the two files:
   ``(experiment, n)`` (:func:`repro.analysis.benchio.diff_bench_ratios`)
   — the kernel pair (``serial``/``vectorized``) and the process
   backend's cell-scheduling pair (``cells-serial``/``cells-process``,
-  the warm-pool + shm + stacked-span win).  Both sides of a pair run on
+  the warm-pool + shm + contiguous-span win).  Both sides of a pair run on
   the same host in the same run, so host speed divides out of the ratio
   — a drop of more than ``--max-regression`` (default 20%) means the
   code itself regressed, whatever machine CI landed on.

@@ -4,8 +4,10 @@
 ``run_all(fast=True)`` with ``ExecutionConfig(backend="process")`` dispatches
 the fifteen independent experiments across a spawn-safe process pool (a real
 file-backed ``__main__`` — the spawn start method cannot re-import a stdin
-script).  Exercised by the ``smoke-parallel`` job in
-``.github/workflows/ci.yml``; also handy locally::
+script), then runs the suite again in-process and fails unless every table
+renders byte-identical: the determinism contract of ``--backend process``.
+Exercised by the ``smoke-parallel`` job in ``.github/workflows/ci.yml``;
+also handy locally::
 
     PYTHONPATH=src python tools/smoke_parallel.py [--workers W]
 """
@@ -40,6 +42,17 @@ def main(argv: list[str] | None = None) -> int:
         print()
     print(f"ran {len(tables)} experiments in {elapsed:.1f}s "
           f"(process backend, workers={args.workers})")
+
+    reference = run_all(seed=args.seed, fast=True)
+    diverged = [
+        name for name in tables
+        if tables[name].render() != reference[name].render()
+    ]
+    if diverged:
+        print(f"FAIL: process-backend tables differ from in-process for "
+              f"{', '.join(diverged)}", file=sys.stderr)
+        return 1
+    print(f"all {len(tables)} tables byte-identical to the in-process run")
     return 0
 
 
