@@ -29,6 +29,7 @@ distributionally-identical fast path.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -100,8 +101,9 @@ class EpochSimulator:
         Monte-Carlo searches per epoch for ``q_f``/robustness estimates.
     kernel:
         ``"vectorized"`` (default) runs every epoch step on the batched
-        array kernels — lockstep search routing, bucket-LUT successor
-        resolution, one flat edge pass per group composition;
+        array kernels — batched construction searches through
+        ``InputGraph.search_fail``, bucket-LUT successor resolution, one
+        flat edge pass per group composition;
         ``"serial"`` selects the per-probe / per-group reference loops.
         Both consume the RNG identically, so trajectories are
         bit-identical (the dynamic differential-oracle suite pins every
@@ -139,7 +141,11 @@ class EpochSimulator:
         self.ledger = CostLedger()
         self.epoch = 0
         self.pair: EpochPair = self._initial_pair()
-        self.history: list[EpochReport] = []
+        #: the latest report (``history[-1]``); a trajectory is what
+        #: :meth:`run` returns.  Only one is kept: a report holds its
+        #: builds' arrays (~0.3 MB at n = 4096), and the serving loop
+        #: steps one simulator for as long as it runs.
+        self.history: deque[EpochReport] = deque(maxlen=1)
 
     # -- construction ------------------------------------------------------------
 

@@ -13,10 +13,13 @@ ending at the first red group (or the whole path on success) — the object
 over which *responsibility* ``rho(G_v)`` is defined, because beyond the
 first red group the adversary can redirect traffic arbitrarily.
 
-The evaluation routines here are the hot loop of experiments E1/E2/E4: given
-a padded path matrix from ``InputGraph.route_many`` and the red flags, one
-boolean gather + cumulative reduction answers "which searches fail and where"
-for 10^5 probes at once.
+The evaluation routines here classify Monte-Carlo probe batches (the
+responsibility and failure estimates of E1/E2 and every epoch's ``q_f``):
+given a padded path matrix from ``InputGraph.route_many`` and the red flags,
+one boolean gather + cumulative reduction answers "which searches fail and
+where" for 10^5 probes at once.  The §III-A construction searches need only
+the fail bit and the hop count, so they go through
+``InputGraph.search_fail`` instead and never build a path matrix on Chord.
 """
 
 from __future__ import annotations

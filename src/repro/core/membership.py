@@ -198,9 +198,10 @@ def _search_fail_mask(
 
     ``kernel="serial"`` is the per-probe reference oracle: one scalar
     ``H.route`` per query with an explicit red-prefix check.  The default
-    vectorized kernel classifies the whole batch in one lockstep
-    ``evaluate`` pass; both charge identical ledger totals and produce
-    identical masks (differential-tested).
+    vectorized kernel hands the whole batch to ``H.search_fail``, which
+    returns the fail bits and the hop total (Chord's never builds the
+    paths); both charge identical ledger totals and produce identical
+    masks (differential-tested).
     """
     s = params.group_solicit_size
     if kernel == "serial":
@@ -211,18 +212,15 @@ def _search_fail_mask(
             path, resolved = H.route(int(sources[i]), float(points[i]))
             hops += path.size - 1
             # exclude the initiating position, exactly as the batched
-            # evaluate(include_source=False) does
+            # H.search_fail does
             fail[i] = not (resolved and not red[path[1:]].any())
         ledger.add_messages("routing", hops * s * s)
         ledger.count_op("searches", q)
         return fail
-    batch = H.route_many(sources, points)
-    gg = GroupGraph(H, params, red=red)
-    ev = gg.evaluate(batch, include_source=False)
-    hops = int((batch.paths != -1).sum() - batch.paths.shape[0])
+    fail, hops = H.search_fail(sources, points, red)
     ledger.add_messages("routing", hops * s * s)
-    ledger.count_op("searches", batch.paths.shape[0])
-    return ~ev.success
+    ledger.count_op("searches", fail.size)
+    return fail
 
 
 def _good_sources(
@@ -280,10 +278,10 @@ def build_new_graph(
     (experiment E5).
 
     ``kernel`` selects the execution path: ``"vectorized"`` (default)
-    routes every search batch in lockstep, resolves candidate successors
-    through the bucket-LUT bulk lookup, and derives all group compositions
-    from one flat ``(group, member)`` edge pass; ``"serial"`` is the
-    reference oracle — per-probe scalar searches and the per-group
+    sends every search batch through ``H.search_fail``, resolves candidate
+    successors through the bucket-LUT bulk lookup, and derives all group
+    compositions from one flat ``(group, member)`` edge pass; ``"serial"``
+    is the reference oracle — per-probe scalar searches and the per-group
     ``np.unique`` composition loop.  Both consume the RNG identically and
     produce bit-identical reports (pinned by the differential test suite).
     """

@@ -46,12 +46,13 @@ def _cell(
         size_schedule=schedule,
     )
     rows = []
-    for rep in sim.run(epochs):
+    reports = sim.run(epochs)
+    for rep in reports:
         rows.append([
             rep.epoch, rep.build_1.n_new, f"{rep.fraction_red:.4f}",
             f"{rep.qf:.4f}", f"{rep.robustness.epsilon_achieved:.4f}",
         ])
-    reds = [r.fraction_red for r in sim.history]
+    reds = [r.fraction_red for r in reports]
     return CellOut(
         rows=rows,
         notes=(

@@ -48,7 +48,8 @@ def _cell(
         kernel=kernel,
     )
     rows = []
-    for rep in sim.run(epochs):
+    reports = sim.run(epochs)
+    for rep in reports:
         rows.append([
             rep.epoch,
             f"{rep.fraction_red:.4f}",
@@ -59,7 +60,7 @@ def _cell(
             rep.departures,
             f"{rep.mean_membership:.1f}",
         ])
-    reds = [r.fraction_red for r in sim.history]
+    reds = [r.fraction_red for r in reports]
     half = max(1, len(reds) // 2)
     early = float(np.mean(reds[:half]))
     # a 1-epoch trajectory has no late half; reuse early so the stability

@@ -19,9 +19,10 @@ is topology-agnostic.
 
 Routing results are returned as *padded path matrices* — ``(q, max_hops)``
 int32 arrays with ``-1`` padding — so the group-graph layer can vectorize
-"does this search traverse a red group?" checks with one fancy-indexing pass,
-the hot loop of every experiment (HPC guide: vectorize the bottleneck, not
-the scaffolding).
+"does this search traverse a red group?" checks with one fancy-indexing pass.
+Searches that need only that answer and a hop count (the §III-A
+construction searches) go through :meth:`InputGraph.search_fail`, which a
+topology may answer without building paths at all.
 """
 
 from __future__ import annotations
@@ -156,6 +157,24 @@ class InputGraph(abc.ABC):
         targets:
             ``(q,)`` key points in ``[0, 1)``.
         """
+
+    def search_fail(
+        self, sources: np.ndarray, targets: np.ndarray, red: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Route searches and report which ones fail under the ``red`` flags.
+
+        Query ``i`` fails when it does not resolve or when an ID it
+        traverses *after* its source is red (the source's own flag does not
+        count).  Returns ``(fail, hops)``: the ``(q,)`` bool fail mask and
+        the total number of hops the batch took.  This default routes the
+        paths and scans them; a topology may override it with a walk that
+        never materializes paths, provided both results are identical.
+        """
+        batch = self.route_many(sources, targets)
+        after = batch.paths[:, 1:]
+        visited = after != PADDING
+        hit = (red[after] & visited).any(axis=1)
+        return hit | ~batch.resolved, int(visited.sum())
 
     def route(self, source: int, target: float) -> tuple[np.ndarray, bool]:
         """Single-query convenience wrapper around :meth:`route_many`."""

@@ -11,11 +11,13 @@ this linking rule):
 * routing: greedy clockwise — forward to the *closest preceding finger* of
   the key until the key falls in ``(current, successor]``.
 
-Routing is implemented batch-vectorized: all in-flight queries advance one
-hop per iteration via fancy-indexed gathers on the ``(n, m+2)`` finger
-matrix, so a 100k-probe congestion estimate is a handful of NumPy passes
-rather than 100k Python loops (the hot loop identified by profiling; see
-DESIGN.md).
+Routing is batch-vectorized: every query still in flight advances one hop
+per iteration, and finished queries drop out of the batch.  A hop reads
+one finger per query, not the whole row.  Along a finger row the clockwise
+distance never increases, so the closest preceding finger is the first
+column whose distance falls strictly inside ``(current, key)``; the binary
+exponent of the key distance says which columns are too long to qualify,
+and the walk starts right after them (:meth:`ChordGraph._next_hop`).
 
 Congestion: with raw u.a.r. arcs (no virtual-node smoothing) the most
 congested ID couples the maximum ownership arc (``Theta(log n / n)``) with
@@ -27,6 +29,7 @@ Lemma 9 absorbs it via ``k >= 2c + gamma``.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +37,22 @@ from ..idspace.ring import Ring
 from .base import PADDING, InputGraph, RouteBatch
 
 __all__ = ["ChordGraph"]
+
+# A finger aimed 2^-(j+1) ahead has a computed clockwise distance of at least
+# 2^-(j+1) - 2^-52 (two roundings of at most 2^-53 each), so a key distance
+# d with d + _SLACK < 2^-(j+1) rules column j out.
+_SLACK = 2.0**-50
+
+
+def _cw(delta: np.ndarray) -> np.ndarray:
+    """Clockwise distance ``np.mod(delta, 1.0)`` for ``delta`` in (-1, 1).
+
+    On that range ``np.mod`` returns ``delta`` when it is positive,
+    ``fl(delta + 1)`` when it is negative and ``+0.0`` for either zero;
+    adding ``delta < 0`` (as 1.0 or 0.0) gives the same float, bit for
+    bit, at a fraction of the cost of ``np.mod``'s division.
+    """
+    return delta + (delta < 0)
 
 
 class ChordGraph(InputGraph):
@@ -53,21 +72,21 @@ class ChordGraph(InputGraph):
         table = ring.successor_index_many(points.ravel()).reshape(n, m)
         succ = (np.arange(n) + 1) % n
         pred = (np.arange(n) - 1) % n
-        # Columns: m fingers, successor, predecessor.  Successor doubles as
-        # the hop of last resort in routing.  Stored at the ring's index
-        # dtype: the (n, m+2) finger matrix is the largest persistent array
-        # of the topology, so int32 halves it at million-node scale.
+        # Columns: m fingers, successor, predecessor.  Stored at the ring's
+        # index dtype: the (n, m+2) finger matrix is the largest persistent
+        # array of the topology, so int32 halves it at million-node scale.
         self._fingers = np.column_stack([table, succ, pred]).astype(
             ring.index_dtype
         )
         self._m = m
-        # Clockwise distances current -> finger / successor depend only on
-        # the (node, column) pair, so they are precomputed once: the routing
-        # loop then gathers one float row per active query instead of
-        # re-deriving mod-subtractions over the finger matrix every hop.
-        # Same arithmetic as the inline form, so paths are bit-identical.
-        fwd = self._fingers[:, : m + 1]  # fingers + successor
-        self._d_fwd = np.mod(ids[fwd] - ids[:, None], 1.0)
+        # Routing reads the matrix flat: node c's column j is c * width + j.
+        self._flat = self._fingers.ravel()
+        self._width = m + 2
+        # _start[1 - e] is the first finger column a key distance d with
+        # d + _SLACK = f * 2^e (0.5 <= f < 1) leaves in play: every column
+        # j < -e aims at least 2^e > d + _SLACK ahead.  d lies in (0, 1],
+        # so e runs from -49 to 1.
+        self._start = np.clip(np.arange(51) - 1, 0, m)
         self._d_succ = np.mod(ids[succ] - ids, 1.0)
         super().__init__(ring)
 
@@ -108,61 +127,101 @@ class ChordGraph(InputGraph):
 
     # -- routing ---------------------------------------------------------------
 
+    def _next_hop(
+        self, cur: np.ndarray, key: np.ndarray, dest: np.ndarray
+    ) -> np.ndarray:
+        """One greedy hop for queries at ``cur`` looking up ``key``.
+
+        A key in ``(current, successor]`` goes to its responsible ID
+        ``dest``; any other key goes to the closest preceding finger, the
+        finger (or successor) whose clockwise distance is largest strictly
+        inside ``(current, key)``.  Every query here is still in flight, so
+        ``key`` is not ``cur``'s own ID and its distance is positive.
+
+        The finger distances along a row never increase, except that
+        self-fingers (distance 0, only on tiny rings) come first.  So the
+        closest preceding finger is the first column from the start whose
+        distance is positive and below the key's, and for a key beyond the
+        successor the successor column always qualifies.  A self-finger
+        aims past every other ID, so a key still in flight lies short of
+        its aim: the walk can meet one only at its start column, never
+        after a step.
+        """
+        ids = self.ring.ids
+        flat = self._flat
+        here = ids[cur]
+        d_key = _cw(key - here)
+        arrive = d_key <= self._d_succ[cur]
+        ptr = cur * self._width + self._start[1 - np.frexp(d_key + _SLACK)[1]]
+        d = _cw(ids[flat[ptr]] - here)
+        step = np.flatnonzero(((d >= d_key) | (d == 0)) & ~arrive)
+        while step.size:
+            at = ptr[step] + 1
+            ptr[step] = at
+            d = _cw(ids[flat[at]] - here[step])
+            step = step[d >= d_key[step]]
+        return np.where(arrive, dest, flat[ptr])
+
+    def _walk(
+        self,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        visit: Callable[[np.ndarray, np.ndarray], None],
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Route every query, calling ``visit(live, nxt)`` once per hop.
+
+        ``live`` lists the queries that take the hop and ``nxt`` the IDs
+        they reach; queries leave the batch on reaching their responsible
+        ID.  Returns ``(responsible, unresolved, hops)``: the queries
+        still in flight after the hop budget, and the hops taken in all.
+        Keys lie in ``[0, 1)`` like the IDs (the :meth:`route_many`
+        contract), so every difference :func:`_cw` sees is in (-1, 1).
+        """
+        resp = self.ring.successor_index_bulk(targets)
+        live = np.flatnonzero(sources != resp)
+        # int64 indices: NumPy gathers with int32 ones convert them first
+        cur, key = sources[live], targets[live]
+        dest = resp[live].astype(np.int64)
+        hops = 0
+        for _ in range(4 * self._m + 8):
+            if not live.size:
+                break
+            nxt = self._next_hop(cur, key, dest)
+            visit(live, nxt)
+            hops += live.size
+            moving = nxt != dest
+            if moving.all():
+                cur = nxt
+            else:
+                live, cur = live[moving], nxt[moving]
+                key, dest = key[moving], dest[moving]
+        return resp, live, hops
+
     def route_many(self, sources: np.ndarray, targets: np.ndarray) -> RouteBatch:
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.float64)
-        q = sources.size
-        ids = self.ring.ids
-        n = self.n
-        resp = self.ring.successor_index_bulk(targets)
-        succ_of = (np.arange(n) + 1) % n
-
-        max_hops = 4 * self._m + 8
-        paths = np.full((q, max_hops + 2), PADDING, dtype=np.int32)
+        columns: list[tuple[np.ndarray, np.ndarray]] = []
+        resp, unresolved, _ = self._walk(
+            sources, targets, lambda live, nxt: columns.append((live, nxt))
+        )
+        paths = np.full((sources.size, len(columns) + 1), PADDING, dtype=np.int32)
         paths[:, 0] = sources
-        cur = sources.copy()
-        done = cur == resp
-        col = np.ones(q, dtype=np.int64)  # next write position per query
+        for col, (live, nxt) in enumerate(columns, 1):
+            paths[live, col] = nxt
+        resolved = np.ones(sources.size, dtype=bool)
+        resolved[unresolved] = False
+        return RouteBatch(paths=paths, resolved=resolved, responsible=resp)
 
-        # Gather only finger columns (not predecessor) for forwarding: Chord
-        # routes strictly clockwise.
-        fwd = self._fingers[:, : self._m + 1]  # fingers + successor
+    def search_fail(
+        self, sources: np.ndarray, targets: np.ndarray, red: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.float64)
+        fail = np.zeros(sources.size, dtype=bool)
 
-        for _ in range(max_hops):
-            active = ~done
-            if not active.any():
-                break
-            ai = np.flatnonzero(active)
-            c = cur[ai]
-            t = targets[ai]
-            d_t = np.mod(t - ids[c], 1.0)  # distance from current to key point
-            d_succ = self._d_succ[c]
-            # Key in (current, successor]: the successor is responsible.
-            arrive = (d_t > 0) & (d_t <= d_succ)
-            # Also handle d_t == 0 => current responsible (cur == resp already
-            # excluded, but key exactly at current id means resp == cur).
-            nxt = np.empty(ai.size, dtype=np.int64)
-            nxt[arrive] = resp[ai[arrive]]
-            rest = ~arrive
-            if rest.any():
-                ri = ai[rest]
-                cr = cur[ri]
-                fid = fwd[cr]  # (r, m+1)
-                d_f = self._d_fwd[cr]
-                valid = (d_f > 0) & (d_f < d_t[rest][:, None])
-                # closest preceding finger = max clockwise distance among valid
-                score = np.where(valid, d_f, -1.0)
-                best = np.argmax(score, axis=1)
-                has_valid = score[np.arange(best.size), best] > 0
-                chosen = fid[np.arange(best.size), best]
-                # Fallback (shouldn't trigger for a consistent ring): successor.
-                chosen = np.where(has_valid, chosen, succ_of[cr])
-                nxt[rest] = chosen
-            cur[ai] = nxt
-            paths[ai, col[ai]] = nxt
-            col[ai] += 1
-            done[ai] = nxt == resp[ai]
+        def visit(live: np.ndarray, nxt: np.ndarray) -> None:
+            fail[live[red[nxt]]] = True
 
-        resolved = done.copy()
-        used = int(col.max())
-        return RouteBatch(paths=paths[:, :used], resolved=resolved, responsible=resp)
+        _, unresolved, hops = self._walk(sources, targets, visit)
+        fail[unresolved] = True
+        return fail, hops

@@ -52,7 +52,7 @@ class DeBruijnGraph(DistanceHalvingGraph):
         # source ID, then reversed: q_i = pts[:, L-i].
         pts = self.walk_points(targets, self.ring.ids[sources])
         rev = pts[:, ::-1]
-        nodes = self.ring.successor_index_many(rev.ravel()).reshape(q, -1)
+        nodes = self.ring.successor_index_many(rev.ravel()).reshape(rev.shape)
         n = self.n
         succ_of = (np.arange(n) + 1) % n
         rows: list[np.ndarray] = []

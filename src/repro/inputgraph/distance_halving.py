@@ -208,11 +208,10 @@ class DistanceHalvingGraph(InputGraph):
     def route_many(self, sources: np.ndarray, targets: np.ndarray) -> RouteBatch:
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.float64)
-        q = sources.size
         resp = self.ring.successor_index_many(targets)
         pts = self.walk_points(self.ring.ids[sources], targets)
         # Node visited at each layer = owner (successor) of the walk point.
-        nodes = self.ring.successor_index_many(pts.ravel()).reshape(q, -1)
+        nodes = self.ring.successor_index_many(pts.ravel()).reshape(pts.shape)
         nodes[:, 0] = sources  # z_0 is the source's own ID
         return self._finish_with_ring_tail(nodes, resp)
 

@@ -205,7 +205,9 @@ class ViceroyGraph(InputGraph):
             self._route_one(int(s), float(t), int(r))
             for s, t, r in zip(sources, targets, resp)
         ]
-        resolved = np.asarray([row[-1] == r for row, r in zip(rows, resp)])
+        resolved = np.asarray(
+            [row[-1] == r for row, r in zip(rows, resp)], dtype=bool
+        )
         return RouteBatch(
             paths=self._pack_paths(rows), resolved=resolved, responsible=resp
         )

@@ -8,7 +8,8 @@ oracle.  RNG draws, accumulators, and float statistics are never
 narrowed, so the two policies must agree **value-for-value** on every
 derived quantity:
 
-* the topology's CSR neighbor structure and routed probe batches,
+* the topology's CSR neighbor structure, routed probe batches and
+  search fail masks with their hop totals,
 * the group construction's member CSR and every search statistic,
 * and the chunked probe-streaming path at any window size.
 
@@ -65,6 +66,12 @@ def test_int32_csr_and_routes_match_int64_oracle(topology, n, seed):
         b32.responsible.astype(np.int64), b64.responsible.astype(np.int64)
     )
     np.testing.assert_array_equal(b32.resolved, b64.resolved)
+    # the fused construction-search path (no paths built on chord)
+    red = rng.random(n) < 0.2
+    f32, hops32 = narrow.search_fail(sources, targets, red)
+    f64, hops64 = oracle.search_fail(sources, targets, red)
+    np.testing.assert_array_equal(f32, f64)
+    assert hops32 == hops64
 
 
 @given(

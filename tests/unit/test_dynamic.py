@@ -61,6 +61,8 @@ class TestStep:
         sim = EpochSimulator(params, probes=500)
         reports = sim.run(3)
         assert [r.epoch for r in reports] == [1, 2, 3]
+        # the simulator itself keeps only the latest report
+        assert list(sim.history) == [reports[-1]]
 
     def test_churn_applied(self, params):
         sim = EpochSimulator(params, churn=UniformChurn(rate=0.1), probes=500)
@@ -93,6 +95,12 @@ class TestStep:
             0.5 * (rep.fraction_red_1 + rep.fraction_red_2)
         )
         assert rep.qf == pytest.approx(0.5 * (rep.qf_1 + rep.qf_2))
+
+    def test_zero_probes_measures_empty_batch(self):
+        # an empty probe batch has failure rate 0.0 (SearchEvaluation's
+        # value for no searches), not an error from the router
+        rep = EpochSimulator(SystemParams(n=64, seed=1), probes=0).step()
+        assert rep.qf_1 == rep.qf_2 == 0.0
 
 
 class TestKernelSelection:

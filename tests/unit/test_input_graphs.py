@@ -71,6 +71,16 @@ class TestRoutingCorrectness:
         assert ok
         assert path[-1] == 5
 
+    def test_empty_batch(self, graphs, name):
+        g = graphs[(name, 64)]
+        batch = g.route_many(np.empty(0, dtype=np.int64), np.empty(0))
+        assert batch.paths.shape[0] == 0
+        assert batch.resolved.size == 0 and batch.responsible.size == 0
+        fail, hops = g.search_fail(
+            np.empty(0, dtype=np.int64), np.empty(0), np.ones(g.n, dtype=bool)
+        )
+        assert fail.size == 0 and hops == 0
+
     def test_hop_counts_logarithmic(self, graphs, name):
         g = graphs[(name, 256)]
         rng = np.random.default_rng(4)

@@ -50,11 +50,11 @@ CLAIMS = {
         "1/poly(log n) fraction of groups stay good. Expected shape: flat "
         "red-fraction series across epochs (no drift), eps within envelope. "
         "Execution: each epoch *step* runs on the batched kernels by default "
-        "(lockstep construction searches, bucket-LUT successors, flat-edge-"
+        "(batched construction searches, bucket-LUT successors, flat-edge-"
         "pass group composition); `--backend serial` selects the per-probe / "
         "per-group reference loops with a bit-identical trajectory. Measured "
-        "one core, n=2048, one epoch: serial ~50s vs vectorized ~0.8s "
-        "(~60x; `BENCH_vectorized.json` E4 rows).",
+        "one core, n=2048, one epoch: serial ~40s vs vectorized ~0.17s "
+        "(~240x; `BENCH_vectorized.json` E4 rows).",
     ),
     "E5": (
         "§III motivation — two group graphs vs one (ablation)",
@@ -214,7 +214,7 @@ no per-group `np.unique`), E2-style secure searches evaluate every probe
 in one lockstep batch over the group graph (`SecureRouter.search_batch`,
 good-majority tests precomputed as boolean arrays), and the dynamic case
 (E4 epochs, E8 PoW windows, E12 churn) keeps each epoch/window/event
-*step* sequential while batching the step's inner work — lockstep
+*step* sequential while batching the step's inner work — batched
 construction searches + flat-edge-pass group composition per epoch,
 whole solution-count windows as one array draw, one fused relocation
 update per churn event.  An explicit `--backend serial` selects the loop
@@ -222,7 +222,7 @@ implementations, which are kept as the reference oracles and
 differential-tested: all backends render byte-identical tables, and for
 E4 the *entire trajectory* (every per-epoch report field) is pinned
 bit-identical, not just the table.  Measured on one core at paper-scale
-n, the kernels are >= 5x (E3 construction grid, n=8192, ~8x) to ~60x (E4
+n, the kernels are >= 5x (E3 construction grid, n=8192, ~8x) to ~240x (E4
 one epoch, n=2048) and ~70x (E2 probe batch, n=4096) faster than the
 loops — `benchmarks/output/BENCH_vectorized.json` (from
 `pytest benchmarks/bench_vectorized.py` or `tools/smoke_vectorized.py`)

@@ -4,7 +4,7 @@
 Runs the canonical kernel measurement points — E2 (batched secure-search
 kernel vs the per-probe scalar loop), E3 (one-pass CSR construction kernel
 vs the per-leader ``np.unique`` loop), E4 (one paper-scale epoch of the
-dynamic trajectory: lockstep construction searches + flat-edge-pass group
+dynamic trajectory: batched construction searches + flat-edge-pass group
 composition vs the per-probe / per-group reference loops), E8 (batched PoW
 window counts vs the per-window loop) and E12 (array relocation vs the
 bucket-set churn loop) — under both the ``serial`` and ``vectorized``
