@@ -17,11 +17,14 @@ is the layout the construction, churn, and state-cost experiments all share.
 Construction comes in two kernels selected by ``kernel=``:
 
 ``"vectorized"`` (the default)
-    One hashing/sampling pass produces the flat ``(leader, member)`` edge
-    array for *all* groups; a single row-sort (the edges are then lexsorted
-    by ``(leader, member)``) plus a segment-dedup mask collapses duplicate
-    oracle points and emits the CSR arrays directly — no per-group
-    ``np.unique`` calls, no Python-level per-leader loop.
+    The oracle points of a row block of leaders map to the flat
+    ``(leader, member)`` edge array of their groups; a row-sort (the edges
+    are then lexsorted by ``(leader, member)``) plus a segment-dedup mask
+    collapses duplicate oracle points and emits the CSR arrays directly —
+    no per-group ``np.unique`` calls, no Python-level per-leader loop.
+    ``build_groups_fast`` draws its points in blocks of ~2^18
+    (``build_groups`` hashes all leaders as one block), so at n = 2^20 no
+    ``(n, m)`` point array is ever held.
 ``"serial"``
     The original per-leader loop, kept as the reference oracle.  Both
     kernels consume the RNG/oracle identically and produce **byte-identical
@@ -31,11 +34,12 @@ Construction comes in two kernels selected by ``kernel=``:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from ..idspace.hashing import RandomOracle
-from ..idspace.ring import Ring
+from ..idspace.ring import Ring, row_blocks
 from .params import SystemParams
 
 __all__ = [
@@ -132,29 +136,42 @@ class GroupQuality:
         return float(self.is_bad.mean()) if self.is_bad.size else 0.0
 
 
-def _points_to_csr(ring: Ring, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized kernel: oracle points ``(ng, m)`` -> CSR ``(indptr, member_idx)``.
+def _points_to_csr(
+    ring: Ring, blocks: Iterable[np.ndarray], ng: int, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized kernel: oracle points -> CSR ``(indptr, member_idx)``.
 
-    One bulk successor lookup maps every point to its member index; sorting
-    each row then makes the flat ``(leader, member)`` edge array lexsorted
-    by ``(leader, member)``, so duplicate members inside a group are exactly
-    the positions equal to their left neighbor — a single segment-dedup mask
-    replaces the per-group ``np.unique`` calls, and the kept-per-row counts
-    cumsum straight into ``indptr``.  Byte-identical to the serial loop.
+    ``blocks`` yields the ``(ng, m)`` point matrix as consecutive row
+    blocks.  Per block, one bulk successor lookup maps every point to its
+    member index; sorting each row then makes the flat ``(leader, member)``
+    edge array lexsorted by ``(leader, member)``, so duplicate members
+    inside a group are exactly the positions equal to their left neighbor
+    — a single segment-dedup mask replaces the per-group ``np.unique``
+    calls, and the kept-per-row counts cumsum into ``indptr``.
+    Byte-identical to the serial loop.
     """
-    ng, m = pts.shape
-    if pts.size == 0:  # no leaders or zero solicit: all-empty groups
-        return (np.zeros(ng + 1, dtype=ring.index_dtype),
-                np.empty(0, dtype=ring.index_dtype))
-    idx = ring.successor_index_bulk(pts.ravel()).reshape(ng, m)
-    idx.sort(axis=1)
-    keep = np.empty((ng, m), dtype=bool)
-    keep[:, 0] = True
-    np.not_equal(idx[:, 1:], idx[:, :-1], out=keep[:, 1:])
+    sizes = np.zeros(ng, dtype=np.int64)
+    # room for every point; the tail that dedup leaves unwritten is never
+    # touched, so it never becomes resident.  Member indices carry
+    # ring.index_dtype, as the bulk lookup does.
+    members = np.empty(ng * m, dtype=ring.index_dtype)
+    row = total = 0
+    for pts in blocks:
+        rows = pts.shape[0]
+        if pts.size:  # zero solicit: all-empty groups
+            idx = ring.successor_index_bulk(pts.ravel()).reshape(rows, m)
+            idx.sort(axis=1)
+            keep = np.empty((rows, m), dtype=bool)
+            keep[:, 0] = True
+            np.not_equal(idx[:, 1:], idx[:, :-1], out=keep[:, 1:])
+            keep.sum(axis=1, out=sizes[row : row + rows])
+            kept = idx[keep]
+            members[total : total + kept.size] = kept
+            total += kept.size
+        row += rows
     indptr = np.zeros(ng + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    # member indices inherit ring.index_dtype from the bulk lookup
-    return _narrow_indptr(ring, indptr), idx[keep]
+    np.cumsum(sizes, out=indptr[1:])
+    return _narrow_indptr(ring, indptr), members[:total]
 
 
 def build_groups(
@@ -187,7 +204,7 @@ def build_groups(
         pts = np.empty((len(leaders), m), dtype=np.float64)
         for i, lead in enumerate(leaders):
             pts[i] = oracle.many(float(ids[lead]) if lead < ring.n else int(lead), m)
-        indptr, member_idx = _points_to_csr(ring, pts)
+        indptr, member_idx = _points_to_csr(ring, [pts], *pts.shape)
         return GroupSet(np.asarray(leaders), indptr, member_idx, ring.n)
     rows: list[np.ndarray] = []
     for lead in leaders:
@@ -218,18 +235,24 @@ def build_groups_fast(
     the large-n sweeps.  Cross-checked against :func:`build_groups` in the
     test suite.
 
-    Both kernels consume exactly one ``rng.random((ng, m))`` draw and build
-    identical CSR arrays, so downstream streams and tables do not depend on
-    the kernel choice.
+    Both kernels consume the stream of one ``rng.random((ng, m))`` draw
+    and build identical CSR arrays, so downstream streams and tables do not
+    depend on the kernel choice.  The vectorized kernel draws those points
+    in row blocks (:func:`~repro.idspace.ring.row_blocks`): consecutive
+    ``rng.random`` draws give the same values, and leave the generator in
+    the same state, as the one draw, and no ``(ng, m)`` point array is
+    held.
     """
     _require_kernel(kernel)
     ng = ring.n if n_groups is None else int(n_groups)
     m = params.group_solicit_size if solicit is None else int(solicit)
-    pts = rng.random((ng, m))
     leaders = np.arange(ng, dtype=np.int64) % ring.n
     if kernel == "vectorized":
-        indptr, member_idx = _points_to_csr(ring, pts)
+        blocks = (rng.random((rows.stop - rows.start, m))
+                  for rows in row_blocks(ng, m))
+        indptr, member_idx = _points_to_csr(ring, blocks, ng, m)
         return GroupSet(leaders, indptr, member_idx, ring.n)
+    pts = rng.random((ng, m))
     idx = ring.successor_index_many(pts.ravel()).reshape(ng, m)
     idx.sort(axis=1)
     rows = [np.unique(idx[g]) for g in range(ng)]

@@ -12,6 +12,8 @@ This module provides:
 * scalar and vectorized clockwise-distance / interval predicates,
 * :class:`Ring` — an immutable sorted collection of IDs supporting O(log n)
   successor queries (vectorized over query batches via ``np.searchsorted``),
+* :func:`row_blocks` — the row blocks in which the million-node builds
+  stream their points through the bulk successor lookup,
 * the paper's ``ln ln n`` estimation trick (§III-A "How is ln ln n
   estimated?"), which works even when an adversary omits some of its IDs.
 
@@ -23,7 +25,7 @@ adversarial inputs) are removed on construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "estimate_ln_n",
     "estimate_ln_ln_n",
     "index_dtype_for",
+    "row_blocks",
 ]
 
 
@@ -73,6 +76,23 @@ def index_dtype_for(n: int, policy: str | np.dtype | None = "auto") -> np.dtype:
 
 
 _ALMOST_ONE = float(np.nextafter(1.0, 0.0))
+
+# Points per row block of a streamed bulk build: a block's points, buckets
+# and indices stay a few MB, where one (n, m) pass at n = 2^20 would hold
+# ~22M of each.
+_BLOCK_POINTS = 1 << 18
+
+
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive row slices covering a ``(rows, width)`` point array.
+
+    Each slice holds about ``_BLOCK_POINTS`` points (at least one row), so
+    a build that draws or computes its points block by block never holds
+    more than one block of them.
+    """
+    step = max(1, _BLOCK_POINTS // max(1, width))
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
 
 
 def cw_dist(a: float, b: float) -> float:
@@ -143,7 +163,8 @@ class Ring:
                                    dtype=np.float64))
         if arr.size == 0:
             raise ValueError("Ring requires at least one ID")
-        if arr[0] < 0.0 or arr[-1] >= 1.0:
+        # written so that NaN (sorted last by np.unique) fails it too
+        if not (arr[0] >= 0.0 and arr[-1] < 1.0):
             raise ValueError("IDs must lie in [0, 1)")
         self.ids: np.ndarray = arr
         self.ids.setflags(write=False)
@@ -183,20 +204,23 @@ class Ring:
     def _bulk_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Lazily built bucket LUT for :meth:`successor_index_bulk`.
 
-        ``lut[b]`` is the first ring index whose ID is >= ``b / K`` for
-        ``K = 4n`` buckets (one sorted searchsorted pass, so construction is
-        cheap); ``ids_ext`` appends ``inf`` so an index of ``n`` is a safe
+        ``lut[b]`` is the first ring index whose ID is >= ``b / K``, for
+        ``K`` the largest power of two <= ``4n``.  With a power-of-two
+        ``K``, ``id * K`` is exact, so the IDs below ``b / K`` are exactly
+        those in buckets ``< b``: the LUT is the running count of IDs per
+        bucket.  ``ids_ext`` appends ``inf`` so an index of ``n`` is a safe
         gather target during the advance loop.
         """
         if self._succ_lut is None:
-            K = 4 * self.n
-            # int32 under the narrow policy halves the LUT (its 4n+1 slots
+            K = 1 << ((4 * self.n).bit_length() - 1)
+            counts = np.bincount((self.ids * K).astype(np.int64), minlength=K)
+            # int32 under the narrow policy halves the LUT (its K + 1 slots
             # dominate the ring's resident footprint at large n); lut values
             # reach n, which fits whenever ring indices do
-            self._succ_lut = np.searchsorted(
-                self.ids, np.arange(K + 1) / K, side="left"
-            ).astype(self.index_dtype, copy=False)
-            self._succ_lut.setflags(write=False)
+            lut = np.zeros(K + 1, dtype=self.index_dtype)
+            np.cumsum(counts, out=lut[1:])
+            lut.setflags(write=False)
+            self._succ_lut = lut
             self._ids_ext = np.append(self.ids, np.inf)
             self._ids_ext.setflags(write=False)
         return self._succ_lut, self._ids_ext
@@ -205,23 +229,24 @@ class Ring:
         """Exact :meth:`successor_index_many`, tuned for large batches.
 
         Binary search over random query points is branch-miss bound; this
-        path replaces it with a bucket lookup (``K = 4n`` buckets over
-        ``[0, 1)``) followed by a short vectorized advance — for near-uniform
-        ID sets almost every query lands 0-2 slots from its bucket's first
-        ID.  Queries still advancing after a bounded number of steps (an
-        adversarially clustered ring) are resolved by the exact binary
-        search, so the result equals :meth:`successor_index_many`
-        element-for-element on *any* ring.  This is the hot path of the
-        vectorized group-construction kernel (~6x over the binary search at
-        Monte-Carlo batch sizes).
+        path replaces it with a bucket lookup (``K`` power-of-two buckets
+        over ``[0, 1)``, ``2n < K <= 4n``) followed by a short vectorized
+        advance — for near-uniform ID sets almost every query lands 0-2
+        slots from its bucket's first ID.  ``floor(p * K)`` is exact, so
+        a point's bucket starts at or before the point and its first ID is
+        never past the successor.  Queries still advancing after a bounded
+        number of steps (an adversarially clustered ring) are resolved by
+        the exact binary search, so for points in ``[0, 1]`` the result
+        equals :meth:`successor_index_many` element-for-element on *any*
+        ring.  This is the hot path of the group and finger builds (~6x
+        over the binary search at Monte-Carlo batch sizes).
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.size < self._BULK_THRESHOLD:
             return self.successor_index_many(pts)
         lut, ids_ext = self._bulk_tables()
         K = lut.size - 1
-        bucket = np.minimum((pts * K).astype(np.int64), K - 1)
-        idx = lut[bucket]  # inherits index_dtype from the LUT
+        idx = lut[(pts * K).astype(np.int64)]  # inherits index_dtype
         active = np.flatnonzero(ids_ext[idx] < pts)
         if active.size:
             for _ in range(self._BULK_MAX_ADVANCE):

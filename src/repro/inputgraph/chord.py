@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..idspace.ring import Ring
+from ..idspace.ring import Ring, row_blocks
 from .base import PADDING, InputGraph, RouteBatch
 
 __all__ = ["ChordGraph"]
@@ -66,18 +66,23 @@ class ChordGraph(InputGraph):
         n = ring.n
         m = max(1, math.ceil(math.log2(max(2, n)))) + self._extra
         ids = ring.ids
-        # finger_table[i, j] = suc(ids[i] + 2^{-(j+1)}), j = 0..m-1
-        offsets = 2.0 ** -(np.arange(1, m + 1))
-        points = np.mod(ids[:, None] + offsets[None, :], 1.0)
-        table = ring.successor_index_many(points.ravel()).reshape(n, m)
         succ = (np.arange(n) + 1) % n
-        pred = (np.arange(n) - 1) % n
         # Columns: m fingers, successor, predecessor.  Stored at the ring's
         # index dtype: the (n, m+2) finger matrix is the largest persistent
         # array of the topology, so int32 halves it at million-node scale.
-        self._fingers = np.column_stack([table, succ, pred]).astype(
-            ring.index_dtype
-        )
+        self._fingers = np.empty((n, m + 2), dtype=ring.index_dtype)
+        self._fingers[:, m] = succ
+        self._fingers[:, m + 1] = (np.arange(n) - 1) % n
+        # finger_table[i, j] = suc(ids[i] + 2^{-(j+1)}), j = 0..m-1, filled
+        # one row block at a time.  A point lies in [0, 1.5], so subtracting
+        # (x >= 1) is np.mod(x, 1.0) bit for bit: x - 1 is exact there.
+        offsets = 2.0 ** -(np.arange(1, m + 1))
+        for rows in row_blocks(n, m):
+            points = ids[rows, None] + offsets
+            points -= points >= 1
+            self._fingers[rows, :m] = ring.successor_index_bulk(
+                points.ravel()
+            ).reshape(points.shape)
         self._m = m
         # Routing reads the matrix flat: node c's column j is c * width + j.
         self._flat = self._fingers.ravel()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.idspace.ring as ring_module
 from repro.core.groups import (
     GroupSet,
     build_groups,
@@ -143,6 +144,27 @@ class TestKernelEquivalence:
                                   n_groups=10, solicit=solicit,
                                   kernel="serial"),
             )
+
+    BLOCK = 4  # rows per block under test
+
+    @pytest.mark.parametrize("solicit", [0, 1, 17])
+    @pytest.mark.parametrize("n_groups", [0, BLOCK - 1, BLOCK, BLOCK + 1,
+                                          3 * BLOCK + 2, 300])
+    def test_fast_build_blocks_equal_one_draw(self, monkeypatch, ring, params,
+                                              n_groups, solicit):
+        monkeypatch.setattr(ring_module, "_BLOCK_POINTS",
+                            self.BLOCK * max(1, solicit))
+        # every block, however small, takes the bucket LUT path
+        monkeypatch.setattr(Ring, "_BULK_THRESHOLD", 1)
+        r1 = np.random.default_rng(8)
+        r2 = np.random.default_rng(8)
+        self._assert_same(
+            build_groups_fast(ring, params, r1, n_groups=n_groups,
+                              solicit=solicit, kernel="vectorized"),
+            build_groups_fast(ring, params, r2, n_groups=n_groups,
+                              solicit=solicit, kernel="serial"),
+        )
+        assert r1.random() == r2.random()
 
     def test_oracle_subset_leaders_kernels_identical(self, ring, params):
         h = RandomOracle("h2", 11)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.idspace.ring as ring_module
 from repro.idspace.ring import Ring
 from repro.inputgraph import (
     PADDING,
@@ -155,6 +156,43 @@ class TestChordSpecifics:
     def test_log_degree(self, rings):
         g = make_input_graph("chord", rings[256])
         assert g.degrees().mean() <= 3 * np.log2(256)
+
+
+class TestChordFingerBlocks:
+    """The finger table, built in row blocks, equals one whole-table pass."""
+
+    BLOCK = 5  # rows per block under test
+
+    @staticmethod
+    def _reference(g) -> np.ndarray:
+        ring, n, m = g.ring, g.n, g.finger_count
+        offsets = 2.0 ** -(np.arange(1, m + 1))
+        table = ring.successor_index_many(
+            np.mod(ring.ids[:, None] + offsets, 1.0)
+        )
+        succ = (np.arange(n) + 1) % n
+        pred = (np.arange(n) - 1) % n
+        return np.column_stack([table, succ, pred])
+
+    @pytest.mark.parametrize("dtype", ["int32", "int64"])
+    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
+    @pytest.mark.parametrize("n", [1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   3 * BLOCK + 2])
+    def test_blocks_equal_one_pass(self, monkeypatch, n, layout, dtype):
+        u = np.random.default_rng(n).random(n)
+        ids = u if layout == "uniform" else 0.3 + 1e-9 * u
+        # held until the end, so the blocked build cannot get this graph's
+        # freed (and already correct) table back as its empty buffer
+        probe = make_input_graph("chord", ids, index_dtype=dtype)
+        monkeypatch.setattr(ring_module, "_BLOCK_POINTS",
+                            self.BLOCK * probe.finger_count)
+        # every block, however small, takes the bucket LUT path
+        monkeypatch.setattr(Ring, "_BULK_THRESHOLD", 1)
+        g = make_input_graph("chord", Ring(ids, index_dtype=dtype))
+        ft = g.finger_table()
+        assert ft.dtype == np.dtype(dtype)
+        assert np.array_equal(ft, self._reference(g))
+        assert g.finger_count == probe.finger_count
 
 
 class TestHalvingSpecifics:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.idspace.ring as ring_module
 from repro.idspace.ring import (
     Ring,
     cw_dist,
@@ -10,6 +11,7 @@ from repro.idspace.ring import (
     estimate_ln_ln_n,
     estimate_ln_n,
     in_cw_interval,
+    row_blocks,
 )
 
 
@@ -68,6 +70,11 @@ class TestRing:
             Ring([0.5, 1.0])
         with pytest.raises(ValueError):
             Ring([-0.1, 0.5])
+
+    @pytest.mark.parametrize("ids", [[float("nan")], [0.1, float("nan"), 0.5]])
+    def test_rejects_nan(self, ids):
+        with pytest.raises(ValueError):
+            Ring(ids)
 
     def test_dedupes(self):
         r = Ring([0.5, 0.5, 0.25])
@@ -180,6 +187,66 @@ class TestSuccessorBulk:
         ring = Ring(np.linspace(0.1, 0.6, 2048))
         pts = np.full(10_000, 0.9)  # clockwise past every ID: successor is 0
         assert (ring.successor_index_bulk(pts) == 0).all()
+
+    def test_id_one_ulp_below_a_bucket_edge(self):
+        # with 4n = 12 buckets, fl(x * 12) rounds up to bucket 5, whose
+        # first ID (0.5) lies past x; a power-of-two bucket count is exact
+        x = float(np.nextafter(5 / 12, 0))
+        ring = Ring([1 / 6, 0.5, x])
+        assert ring.successor_index(x) == 1
+        assert (ring.successor_index_bulk(np.full(4096, x)) == 1).all()
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_ids_at_and_below_bucket_edges(self, n):
+        # IDs on, and one ulp below, the edges b/K of both 4n buckets and
+        # the power-of-two count; each queried on, just below and just above
+        edges = []
+        for K in (4 * n, 1 << ((4 * n).bit_length() - 1)):
+            e = np.arange(1, K) / K
+            edges += [e, np.nextafter(e, 0)]
+        edges = np.unique(np.concatenate(edges))
+        for seed in range(4):
+            ring = Ring(np.random.default_rng(seed).choice(edges, n, replace=False))
+            ids = ring.ids
+            pts = np.concatenate(
+                [ids, np.nextafter(ids, 0), np.nextafter(ids, 1)]
+            )
+            pts = np.resize(pts, Ring._BULK_THRESHOLD)  # take the LUT path
+            assert np.array_equal(
+                ring.successor_index_bulk(pts), ring.successor_index_many(pts)
+            )
+
+    @pytest.mark.parametrize("n", [3, 1000, 4096])
+    def test_lut_counts_ids_per_bucket(self, n):
+        # K is the largest power of two <= 4n, and each slot the first ID
+        # at or past its bucket edge
+        ring = Ring(np.random.default_rng(n).random(n))
+        lut, _ = ring._bulk_tables()
+        K = lut.size - 1
+        assert K & (K - 1) == 0 and 2 * n < K <= 4 * n
+        assert lut.dtype == ring.index_dtype
+        assert np.array_equal(
+            lut, np.searchsorted(ring.ids, np.arange(K + 1) / K, side="left")
+        )
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [0, 1, 5, 6, 7, 20])
+    @pytest.mark.parametrize("width", [0, 1, 3, 17, 40])
+    def test_blocks_tile_the_rows(self, monkeypatch, rows, width):
+        monkeypatch.setattr(ring_module, "_BLOCK_POINTS", 18)
+        blocks = list(row_blocks(rows, width))
+        # consecutive, covering every row once
+        bounds = [0] + [b.stop for b in blocks]
+        assert [b.start for b in blocks] == bounds[:-1]
+        assert bounds[-1] == rows
+        # as many rows as fit the block (at least one); the last may be short
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(0 < s and s * width <= max(18, width) for s in sizes)
+        assert all(s == sizes[0] for s in sizes[:-1])
+        assert all(s >= sizes[-1] for s in sizes)
+        if width:
+            assert all((s + 1) * width > 18 for s in sizes[:-1])
 
 
 class TestLnEstimation:
