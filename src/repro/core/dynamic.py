@@ -103,7 +103,7 @@ class EpochSimulator:
         ``"vectorized"`` (default) runs every epoch step on the batched
         array kernels — batched construction searches through
         ``InputGraph.search_fail``, bucket-LUT successor resolution, one
-        flat edge pass per group composition;
+        row sort per group composition;
         ``"serial"`` selects the per-probe / per-group reference loops.
         Both consume the RNG identically, so trajectories are
         bit-identical (the dynamic differential-oracle suite pins every

@@ -76,7 +76,8 @@ class GroupGraph:
             raise ValueError("red mask must have one flag per group/ID")
         self.H = input_graph
         self.params = params
-        self.red = red
+        # freeze a view: the caller's own array stays writeable
+        self.red = red.view()
         self.red.setflags(write=False)
         self.groups = groups
         if group_sizes is None:

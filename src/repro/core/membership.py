@@ -20,22 +20,29 @@ graphs:
 :func:`build_new_graph` performs one graph's construction fully vectorized
 (``kernel="vectorized"``, the default): all bootstrap searches for all
 leaders are routed as one batch, then all verification searches, then all
-neighbor searches, and every group's composition falls out of one flat
-``(group, member)`` edge pass.  This is what makes multi-epoch, multi-seed
-sweeps (experiments E4/E5) tractable.  ``kernel="serial"`` keeps the
-reference oracle — per-probe scalar searches and the per-group
+neighbor searches, and every group's composition falls out of row sorts
+of the ``(group, slot)`` candidate matrix.  This is what makes multi-epoch,
+multi-seed sweeps (experiments E4/E5) tractable.  ``kernel="serial"``
+keeps the reference oracle — per-probe scalar searches and the per-group
 ``np.unique`` loop — which consumes the RNG identically and is pinned
 bit-identical by the dynamic differential-oracle suite.
 
-The per-slot outcomes match Lemma 7's case analysis:
+The per-slot outcomes follow Lemma 7's case analysis, except case 3:
 
 =====================  ==========================================  =========
 Event                   Simulated as                                Rate
 =====================  ==========================================  =========
 slot captured           both bootstrap searches hit red groups     ``q_f^2``
 bad successor           candidate ID is bad (u.a.r. placement)     ``~beta``
-erroneous rejection     both verification searches hit red         ``q_f^2``
+erroneous rejection     not simulated: both verification searches  ``0``
+                        start at ``cand``, the point's responsible
+                        ID, so they take 0 hops and never fail
 =====================  ==========================================  =========
+
+The paper's rate for an erroneous rejection is ``q_f^2``.  Simulating it
+needs verification searches that start where §III-A says the solicited
+ID searches from; ROADMAP item 6 tracks that, and until then
+:attr:`BuildReport.rejection_rate` is 0 by construction.
 
 Churn bookkeeping: each group's *good* members are stored in a CSR over the
 member pool (the previous epoch's ID population — those IDs stay active,
@@ -166,7 +173,7 @@ class BuildReport:
     which: int
     slot_capture_rate: float      # dual bootstrap failure (Lemma 7 case 1)
     bad_candidate_rate: float     # successor was a bad ID (Lemma 7 case 2)
-    rejection_rate: float         # dual verification failure (Lemma 7 case 3)
+    rejection_rate: float         # Lemma 7 case 3; 0 by construction (module doc)
     fraction_bad: float
     fraction_confused: float
     fraction_red: float
@@ -239,23 +246,26 @@ def _good_sources(
 
 
 def _distinct_per_group(
-    owner: np.ndarray, values: np.ndarray, n_groups: int
+    cand: np.ndarray, selected: np.ndarray, sentinel: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ``values`` per ``owner`` group, vectorized.
+    """Distinct selected candidates per row of the ``(groups, slots)`` matrix.
 
     Returns ``(flat, counts)`` where ``flat`` lists each group's distinct
-    values in ascending order (groups concatenated in index order) and
-    ``counts[g]`` is group ``g``'s distinct count — exactly what the
-    per-group ``np.unique`` reference loop produces, via one lexsort plus
-    a segment-dedup mask (the PR-3 CSR construction idiom).
+    values among its ``selected`` slots of ``cand`` in ascending order
+    (groups concatenated in row order) and ``counts[g]`` is group ``g``'s
+    distinct count — exactly what the per-group ``np.unique`` reference
+    loop produces.  Unselected slots read ``sentinel``, which is above
+    every candidate, so sorting each row moves them to its end; the
+    segment-dedup mask of ``_points_to_csr`` then keeps the first of each
+    run of equal values, less the sentinel's.
     """
-    if owner.size == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(n_groups, dtype=np.int64)
-    order = np.lexsort((values, owner))
-    ow, vals = owner[order], values[order]
-    keep = np.ones(ow.size, dtype=bool)
-    keep[1:] = (ow[1:] != ow[:-1]) | (vals[1:] != vals[:-1])
-    return vals[keep], np.bincount(ow[keep], minlength=n_groups)
+    if not selected.any():
+        return np.empty(0, dtype=np.int64), np.zeros(cand.shape[0], dtype=np.int64)
+    rows = np.where(selected, cand, sentinel)
+    rows.sort(axis=1)
+    keep = rows != sentinel
+    keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    return rows[keep], keep.sum(axis=1)
 
 
 def build_new_graph(
@@ -280,10 +290,11 @@ def build_new_graph(
     ``kernel`` selects the execution path: ``"vectorized"`` (default)
     sends every search batch through ``H.search_fail``, resolves candidate
     successors through the bucket-LUT bulk lookup, and derives all group
-    compositions from one flat ``(group, member)`` edge pass; ``"serial"``
-    is the reference oracle — per-probe scalar searches and the per-group
-    ``np.unique`` composition loop.  Both consume the RNG identically and
-    produce bit-identical reports (pinned by the differential test suite).
+    compositions from row sorts of the ``(group, slot)`` candidate matrix;
+    ``"serial"`` is the reference oracle — per-probe scalar searches and
+    the per-group ``np.unique`` composition loop.  Both consume the RNG
+    identically and produce bit-identical reports (pinned by the
+    differential test suite).
     """
     ledger = ledger if ledger is not None else CostLedger()
     n_new = new_ring.n
@@ -363,12 +374,8 @@ def build_new_graph(
             np.concatenate(good_rows) if good_rows else np.empty(0, dtype=np.int64)
         )
     else:
-        owner = np.repeat(np.arange(n_new, dtype=np.int64), m)
-        acc, bad_sel = accept_m.ravel(), badcand_m.ravel()
-        good_members_flat, good_counts = _distinct_per_group(
-            owner[acc], cand[acc], n_new
-        )
-        _, bad_distinct = _distinct_per_group(owner[bad_sel], cand[bad_sel], n_new)
+        good_members_flat, good_counts = _distinct_per_group(cand_m, accept_m, old_n)
+        _, bad_distinct = _distinct_per_group(cand_m, badcand_m, old_n)
         n_bad = captured_m.sum(axis=1) + bad_distinct
         sizes = good_counts + n_bad
         membership_counts = np.bincount(good_members_flat, minlength=old_n)

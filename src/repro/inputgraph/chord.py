@@ -17,7 +17,7 @@ one finger per query, not the whole row.  Along a finger row the clockwise
 distance never increases, so the closest preceding finger is the first
 column whose distance falls strictly inside ``(current, key)``; the binary
 exponent of the key distance says which columns are too long to qualify,
-and the walk starts right after them (:meth:`ChordGraph._next_hop`).
+and the walk starts right after them (:meth:`ChordGraph._start_column`).
 
 Congestion: with raw u.a.r. arcs (no virtual-node smoothing) the most
 congested ID couples the maximum ownership arc (``Theta(log n / n)``) with
@@ -45,14 +45,16 @@ _SLACK = 2.0**-50
 
 
 def _cw(delta: np.ndarray) -> np.ndarray:
-    """Clockwise distance ``np.mod(delta, 1.0)`` for ``delta`` in (-1, 1).
+    """Clockwise distance for ``delta`` in (-1, 1), a zero read as a full lap.
 
-    On that range ``np.mod`` returns ``delta`` when it is positive,
-    ``fl(delta + 1)`` when it is negative and ``+0.0`` for either zero;
-    adding ``delta < 0`` (as 1.0 or 0.0) gives the same float, bit for
-    bit, at a fraction of the cost of ``np.mod``'s division.
+    On that range ``np.mod(delta, 1.0)`` returns ``delta`` when it is
+    positive and ``fl(delta + 1)`` when it is negative; adding
+    ``delta <= 0`` (as 1.0 or 0.0) gives the same float, bit for bit, at a
+    fraction of the cost of ``np.mod``'s division.  A zero difference, which
+    only a self-finger produces, reads as 1.0: a full lap, never strictly
+    inside ``(current, key)``.
     """
-    return delta + (delta < 0)
+    return delta + (delta <= 0)
 
 
 class ChordGraph(InputGraph):
@@ -87,11 +89,11 @@ class ChordGraph(InputGraph):
         # Routing reads the matrix flat: node c's column j is c * width + j.
         self._flat = self._fingers.ravel()
         self._width = m + 2
-        # _start[1 - e] is the first finger column a key distance d with
-        # d + _SLACK = f * 2^e (0.5 <= f < 1) leaves in play: every column
-        # j < -e aims at least 2^e > d + _SLACK ahead.  d lies in (0, 1],
-        # so e runs from -49 to 1.
-        self._start = np.clip(np.arange(51) - 1, 0, m)
+        # _start[b] is the first finger column a key distance d leaves in
+        # play, b being the biased binary exponent of d + _SLACK, which is
+        # then below 2^(b - 1022): every column j < 1022 - b aims at least
+        # that far ahead.  One entry per 11-bit exponent.
+        self._start = np.clip(1022 - np.arange(2048), 0, m)
         self._d_succ = np.mod(ids[succ] - ids, 1.0)
         super().__init__(ring)
 
@@ -132,40 +134,50 @@ class ChordGraph(InputGraph):
 
     # -- routing ---------------------------------------------------------------
 
+    def _start_column(self, d_key: np.ndarray) -> np.ndarray:
+        """First finger column a key distance in (0, 1] leaves in play."""
+        return self._start[(d_key + _SLACK).view(np.int64) >> 52]
+
     def _next_hop(
-        self, cur: np.ndarray, key: np.ndarray, dest: np.ndarray
-    ) -> np.ndarray:
+        self, cur: np.ndarray, key: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One greedy hop for queries at ``cur`` looking up ``key``.
 
-        A key in ``(current, successor]`` goes to its responsible ID
-        ``dest``; any other key goes to the closest preceding finger, the
-        finger (or successor) whose clockwise distance is largest strictly
-        inside ``(current, key)``.  Every query here is still in flight, so
-        ``key`` is not ``cur``'s own ID and its distance is positive.
+        Returns ``(nxt, arrive)``.  A key in ``(current, successor]`` has
+        arrived: its hop goes to its responsible ID, which the caller
+        fills in over ``nxt``.  Any other key goes to the closest preceding
+        finger, the finger (or successor) whose clockwise distance is
+        largest strictly inside ``(current, key)``.  Every query here is
+        still in flight, so ``key`` is not ``cur``'s own ID and its
+        distance is positive.
 
         The finger distances along a row never increase, except that
-        self-fingers (distance 0, only on tiny rings) come first.  So the
+        self-fingers (a full lap, only on tiny rings) come first.  So the
         closest preceding finger is the first column from the start whose
-        distance is positive and below the key's, and for a key beyond the
-        successor the successor column always qualifies.  A self-finger
-        aims past every other ID, so a key still in flight lies short of
-        its aim: the walk can meet one only at its start column, never
-        after a step.
+        distance is below the key's, and for a key beyond the successor
+        the successor column always qualifies.  A self-finger aims past
+        every other ID, so a key still in flight lies short of its aim: the
+        walk can meet one only at its start column, never after a step.
+        An arrived query gets key distance above 2, which no finger
+        reaches, so it never steps.
         """
         ids = self.ring.ids
         flat = self._flat
         here = ids[cur]
         d_key = _cw(key - here)
+        ptr = cur * self._width + self._start_column(d_key)
         arrive = d_key <= self._d_succ[cur]
-        ptr = cur * self._width + self._start[1 - np.frexp(d_key + _SLACK)[1]]
-        d = _cw(ids[flat[ptr]] - here)
-        step = np.flatnonzero(((d >= d_key) | (d == 0)) & ~arrive)
+        d_key += arrive * 2.0
+        # int64 indices: NumPy gathers with int32 ones convert them first
+        nxt = flat[ptr].astype(np.int64)
+        step = np.flatnonzero(_cw(ids[nxt] - here) >= d_key)
         while step.size:
             at = ptr[step] + 1
             ptr[step] = at
-            d = _cw(ids[flat[at]] - here[step])
-            step = step[d >= d_key[step]]
-        return np.where(arrive, dest, flat[ptr])
+            f = flat[at].astype(np.int64)
+            nxt[step] = f
+            step = step.compress(_cw(ids[f] - here[step]) >= d_key[step])
+        return nxt, arrive
 
     def _walk(
         self,
@@ -181,25 +193,29 @@ class ChordGraph(InputGraph):
         still in flight after the hop budget, and the hops taken in all.
         Keys lie in ``[0, 1)`` like the IDs (the :meth:`route_many`
         contract), so every difference :func:`_cw` sees is in (-1, 1).
+
+        The queries that leave are exactly the arrived ones.  A computed
+        clockwise distance never decreases as the true one grows, so a
+        finger whose distance is below the key's lies short of the key
+        and is never its responsible ID.
         """
         resp = self.ring.successor_index_bulk(targets)
         live = np.flatnonzero(sources != resp)
-        # int64 indices: NumPy gathers with int32 ones convert them first
         cur, key = sources[live], targets[live]
-        dest = resp[live].astype(np.int64)
         hops = 0
         for _ in range(4 * self._m + 8):
             if not live.size:
                 break
-            nxt = self._next_hop(cur, key, dest)
+            nxt, arrive = self._next_hop(cur, key)
+            done = np.flatnonzero(arrive)
+            nxt[done] = resp[live[done]]
             visit(live, nxt)
             hops += live.size
-            moving = nxt != dest
-            if moving.all():
-                cur = nxt
+            if done.size:
+                moving = np.flatnonzero(~arrive)
+                live, cur, key = live[moving], nxt[moving], key[moving]
             else:
-                live, cur = live[moving], nxt[moving]
-                key, dest = key[moving], dest[moving]
+                cur = nxt
         return resp, live, hops
 
     def route_many(self, sources: np.ndarray, targets: np.ndarray) -> RouteBatch:

@@ -5,7 +5,7 @@ search); this suite pins the *dynamic* case promoted in this PR.  The
 load-bearing contract: over any (n, beta, d2, churn_rate, topology, seed),
 
 * the vectorized :class:`~repro.core.dynamic.EpochSimulator` — lockstep
-  construction searches, bucket-LUT successor resolution, flat-edge-pass
+  construction searches, bucket-LUT successor resolution, row-sorted
   group composition, batched q_f/robustness probing — must reproduce the
   serial reference **trajectory bit-for-bit**: every field of every
   :class:`~repro.core.dynamic.EpochReport` (and the underlying

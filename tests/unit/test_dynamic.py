@@ -51,6 +51,13 @@ class TestStep:
         assert rep.build_2 is not None
         assert rep.build_1.which == 1 and rep.build_2.which == 2
 
+    def test_step_leaves_pair_red_writeable(self):
+        # building the step's group graphs must not freeze the pair's masks
+        sim = EpochSimulator(SystemParams(n=256, beta=0.05, seed=1), probes=200)
+        sim.step()
+        assert sim.pair.red1.flags.writeable
+        assert sim.pair.red2.flags.writeable
+
     def test_single_graph_mode(self, params):
         sim = EpochSimulator(params, two_graphs=False, probes=500)
         rep = sim.step()

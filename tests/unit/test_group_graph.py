@@ -37,6 +37,14 @@ class TestConstruction:
         gg = GroupGraph(H, params, red=np.zeros(H.n, dtype=bool))
         assert np.array_equal(gg.neighbor_groups(7), H.neighbors(7))
 
+    def test_red_frozen_but_callers_array_writeable(self, H, params):
+        red = np.zeros(H.n, dtype=bool)
+        gg = GroupGraph(H, params, red=red)
+        assert red.flags.writeable
+        assert not gg.red.flags.writeable
+        red[3] = True  # the caller's array is still the graph's data
+        assert gg.red[3]
+
     def test_default_group_sizes(self, H, params):
         gg = GroupGraph(H, params, red=np.zeros(H.n, dtype=bool))
         assert (gg.group_sizes == params.group_solicit_size).all()

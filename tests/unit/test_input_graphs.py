@@ -11,6 +11,7 @@ from repro.inputgraph import (
     make_input_graph,
     validate_properties,
 )
+from repro.inputgraph.chord import _SLACK, ChordGraph
 
 ALL = sorted(TOPOLOGIES)
 
@@ -193,6 +194,38 @@ class TestChordFingerBlocks:
         assert ft.dtype == np.dtype(dtype)
         assert np.array_equal(ft, self._reference(g))
         assert g.finger_count == probe.finger_count
+
+
+class TestChordStartColumn:
+    """The start-column lookup by biased exponent equals the frexp rule."""
+
+    @staticmethod
+    def _frexp_rule(m: int, d: np.ndarray) -> np.ndarray:
+        # the reference rule: one entry per exponent e = -49..1 of
+        # d + _SLACK = f * 2^e, 0.5 <= f < 1
+        return np.clip(np.arange(51) - 1, 0, m)[1 - np.frexp(d + _SLACK)[1]]
+
+    # 50 extra fingers put every binade's start column below the clip at m,
+    # so an off-by-one anywhere in the table or its index shows
+    @pytest.mark.parametrize("extra", [1, 50])
+    def test_every_binade_and_edge(self, rings, extra):
+        g = ChordGraph(rings[64], extra_fingers=extra)
+        # the walk sees d + _SLACK in (2^-50, 1 + 2^-50]: one value inside
+        # each binade, each power of two with its two ulp neighbours ...
+        powers = 2.0 ** np.arange(-49, 1)
+        v = np.concatenate([
+            1.5 * powers[:-1], powers,
+            np.nextafter(powers, 0.0), np.nextafter(powers, 2.0),
+        ])
+        d = v - _SLACK
+        assert np.array_equal(d + _SLACK, v)  # each edge is hit exactly
+        # ... d = 1.0 itself, and distances so small that d + _SLACK
+        # rounds to 2^-50
+        d = np.concatenate([d, [1.0, 2.0**-60, 5e-324]])
+        assert (d > 0).all() and (d <= 1.0).all()
+        assert np.array_equal(
+            g._start_column(d), self._frexp_rule(g.finger_count, d)
+        )
 
 
 class TestHalvingSpecifics:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.membership import (
     EpochPair,
     GraphSide,
+    _distinct_per_group,
     build_new_graph,
     measure_qf,
 )
@@ -122,6 +123,44 @@ class TestBuildRedOlds:
         new_H = make_input_graph("chord", new_ring)
         rep = build_new_graph(pair, new_ring, new_H, 1, params, rng)
         assert rep.slot_capture_rate == 0.0
+
+
+class TestDistinctPerGroup:
+    """The row-sort composition equals the serial path's np.unique loop."""
+
+    POOL = 40  # candidates lie in [0, POOL); POOL is the sentinel
+
+    @staticmethod
+    def _unique_loop(cand, selected):
+        rows = [np.unique(c[s]) for c, s in zip(cand, selected)]
+        return np.concatenate(rows), np.array([r.size for r in rows])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_matches_unique_loop(self, dtype):
+        rng = np.random.default_rng(11)
+        cand = rng.integers(0, self.POOL, (30, 9)).astype(dtype)
+        selected = rng.random(cand.shape) < 0.6
+        cand[2], selected[2] = 7, True                # one ID in every slot
+        cand[3], selected[3] = self.POOL - 1, True    # the top ID, repeated
+        cand[4, ::2], selected[4] = 5, rng.random(9) < 0.5
+        selected[5] = False                           # nothing selected
+        flat, counts = _distinct_per_group(cand, selected, self.POOL)
+        want_flat, want_counts = self._unique_loop(cand, selected)
+        assert flat.dtype == dtype
+        assert np.array_equal(flat, want_flat)
+        assert np.array_equal(counts, want_counts)
+        assert counts[2] == counts[3] == 1 and counts[5] == 0
+        assert not (flat == self.POOL).any()
+
+    @pytest.mark.parametrize("shape", [(6, 5), (6, 0), (0, 5)])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_empty_selection_is_int64(self, shape, dtype):
+        cand = np.zeros(shape, dtype=dtype)
+        flat, counts = _distinct_per_group(
+            cand, np.zeros(shape, dtype=bool), self.POOL
+        )
+        assert flat.dtype == np.int64 and flat.size == 0
+        assert np.array_equal(counts, np.zeros(shape[0], dtype=np.int64))
 
 
 class TestGraphSide:

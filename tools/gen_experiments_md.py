@@ -50,8 +50,8 @@ CLAIMS = {
         "1/poly(log n) fraction of groups stay good. Expected shape: flat "
         "red-fraction series across epochs (no drift), eps within envelope. "
         "Execution: each epoch *step* runs on the batched kernels by default "
-        "(batched construction searches, bucket-LUT successors, flat-edge-"
-        "pass group composition); `--backend serial` selects the per-probe / "
+        "(batched construction searches, bucket-LUT successors, row-sorted "
+        "group composition); `--backend serial` selects the per-probe / "
         "per-group reference loops with a bit-identical trajectory. Measured "
         "one core, n=2048, one epoch: serial ~40s vs vectorized ~0.17s "
         "(~240x; `BENCH_vectorized.json` E4 rows).",
@@ -215,7 +215,7 @@ in one lockstep batch over the group graph (`SecureRouter.search_batch`,
 good-majority tests precomputed as boolean arrays), and the dynamic case
 (E4 epochs, E8 PoW windows, E12 churn) keeps each epoch/window/event
 *step* sequential while batching the step's inner work — batched
-construction searches + flat-edge-pass group composition per epoch,
+construction searches + row-sorted group composition per epoch,
 whole solution-count windows as one array draw, one fused relocation
 update per churn event.  An explicit `--backend serial` selects the loop
 implementations, which are kept as the reference oracles and
