@@ -2,19 +2,20 @@
 """Bench scale — the million-node static pipeline inside a memory budget.
 
 The memory-scaling ledger (ROADMAP item 4's acceptance evidence): run the
-E2-shaped static pipeline — ring build, CSR input-graph construction,
-hashed group construction, one 100k-probe batched secure search — at
-growing ``n`` and record ``{experiment, n, backend, wall_s, cells,
+E2-shaped static pipeline — ring build, input-graph construction (its
+routing tables only: searches never read the neighbor CSR, so it is
+never built), hashed group construction, one 100k-probe batched secure
+search — at growing ``n`` and record ``{experiment, n, backend, wall_s, cells,
 trials, peak_rss_mb}`` rows into ``BENCH_scale.json``
 (:data:`repro.analysis.benchio.SCALE_BENCH_FILENAME`).
 
 What makes the default point set (n = 2^17 and 2^20 — the latter *is* the
 million-node case) fit a ~4 GB budget is exactly this PR's hot-path work:
 
-* ``--index-dtype auto`` narrows every stored index array (ring LUTs, CSR
-  ``indptr``/``indices``, routed paths, group member lists) to int32
-  whenever ``n`` fits, halving the resident footprint — ``int64`` runs
-  the byte-identity oracle at double width;
+* ``--index-dtype auto`` narrows every stored index array (ring LUTs, the
+  finger table, routed paths, group member lists) to int32 whenever
+  ``n`` fits, halving the resident footprint — ``int64`` runs the
+  byte-identity oracle at double width;
 * ``--probe-chunk`` streams the probe batch through fixed-size windows
   (:func:`repro.core.static_case.measure_static_search_streamed`), so the
   transient ``(q, hops)`` route/outcome tables are window-bounded instead
@@ -28,7 +29,7 @@ ascending ``n`` — a point's peak column can only be inflated by a
 *larger* earlier point, never understated (run one ``--n`` per process
 for exact per-point attribution).
 
-CI (``smoke-scale``) runs the 2^17 point under ``--max-rss-mb 4096`` and
+CI (``smoke-scale``) runs both points under ``--max-rss-mb 4096`` and
 gates the resulting rows' ``peak_rss_mb`` against the previous run via
 ``tools/perf_ledger.py --scale-baseline/--scale-current``.
 
@@ -36,7 +37,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_scale.py            # 2^17 + 2^20
     PYTHONPATH=src python benchmarks/bench_scale.py \
-        --n 131072 --max-rss-mb 4096                           # CI smoke
+        --n 131072 --n 1048576 --max-rss-mb 4096               # CI smoke
 """
 
 from __future__ import annotations

@@ -268,6 +268,20 @@ def _distinct_per_group(
     return rows[keep], keep.sum(axis=1)
 
 
+def _any_per_row(indptr: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Per row of the CSR ``indptr``: is any of the row's ``flags`` set?
+
+    A segment OR over the non-empty rows' starts, the pattern of
+    :meth:`GraphSide.good_remaining`: ``reduceat`` would read an empty
+    row as the next row's first flag, so empty rows are left ``False``.
+    """
+    out = np.zeros(indptr.size - 1, dtype=bool)
+    if flags.size:
+        nonempty = indptr[1:] > indptr[:-1]
+        out[nonempty] = np.logical_or.reduceat(flags, indptr[:-1][nonempty])
+    return out
+
+
 def build_new_graph(
     old: EpochPair,
     new_ring: Ring,
@@ -388,9 +402,7 @@ def build_new_graph(
 
     # --- neighbor requests -> confusion (Lemma 8) ----------------------------------
     indptr, _ = new_H.neighbor_lists()
-    deg = np.diff(indptr)
-    total_slots = int(deg.sum())
-    owner = np.repeat(np.arange(n_new), deg)
+    total_slots = int(indptr[-1])
     find_pts = rng.random(total_slots)
     f1 = _search_fail_mask(
         old.H, old.red1, _good_sources(old.red1, total_slots, rng), find_pts,
@@ -416,10 +428,7 @@ def build_new_graph(
         verify_fail = v1 & v2
     else:
         verify_fail = v1
-    slot_confused = find_fail | verify_fail
-    is_confused = np.zeros(n_new, dtype=bool)
-    if owner.size:
-        np.logical_or.at(is_confused, owner, slot_confused)
+    is_confused = _any_per_row(indptr, find_fail | verify_fail)
 
     red = is_bad | is_confused
     # The new side's member pool is the old leader population; share its

@@ -13,9 +13,14 @@ unit ring that provides:
   by a random search is ``C = O(log^c n / n)``.
 
 :class:`InputGraph` encodes that contract.  Concrete topologies (Chord,
-distance halving, D2B, Kautz) implement ``_neighbor_sets`` and ``route_many``;
-everything downstream (group graphs, secure routing, congestion measurement)
-is topology-agnostic.
+distance halving, D2B, Kautz, Viceroy) implement ``_neighbor_sets`` and
+``route_many``; everything downstream (group graphs, secure routing,
+congestion measurement) is topology-agnostic.
+
+Routing (P1) reads only a topology's own routing tables, never the
+neighbor sets (P3), so the neighbor CSR is built on first use: the static
+pipeline, which only searches, never builds it, while an epoch transition
+builds it once per new graph for its neighbor requests (§III-A).
 
 Routing results are returned as *padded path matrices* — ``(q, max_hops)``
 int32 arrays with ``-1`` padding — so the group-graph layer can vectorize
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -77,8 +83,11 @@ class InputGraph(abc.ABC):
 
     Subclasses must set :attr:`name`, build neighbor sets in CSR form, and
     implement :meth:`route_many`.  The CSR layout (``indptr``/``indices``)
-    keeps the whole topology in two flat arrays: ``neighbors(i)`` is
-    ``indices[indptr[i]:indptr[i+1]]``.
+    keeps every neighbor set in two flat arrays: ``neighbors(i)`` is
+    ``indices[indptr[i]:indptr[i+1]]``.  Construction does not build it;
+    the first call of a neighbor accessor (:meth:`neighbors`,
+    :meth:`neighbor_lists`, :meth:`degrees`, :meth:`verify_link`,
+    :meth:`in_neighbors_count`) does, once per graph.
     """
 
     #: human-readable topology name ("chord", "distance-halving", ...)
@@ -90,18 +99,6 @@ class InputGraph(abc.ABC):
 
     def __init__(self, ring: Ring):
         self.ring = ring
-        indptr, indices = self._neighbor_sets()
-        # Storage narrowing (ring.index_dtype): neighbor indices are ring
-        # indices (< n) so they always fit the ring's index dtype; indptr
-        # values reach nnz, so it only narrows when the edge count fits too.
-        # Values are identical either way — only the byte layout changes.
-        dt = ring.index_dtype
-        ptr_dt = dt if int(indices.size) <= np.iinfo(dt).max else np.int64
-        self._indptr = indptr.astype(ptr_dt, copy=False)
-        self._indices = indices.astype(dt, copy=False)
-        # Defensive: CSR arrays are read-only once built.
-        self._indptr.setflags(write=False)
-        self._indices.setflags(write=False)
 
     # -- topology ----------------------------------------------------------------
 
@@ -116,17 +113,35 @@ class InputGraph(abc.ABC):
         Neighbor lists must be sorted, unique, and exclude the node itself.
         """
 
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbor CSR ``(indptr, indices)``, built on first use."""
+        indptr, indices = self._neighbor_sets()
+        # Storage narrowing (ring.index_dtype): neighbor indices are ring
+        # indices (< n) so they always fit the ring's index dtype; indptr
+        # values reach nnz, so it only narrows when the edge count fits too.
+        # Values are identical either way — only the byte layout changes.
+        dt = self.ring.index_dtype
+        ptr_dt = dt if int(indices.size) <= np.iinfo(dt).max else np.int64
+        indptr = indptr.astype(ptr_dt, copy=False)
+        indices = indices.astype(dt, copy=False)
+        # Defensive: CSR arrays are read-only once built.
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
     def neighbors(self, idx: int) -> np.ndarray:
         """``S_w`` for the ID at ring index ``idx`` (P3)."""
-        return self._indices[self._indptr[idx] : self._indptr[idx + 1]]
+        indptr, indices = self._csr
+        return indices[indptr[idx] : indptr[idx + 1]]
 
     def neighbor_lists(self) -> tuple[np.ndarray, np.ndarray]:
         """The raw CSR arrays ``(indptr, indices)`` for bulk consumers."""
-        return self._indptr, self._indices
+        return self._csr
 
     def degrees(self) -> np.ndarray:
         """Out-degree (|S_w|) of every ID."""
-        return np.diff(self._indptr)
+        return np.diff(self._csr[0])
 
     def verify_link(self, w: int, u: int) -> bool:
         """P3 verification: is ``u`` in ``S_w`` under the linking rules?
@@ -142,7 +157,7 @@ class InputGraph(abc.ABC):
 
     def in_neighbors_count(self) -> np.ndarray:
         """How many IDs list each ID as a neighbor (P3's reverse bound)."""
-        return np.bincount(self._indices, minlength=self.n)
+        return np.bincount(self._csr[1], minlength=self.n)
 
     # -- routing -------------------------------------------------------------------
 

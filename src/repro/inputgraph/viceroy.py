@@ -48,7 +48,9 @@ class ViceroyGraph(InputGraph):
 
     def __init__(self, ring: Ring, level_seed: int = 0, max_tail: int = 64):
         n = ring.n
-        self._m = max(2, round(math.log2(max(4, n))))
+        # at most one level per node, so the level fill below can leave
+        # none empty (a one-ID ring has a single level)
+        self._m = min(n, max(2, round(math.log2(max(4, n)))))
         self._max_tail = int(max_tail)
         oracle = RandomOracle("viceroy-level", level_seed)
         # deterministic, verifiable level assignment (P3): level from the ID

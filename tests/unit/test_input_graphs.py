@@ -248,6 +248,98 @@ class TestHalvingSpecifics:
             DistanceHalvingGraph(rings[64], base=1)
 
 
+def test_viceroy_one_id_ring():
+    # one ID leaves one level: no empty level for the level fill to fill
+    g = make_input_graph("viceroy", [0.3])
+    assert g.level_count == 1
+    indptr, indices = g.neighbor_lists()
+    assert indptr.tolist() == [0, 0] and indices.size == 0
+    batch = g.route_many(np.zeros(3, dtype=np.int64), np.array([0.1, 0.3, 0.9]))
+    assert batch.resolved.all() and (batch.hop_counts == 0).all()
+    fail, hops = g.search_fail(
+        np.zeros(2, dtype=np.int64), np.array([0.2, 0.8]), np.ones(1, dtype=bool)
+    )
+    assert not fail.any() and hops == 0
+
+
+@pytest.fixture
+def csr_builds(monkeypatch):
+    """Count ``_neighbor_sets`` calls per topology class."""
+    builds = {cls: cls._neighbor_sets for cls in TOPOLOGIES.values()}
+    calls = dict.fromkeys(builds, 0)
+    for cls, build in builds.items():
+        def counted(self, _cls=cls, _build=build):
+            calls[_cls] += 1
+            return _build(self)
+        monkeypatch.setattr(cls, "_neighbor_sets", counted)
+    return calls
+
+
+class TestNeighborSetsOnFirstUse:
+    """The neighbor CSR is built by its first reader, never by routing."""
+
+    ACCESSORS = {
+        "neighbors": lambda g: g.neighbors(0),
+        "neighbor_lists": lambda g: g.neighbor_lists(),
+        "degrees": lambda g: g.degrees(),
+        "verify_link": lambda g: g.verify_link(0, g.n - 1),
+        "in_neighbors_count": lambda g: g.in_neighbors_count(),
+    }
+
+    @pytest.mark.parametrize("policy", ["auto", "int64"])
+    @pytest.mark.parametrize("n", [1, 2, 17, 257])
+    @pytest.mark.parametrize("accessor", sorted(ACCESSORS))
+    @pytest.mark.parametrize("name", ALL)
+    def test_built_once_by_first_accessor(
+        self, csr_builds, name, accessor, n, policy
+    ):
+        cls = TOPOLOGIES[name]
+        ids = np.random.default_rng(n).random(n)
+        g = make_input_graph(name, ids, index_dtype=policy)
+        g.route_many(np.arange(n), np.linspace(0.0, 0.99, n))
+        g.search_fail(np.arange(n), ids[::-1], np.ones(n, dtype=bool))
+        assert csr_builds[cls] == 0
+        self.ACCESSORS[accessor](g)
+        assert csr_builds[cls] == 1
+        for read in self.ACCESSORS.values():
+            read(g)
+        assert csr_builds[cls] == 1
+        indptr, indices = g.neighbor_lists()
+        want_indptr, want_indices = g._neighbor_sets()
+        assert indptr.dtype == indices.dtype == g.ring.index_dtype
+        assert np.array_equal(indptr, want_indptr)
+        assert np.array_equal(indices, want_indices)
+        assert not indptr.flags.writeable and not indices.flags.writeable
+
+    def test_static_pass_never_builds(self, csr_builds):
+        # the E2 cell's pipeline: routing reads the finger table only
+        from repro.core.group_graph import GroupGraph
+        from repro.core.groups import build_groups_fast
+        from repro.core.params import SystemParams
+        from repro.core.static_case import measure_static_search
+
+        n = 4096
+        rng = np.random.default_rng(0)
+        H = make_input_graph("chord", rng.random(n), index_dtype="auto")
+        params = SystemParams(n=n, seed=0)
+        groups = build_groups_fast(H.ring, params, rng)
+        gg = GroupGraph(H, params, red=rng.random(n) < 0.02, groups=groups)
+        stats = measure_static_search(gg, 2000, rng, probe_chunk=512)
+        assert 0.0 < stats.failure_rate < 1.0
+        assert csr_builds[ChordGraph] == 0
+
+    def test_epoch_step_builds_the_new_graph_once(self, csr_builds):
+        # both constructions read the new graph's neighbor requests
+        from repro.core.dynamic import EpochSimulator
+        from repro.core.params import SystemParams
+
+        sim = EpochSimulator(SystemParams(n=256, beta=0.05, seed=1), probes=200)
+        before = csr_builds[ChordGraph]
+        rep = sim.step()
+        assert rep.build_2 is not None
+        assert csr_builds[ChordGraph] - before == 1
+
+
 def test_make_input_graph_unknown_name(rings):
     with pytest.raises(ValueError):
         make_input_graph("hypercube", rings[64])

@@ -6,6 +6,7 @@ import pytest
 from repro.core.membership import (
     EpochPair,
     GraphSide,
+    _any_per_row,
     _distinct_per_group,
     build_new_graph,
     measure_qf,
@@ -161,6 +162,47 @@ class TestDistinctPerGroup:
         )
         assert flat.dtype == np.int64 and flat.size == 0
         assert np.array_equal(counts, np.zeros(shape[0], dtype=np.int64))
+
+
+class TestAnyPerRow:
+    """The segment OR equals ``logical_or.at`` over repeated row owners."""
+
+    @staticmethod
+    def _owner_loop(indptr, flags):
+        deg = np.diff(indptr)
+        out = np.zeros(deg.size, dtype=bool)
+        np.logical_or.at(out, np.repeat(np.arange(deg.size), deg), flags)
+        return out
+
+    @pytest.mark.parametrize("fill", ["random", "none", "all"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_matches_owner_loop(self, fill, dtype):
+        rng = np.random.default_rng(5)
+        deg = rng.integers(0, 4, 40)
+        deg[[0, 1, 17, 38, 39]] = 0       # empty rows at both ends and inside
+        deg[20] = 1
+        indptr = np.zeros(deg.size + 1, dtype=dtype)
+        np.cumsum(deg, out=indptr[1:])
+        flags = {
+            "random": rng.random(int(indptr[-1])) < 0.3,
+            "none": np.zeros(int(indptr[-1]), dtype=bool),
+            "all": np.ones(int(indptr[-1]), dtype=bool),
+        }[fill]
+        got = _any_per_row(indptr, flags)
+        assert got.dtype == bool
+        assert np.array_equal(got, self._owner_loop(indptr, flags))
+        assert not got[deg == 0].any()
+
+    @pytest.mark.parametrize("indptr, flags", [
+        ([0, 0], []), ([0, 3], [False, False, False]), ([0, 2], [False, True]),
+        ([0], []), ([0, 0, 0], []),
+    ])
+    def test_tiny_rows(self, indptr, flags):
+        indptr = np.array(indptr, dtype=np.int64)
+        flags = np.array(flags, dtype=bool)
+        assert np.array_equal(
+            _any_per_row(indptr, flags), self._owner_loop(indptr, flags)
+        )
 
 
 class TestGraphSide:

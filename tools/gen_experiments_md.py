@@ -239,16 +239,18 @@ via `--full-serial`.
 
 **Scale bench — the million-node memory budget.**
 `benchmarks/bench_scale.py` runs the E2-shaped static pipeline (ring
-build → CSR input graph → hashed group construction → one 100k-probe
+build → Chord finger table → hashed group construction → one 100k-probe
 batched secure search) at n = 2^17 and 2^20 (the million-node case) and
 records `{experiment: "SCALE", n, backend, wall_s, cells, trials,
-peak_rss_mb}` rows into `benchmarks/output/BENCH_scale.json`.  Two knobs
-make 2^20 fit a ~4 GB budget (measured on a 2-vCPU host: ~0.53 GB peak,
-~3 s wall, vs ~0.89 GB for the int64 oracle): `--index-dtype auto`
-narrows every stored index array — ring successor LUTs, CSR
-`indptr`/`indices`, routed paths, group member lists — to int32 whenever
-n fits (`int64` stays the byte-identity oracle at double width; RNG
-draws and accumulators are never narrowed, so statistics are
+peak_rss_mb}` rows into `benchmarks/output/BENCH_scale.json`.  Searches
+read only the finger table, and an input graph builds its neighbor CSR
+on first use, so this pipeline never builds one.  Two knobs make 2^20
+fit a ~4 GB budget (measured on a 2-vCPU host: ~0.39 GB peak, ~1.5 s
+wall, vs ~0.59 GB for the int64 oracle): `--index-dtype auto` narrows
+every stored index array — ring successor LUTs, the finger table,
+routed paths, group member lists — to int32 whenever n fits (`int64`
+stays the byte-identity oracle at double width; RNG draws and
+accumulators are never narrowed, so statistics are
 value-identical — property-tested in
 `tests/property/test_index_dtype.py`), and `--probe-chunk` streams the
 probe batch through fixed-size windows
@@ -258,9 +260,10 @@ window.  The Chord finger table and the hashed groups are built in row
 blocks of ~2^18 points (`repro.idspace.ring.row_blocks`), so no `(n, m)`
 point or index array is ever held.  E2 accepts the same `probe_chunk=`
 override through `build_spec`.  CI's `smoke-scale` job runs the 2^17
-point under `--max-rss-mb 4096` and gates `peak_rss_mb` per row against
-the previous run's artifact via `tools/perf_ledger.py --scale-baseline`
-(>20% growth fails; bootstrap is warn-only).
+and 2^20 points under `--max-rss-mb 4096` and gates `peak_rss_mb` per
+row against the previous run's artifact via
+`tools/perf_ledger.py --scale-baseline` (>20% growth fails; bootstrap
+is warn-only).
 
 **Serving layer — live queries under churn (`repro.serve`).**
 `python -m repro serve run` exposes the secure-routing machinery as an
