@@ -1,7 +1,7 @@
 """Bench E1 — Lemma 1 / P4: responsibility rho(G_v) = O(log^c n / n).
 
-Regenerates the E1 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E1 table of EXPERIMENTS.md, whose E1 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

@@ -1,7 +1,7 @@
 """Bench E10 — SS IV-B: pre-computation attack vs fresh-string defense.
 
-Regenerates the E10 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E10 table of EXPERIMENTS.md, whose E10 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

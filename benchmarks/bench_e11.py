@@ -1,7 +1,7 @@
 """Bench E11 — SS I-D: group-size scaling knee (log log n vs log n).
 
-Regenerates the E11 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E11 table of EXPERIMENTS.md, whose E11 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

@@ -1,7 +1,7 @@
 """Bench E12 — SS I-B / [47]: cuckoo-rule group sizes under join-leave attack.
 
-Regenerates the E12 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E12 table of EXPERIMENTS.md, whose E12 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

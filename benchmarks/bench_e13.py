@@ -1,7 +1,7 @@
 """Bench E13 — SS I footnote 2: quarantine damps spam to zero marginal cost.
 
-Regenerates the E13 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.
+Regenerates the E13 table of EXPERIMENTS.md, whose E13 section names the
+paper claim it reproduces.
 """
 
 import pytest

@@ -1,7 +1,7 @@
 """Bench E14 — SS I-A: redundant storage durability — epoch repair vs pinned replicas.
 
-Regenerates the E14 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.
+Regenerates the E14 table of EXPERIMENTS.md, whose E14 section names the
+paper claim it reproduces.
 """
 
 import pytest

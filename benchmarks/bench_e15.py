@@ -1,7 +1,7 @@
 """Bench E15 — SS III remark: guarantees under Theta(n) population drift.
 
-Regenerates the E15 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.
+Regenerates the E15 table of EXPERIMENTS.md, whose E15 section names the
+paper claim it reproduces.
 """
 
 import pytest

@@ -1,7 +1,7 @@
 """Bench E2 — Lemmas 2-4: static search failure X = O(p_f log^c n).
 
-Regenerates the E2 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E2 table of EXPERIMENTS.md, whose E2 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

@@ -1,7 +1,7 @@
 """Bench E3 — SS I-C / Lemma 7: bad-group probability vs group size (Chernoff).
 
-Regenerates the E3 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E3 table of EXPERIMENTS.md, whose E3 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

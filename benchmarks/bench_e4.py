@@ -1,7 +1,7 @@
 """Bench E4 — Theorem 3: eps-robustness maintained over epochs under churn.
 
-Regenerates the E4 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E4 table of EXPERIMENTS.md, whose E4 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

@@ -1,7 +1,7 @@
 """Bench E5 — SS III motivation: two-graph vs single-graph error accumulation.
 
-Regenerates the E5 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E5 table of EXPERIMENTS.md, whose E5 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

@@ -1,7 +1,7 @@
 """Bench E6 — Corollary 1: tiny vs Theta(log n) group costs.
 
-Regenerates the E6 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E6 table of EXPERIMENTS.md, whose E6 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

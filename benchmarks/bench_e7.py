@@ -1,7 +1,7 @@
 """Bench E7 — Lemma 10: per-ID state stays O(poly(log log n)).
 
-Regenerates the E7 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E7 table of EXPERIMENTS.md, whose E7 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

@@ -1,7 +1,7 @@
 """Bench E8 — Lemma 11: PoW count bound + u.a.r. placement (one-hash ablation).
 
-Regenerates the E8 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E8 table of EXPERIMENTS.md, whose E8 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

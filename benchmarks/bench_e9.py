@@ -1,7 +1,7 @@
 """Bench E9 — Lemma 12 / App. VIII: string propagation under delayed release.
 
-Regenerates the E9 table of EXPERIMENTS.md; see DESIGN.md SS3 for the
-claim-to-module map.  The benchmark time is the full experiment runtime at
+Regenerates the E9 table of EXPERIMENTS.md, whose E9 section names the
+paper claim it reproduces.  The benchmark time is the full experiment runtime at
 fast (laptop) scale.
 """
 

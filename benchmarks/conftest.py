@@ -1,6 +1,6 @@
 """Benchmark harness configuration.
 
-Each ``bench_e*.py`` regenerates one experiment's table (DESIGN.md §3 maps
+Each ``bench_e*.py`` regenerates one experiment's table (EXPERIMENTS.md maps
 experiments to paper claims).  The bench files do not match pytest's
 default ``test_*.py`` collection pattern, so name them explicitly::
 

@@ -30,8 +30,8 @@ Quickstart::
     for report in sim.run(epochs=4):
         print(report.epoch, report.fraction_red, report.robustness.epsilon_achieved)
 
-See DESIGN.md for the paper-to-module map and EXPERIMENTS.md for the
-reproduced claims.
+See EXPERIMENTS.md for the paper's claims, the experiment that reproduces
+each, and the measured tables.
 """
 
 from .core.params import SystemParams

@@ -1,6 +1,5 @@
-"""In-group Byzantine agreement and majority-filtered channels (paper §I)."""
+"""In-group Byzantine agreement (paper §I)."""
 
-from .majority import ChannelOutcome, transmit
 from .phase_king import AdversaryPolicy, BAResult, phase_king
 
-__all__ = ["phase_king", "BAResult", "AdversaryPolicy", "transmit", "ChannelOutcome"]
+__all__ = ["phase_king", "BAResult", "AdversaryPolicy"]

@@ -115,10 +115,10 @@ KERNEL_BENCH_CASES = {
 # The cell-scheduling measurement points for the process backend: the
 # same experiment run in-process with the default kernels
 # (``cells-serial`` — one core, one cell after another) versus
-# dispatched across the warm worker pool with shm result transport
-# (``cells-process``).  Both sides run the identical kernels, so the
-# ratio isolates scheduling: warm-pool spawn amortization + contiguous
-# worker spans + shared-memory transport against single-core execution.
+# dispatched across the warm worker pool (``cells-process``).  Both
+# sides run the identical kernels, so the ratio isolates scheduling:
+# warm-pool spawn amortization + contiguous worker spans against
+# single-core execution.
 #
 # ``min_ratio`` is the process-beats-serial acceptance bar (1.0 =
 # strictly faster, the ROADMAP item-3 acceptance).  A pool cannot beat

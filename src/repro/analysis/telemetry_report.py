@@ -177,34 +177,17 @@ def summarize_events(events: list[dict]) -> dict:
             sweeps.append(entry)
         summary["sweeps"] = sweeps
 
-    # -- warm pool + shm transport -----------------------------------------
+    # -- warm pool ---------------------------------------------------------
     spawns = by_type.get("pool.spawn", [])
     reuses = by_type.get("pool.reuse", [])
     broken = by_type.get("pool.broken", [])
-    shm_events = by_type.get("shm.bytes", [])
     degrades = by_type.get("sweep.degrade", [])
-    if spawns or reuses or broken or shm_events or degrades:
+    if spawns or reuses or broken or degrades:
         pool: dict = {
             "spawns": len(spawns),
             "reuses": len(reuses),
             "broken": len(broken),
-            "swept_segments": sum(
-                int(e.get("swept_segments", 0)) for e in broken
-            ),
         }
-        if shm_events:
-            shm_bytes = sum(int(e.get("shm_bytes", 0)) for e in shm_events)
-            pickle_bytes = sum(int(e.get("pickle_bytes", 0)) for e in shm_events)
-            pool["shm"] = {
-                "transfers": len(shm_events),
-                "segments": sum(int(e.get("segments", 0)) for e in shm_events),
-                "shm_bytes": shm_bytes,
-                "pickle_bytes": pickle_bytes,
-                # how much of the cross-process payload the pipe never saw
-                "shm_fraction": round(
-                    shm_bytes / max(1, shm_bytes + pickle_bytes), 4
-                ),
-            }
         if degrades:
             pool["degrades"] = dict(Counter(
                 f"{e.get('experiment', '?')}:{e.get('reason', '?')}"
@@ -212,10 +195,9 @@ def summarize_events(events: list[dict]) -> dict:
             ))
         summary["pool"] = pool
 
-    # -- memory: peak-RSS samples + input-transport volume ------------------
+    # -- memory: peak-RSS samples ------------------------------------------
     peaks = by_type.get("mem.peak", [])
-    shm_inputs = by_type.get("shm.input_bytes", [])
-    if peaks or shm_inputs:
+    if peaks:
         phases: dict[str, list[float]] = {}
         for e in peaks:
             value = e.get("peak_rss_mb")
@@ -237,16 +219,6 @@ def summarize_events(events: list[dict]) -> dict:
                 for phase, vs in sorted(phases.items())
             },
         }
-        if shm_inputs:
-            in_shm = sum(int(e.get("shm_bytes", 0)) for e in shm_inputs)
-            in_pipe = sum(int(e.get("pickle_bytes", 0)) for e in shm_inputs)
-            mem["input_shm"] = {
-                "transfers": len(shm_inputs),
-                "segments": sum(int(e.get("segments", 0)) for e in shm_inputs),
-                "shm_bytes": in_shm,
-                "pickle_bytes": in_pipe,
-                "shm_fraction": round(in_shm / max(1, in_shm + in_pipe), 4),
-            }
         summary["mem"] = mem
 
     # -- serving layer -----------------------------------------------------
@@ -369,23 +341,11 @@ def render_report(summary: dict) -> str:
     pool = summary.get("pool")
     if pool:
         lines.append("")
-        lines.append("worker pool / shm transport:")
+        lines.append("worker pool:")
         lines.append(
             f"  pool spawns={pool['spawns']} reuses={pool['reuses']} "
             f"broken={pool['broken']}"
-            + (
-                f" swept_segments={pool['swept_segments']}"
-                if pool["swept_segments"] else ""
-            )
         )
-        shm = pool.get("shm")
-        if shm:
-            lines.append(
-                f"  shm transfers={shm['transfers']} "
-                f"segments={shm['segments']} "
-                f"shm={shm['shm_bytes']}B pipe={shm['pickle_bytes']}B "
-                f"({shm['shm_fraction']:.0%} off-pipe)"
-            )
         for key, count in sorted(pool.get("degrades", {}).items()):
             lines.append(f"  degrade {key:<20} {count}")
 
@@ -456,7 +416,7 @@ def render_report(summary: dict) -> str:
 
 def _mem_lines(mem: dict) -> list[str]:
     """The memory section's text lines (shared by both report views)."""
-    lines = ["memory (mem.peak / shm.input_bytes):"]
+    lines = ["memory (mem.peak):"]
     if mem.get("peak_rss_mb") is not None:
         lines.append(
             f"  peak RSS          {mem['peak_rss_mb']:.1f}MB "
@@ -467,27 +427,18 @@ def _mem_lines(mem: dict) -> list[str]:
             f"  phase {phase:<18} samples={stats['samples']} "
             f"p50={stats['p50']:.1f}MB max={stats['max']:.1f}MB"
         )
-    shm = mem.get("input_shm")
-    if shm:
-        lines.append(
-            f"  input shm transfers={shm['transfers']} "
-            f"segments={shm['segments']} "
-            f"shm={shm['shm_bytes']}B pipe={shm['pickle_bytes']}B "
-            f"({shm['shm_fraction']:.0%} off-pipe)"
-        )
     return lines
 
 
 def render_mem_report(summary: dict) -> str:
     """Just the memory section (``repro telemetry report --mem``).
 
-    Mirrors the pool/shm focused view: the peak-RSS high-water mark,
-    per-phase sample trends from the chunked hot paths, and the
-    input-transport volume — without the full multi-layer report.
+    The peak-RSS high-water mark and per-phase sample trends from the
+    chunked hot paths, without the full multi-layer report.
     """
     mem = summary.get("mem")
     if not mem:
-        return "no memory events (mem.peak / shm.input_bytes) in this stream"
+        return "no memory events (mem.peak) in this stream"
     return "\n".join(_mem_lines(mem))
 
 

@@ -79,7 +79,7 @@ import numpy as np
 
 
 def _cmd_experiments(args) -> int:
-    from .experiments import EXPERIMENTS, run_experiment
+    from .experiments import run_experiment
     from .sim.montecarlo import ExecutionConfig
 
     # no --backend: leave the config unset so the substrate default applies
@@ -90,9 +90,9 @@ def _cmd_experiments(args) -> int:
         if args.backend is not None
         else None
     )
-    names = [n.upper() for n in (args.ids or sorted(
-        EXPERIMENTS, key=lambda k: int(k[1:])
-    ))]
+    # IDs arrive validated and upper-cased (_experiment_id), so a typo
+    # fails as a usage error before any experiment runs
+    names = args.ids or _experiment_ids()
     # a custom cache root is a request to use the cache
     cache = args.cache or args.cache_dir is not None
     for name in names:
@@ -386,14 +386,36 @@ def _cmd_serve(args) -> int:
 def _cmd_info(args) -> int:
     from . import __version__
     from .core.params import DEFAULTS
-    from .experiments import EXPERIMENTS
     from .inputgraph import TOPOLOGIES
 
     print(f"repro {__version__} — Tiny Groups Tackle Byzantine Adversaries")
     print(f"defaults: {DEFAULTS.describe()}")
     print(f"topologies: {', '.join(sorted(TOPOLOGIES))}")
-    print(f"experiments: {', '.join(sorted(EXPERIMENTS, key=lambda k: int(k[1:])))}")
+    print(f"experiments: {', '.join(_experiment_ids())}")
     return 0
+
+
+def _experiment_ids() -> list[str]:
+    """The registry's experiment IDs in numeric order (E1 .. E15)."""
+    from .experiments import EXPERIMENTS
+
+    return sorted(EXPERIMENTS, key=lambda k: int(k[1:]))
+
+
+def _experiment_id(text: str) -> str:
+    ids = _experiment_ids()
+    if text.upper() not in ids:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {text!r}; choose from {', '.join(ids)}"
+        )
+    return text.upper()
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -412,11 +434,14 @@ def _positive_float(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="repro", description=__doc__)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("experiments", help="run experiment tables")
-    pe.add_argument("ids", nargs="*", help="experiment IDs (default: all)")
+    pe.add_argument(
+        "ids", nargs="*", type=_experiment_id,
+        help="experiment IDs (default: all)",
+    )
     pe.add_argument("--full", action="store_true", help="full (slow) scale")
     pe.add_argument(
         "--backend", choices=["serial", "process", "vectorized"],
@@ -590,8 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ptr.add_argument(
         "--mem", action="store_true",
-        help="render only the memory section (mem.peak phase trends + "
-             "shm.input_bytes transport volume)",
+        help="render only the memory section (mem.peak phase trends)",
     )
     ptr.add_argument(
         "--check-bench", default=None, metavar="BENCH",

@@ -1,6 +1,6 @@
 """Core: the paper's contribution — tiny-group ε-robust overlays.
 
-Public API re-exports; see DESIGN.md for the module map.
+Public API re-exports.
 """
 
 from .bootstrap import (

@@ -20,9 +20,9 @@ compounding — visible as a flat ``fraction_red`` series over epochs.  The
 the squaring and the series drifts upward (experiment E5), reproducing the
 paper's "why two graphs" argument.
 
-Fidelity note (DESIGN.md §5): epochs are simulated at the boundary (all of
-an epoch's joins processed as one batch); intermediate link-update traffic
-is charged to the ledger analytically.  PoW ID minting runs through
+Fidelity note: epochs are simulated at the boundary (all of an epoch's joins
+processed as one batch); intermediate link-update traffic is charged to the
+ledger analytically.  PoW ID minting runs through
 ``repro.pow`` when ``use_pow=True``; the default draws the
 distributionally-identical fast path.
 """

@@ -1,4 +1,4 @@
-"""Per-claim experiment harness (E1-E15; see DESIGN.md §3).
+"""Per-claim experiment harness, E1-E15 (claim map: EXPERIMENTS.md).
 
 Each experiment module declares its grid as a
 :class:`~repro.sim.sweep.SweepSpec` (``build_spec``) and keeps a ``run``

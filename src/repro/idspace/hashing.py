@@ -15,9 +15,9 @@ first 8 output bytes map to a float64 in ``[0, 1)``.  This is deterministic
 across runs (reproducibility), uniform (BLAKE2b), and collision-free for our
 purposes (64-bit outputs).
 
-Substitution note (DESIGN.md §4): the paper suggests SHA-2; any random-oracle
-instantiation is interchangeable for the analysis, and BLAKE2b is the fastest
-keyed hash in CPython's standard library.
+Substitution note: the paper suggests SHA-2; any random-oracle instantiation
+is interchangeable for the analysis, and BLAKE2b is the fastest keyed hash in
+CPython's standard library.
 
 For bulk Monte-Carlo work (millions of oracle points), :meth:`RandomOracle.
 uniform_stream` derives a seeded NumPy ``Generator`` from an input key and

@@ -12,9 +12,9 @@ than base 2) at a proportionally larger constant degree — the
 diameter/degree trade the Kautz construction exists to make.  Properties
 P1-P4 carry over unchanged; the group-graph layer never looks past them.
 
-Substitution note (DESIGN.md §4): we do not re-implement Kautz string
-bookkeeping (the no-repeated-digit constraint only perturbs constants);
-the base-3 continuous walk exercises the identical code paths downstream.
+Substitution note: we do not re-implement Kautz string bookkeeping (the
+no-repeated-digit constraint only perturbs constants); the base-3 continuous
+walk exercises the identical code paths downstream.
 """
 
 from __future__ import annotations

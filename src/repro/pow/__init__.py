@@ -4,7 +4,6 @@ from .identity import IdentityCard, IdentityRegistry, MintStats
 from .precompute import PrecomputeOutcome, simulate_precompute_attack
 from .propagation import PropagationResult, StringPropagation
 from .puzzles import PuzzleScheme, Solution
-from .zk import ZKProver, ZKTranscript, ZKVerifier, run_zk_verification
 from .strings import (
     BinTable,
     StringCandidate,
@@ -28,8 +27,4 @@ __all__ = [
     "PropagationResult",
     "PrecomputeOutcome",
     "simulate_precompute_attack",
-    "ZKProver",
-    "ZKVerifier",
-    "ZKTranscript",
-    "run_zk_verification",
 ]

@@ -43,8 +43,8 @@ class Solution:
     ``nonce`` is the private ``sigma`` — the object the zero-knowledge
     scheme of §IV-A protects.  It is stored on the dataclass for simulation
     bookkeeping but protocol code must only pass :class:`Solution` through
-    :meth:`PuzzleScheme.verify`, which never reveals it (DESIGN.md §4
-    substitution of [25]).
+    :meth:`PuzzleScheme.verify`, which never reveals it (the simulation's
+    stand-in for the zero-knowledge proof of [25]).
     """
 
     id_value: float

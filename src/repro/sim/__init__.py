@@ -1,5 +1,5 @@
-"""Simulation substrate: RNG discipline, round engine, Monte-Carlo
-estimates, and the declarative sweep substrate.
+"""Simulation substrate: RNG discipline, Monte-Carlo estimates, the warm
+worker pool, and the declarative sweep substrate.
 
 ``repro.sim.sweep`` runs experiment grids: a :class:`SweepSpec` declares
 axes plus a per-cell function, each cell gets an independent spawned RNG
@@ -21,7 +21,6 @@ from .montecarlo import (
 )
 from .pool import discard_pool, get_pool, pool_stats, shutdown_pool
 from .rng import child, make_rng, spawn, stream_for, tag_entropy
-from .shm import ShmArena, ShmRef, shm_dumps, shm_loads, sweep_run_segments
 from .sweep import (
     Cell,
     CellOut,
@@ -40,8 +39,6 @@ __all__ = [
     "CellResult",
     "ExecutionConfig",
     "MCResult",
-    "ShmArena",
-    "ShmRef",
     "SweepSpec",
     "aggregate_trials",
     "cells_executed",
@@ -53,13 +50,10 @@ __all__ = [
     "reset_cells_executed",
     "resolve_kernel",
     "run_sweep",
-    "shm_dumps",
-    "shm_loads",
     "shutdown_pool",
     "spawn",
     "spawn_map",
     "stream_for",
-    "sweep_run_segments",
     "tag_entropy",
     "wilson_interval",
 ]

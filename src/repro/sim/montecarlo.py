@@ -32,10 +32,8 @@ clamped to [0, 1].
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-import pickle
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -167,41 +165,7 @@ def aggregate_trials(values) -> MCResult:
     return MCResult(mean=mean, std=std, lo=lo, hi=hi, trials=trials, values=vals)
 
 
-def _call_packed(fn: Callable, *args):
-    """Worker-side shm-transport shim: run ``fn`` and pack its result.
-
-    Large arrays in the result land in shared segments
-    (:func:`repro.sim.shm.shm_dumps`); only the small header pickle
-    travels back through the executor's result pipe.
-    """
-    from . import shm as shm_mod
-
-    return shm_mod.shm_dumps(fn(*args))
-
-
-def _call_shm_input(fn: Callable, pack_result: bool, blob: bytes):
-    """Worker-side shim for zero-copy inputs (composable with result shm).
-
-    ``blob`` is an :class:`~repro.sim.shm.ShmInputBatch` pickle of the
-    task's argument tuple: unpickling attaches the shared input segments
-    without retiring them (the producer owns their lifecycle), so every
-    worker of the map reads the same context arrays from the same pages.
-    """
-    from . import shm as shm_mod
-
-    args = pickle.loads(blob)
-    result = fn(*args)
-    return shm_mod.shm_dumps(result) if pack_result else result
-
-
-def spawn_map(
-    fn: Callable,
-    *iterables,
-    workers: int,
-    mp_method: str = "spawn",
-    shm_transport: bool = False,
-    shm_input_transport: bool = False,
-) -> list:
+def spawn_map(fn: Callable, *iterables, workers: int) -> list:
     """Order-preserving ``map(fn, *iterables)`` across the warm spawn pool.
 
     The shared dispatch seam for every process-backend call site (sweep
@@ -212,23 +176,6 @@ def spawn_map(
     with a warning when the pool's workers die (``BrokenProcessPool``)
     instead of crashing mid-suite.  ``fn`` must be module-level
     (picklable under ``spawn``).
-
-    ``shm_transport=True`` routes results through shared-memory segments
-    (:mod:`repro.sim.shm`): workers pack each result with
-    :func:`~repro.sim.shm.shm_dumps`, the parent decodes — byte-equal
-    values, but large arrays cross the process boundary as headers, not
-    pickled payloads.  A broken pool additionally sweeps the run's
-    orphaned segments (a worker killed mid-write leaves its segment with
-    no consumer).
-
-    ``shm_input_transport=True`` is the mirror for the *task* direction:
-    each item's argument tuple is packed by one
-    :class:`~repro.sim.shm.ShmInputBatch`, so large input arrays (a built
-    graph's CSR arrays, probe batches, a sweep span's shared context)
-    cross as keep-on-load segments — and an array shared by every item
-    ships **once**, not once per task.  Values are byte-equal either way;
-    volume lands in a ``shm.input_bytes`` event.  Composable with
-    ``shm_transport``.
     """
     items = list(zip(*iterables))
     nworkers = min(workers, len(items))
@@ -237,54 +184,15 @@ def spawn_map(
 
     from concurrent.futures.process import BrokenProcessPool
 
-    from . import shm as shm_mod
     from .pool import discard_pool, get_pool
 
     try:
-        pool = get_pool(nworkers, mp_method)
         # map over the materialized items — the caller's iterables may
         # be one-shot generators already consumed into `items` above
-        if not (shm_transport or shm_input_transport):
-            return list(pool.map(fn, *zip(*items)))
-        if shm_input_transport:
-            batch = shm_mod.ShmInputBatch()
-            try:
-                blobs = [batch.dumps(args) for args in items]
-                input_stats = (batch.shm_bytes, batch.segments,
-                               sum(len(b) for b in blobs))
-                packed = list(pool.map(
-                    functools.partial(_call_shm_input, fn, shm_transport),
-                    blobs,
-                ))
-            finally:
-                # map() has returned (every worker copied out) or raised
-                # (the fallback path must not inherit live input segments)
-                batch.unlink()
-            emit_default(
-                "shm.input_bytes",
-                shm_bytes=int(input_stats[0]),
-                pickle_bytes=int(input_stats[2]),
-                segments=int(input_stats[1]),
-            )
-        else:
-            packed = list(
-                pool.map(functools.partial(_call_packed, fn), *zip(*items))
-            )
-        if not shm_transport:
-            return packed
-        with shm_mod.collect_load_stats() as stats:
-            results = [shm_mod.shm_loads(blob) for blob in packed]
-        emit_default(
-            "shm.bytes",
-            shm_bytes=int(stats.shm_bytes),
-            pickle_bytes=int(sum(len(blob) for blob in packed)),
-            segments=int(stats.segments),
-        )
-        return results
+        return list(get_pool(nworkers).map(fn, *zip(*items)))
     except BrokenProcessPool as exc:
         discard_pool()
-        swept = shm_mod.sweep_run_segments()
-        emit_default("pool.broken", workers=nworkers, swept_segments=len(swept))
+        emit_default("pool.broken", workers=nworkers)
         warnings.warn(
             f"process pool broke ({exc}); falling back to the serial path",
             RuntimeWarning,

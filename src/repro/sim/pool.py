@@ -8,8 +8,7 @@ that price on *every* ``spawn_map``, which is exactly why
 shrank per-cell work below the spawn cost.  This module keeps one
 executor alive for the whole process: the first ``get_pool`` spawns it
 (``pool.spawn`` telemetry), later calls reuse it (``pool.reuse``), and it
-only respawns when a caller needs more workers or a different start
-method than the warm pool has.
+only respawns when a caller needs more workers than the warm pool has.
 
 Determinism is untouched: the pool schedules work, it never feeds RNG
 streams — per-task ``SeedSequence`` children are still spawned in the
@@ -24,24 +23,22 @@ threads' peers, but an explicit shutdown keeps exit clean and quiet).
 from __future__ import annotations
 
 import atexit
-import os
 import threading
 
 from ..telemetry import emit_default
-from . import shm
 
 __all__ = [
     "discard_pool",
     "get_pool",
     "pool_stats",
-    "reset_pool_stats",
     "shutdown_pool",
 ]
+
+_MP_METHOD = "spawn"  # the one start method every caller uses
 
 _lock = threading.Lock()
 _pool = None          # the warm ProcessPoolExecutor, or None
 _pool_workers = 0     # its max_workers
-_pool_method = ""     # its multiprocessing start method
 
 # observable spawn/reuse counters (tests; mirrors the telemetry events)
 _stats = {"spawned": 0, "reused": 0, "discarded": 0}
@@ -53,29 +50,16 @@ def pool_stats() -> dict:
         return dict(_stats)
 
 
-def reset_pool_stats() -> None:
-    with _lock:
-        for key in _stats:
-            _stats[key] = 0
-
-
-def get_pool(workers: int, mp_method: str = "spawn"):
+def get_pool(workers: int):
     """The warm executor, spawning or resizing it only when needed.
 
-    A warm pool with at least ``workers`` workers and the same start
-    method is reused as-is (idle extra workers cost nothing); a smaller
-    or method-mismatched pool is shut down and replaced.  The shm run
-    prefix is minted *before* the first spawn so every worker inherits
-    it through the environment.
+    A warm pool with at least ``workers`` workers is reused as-is (idle
+    extra workers cost nothing); a smaller pool is shut down and replaced.
     """
-    global _pool, _pool_workers, _pool_method
+    global _pool, _pool_workers
     workers = max(1, int(workers))
     with _lock:
-        if (
-            _pool is not None
-            and _pool_method == mp_method
-            and _pool_workers >= workers
-        ):
+        if _pool is not None and _pool_workers >= workers:
             _stats["reused"] += 1
             emit_default(
                 "pool.reuse", workers=_pool_workers, requested=workers
@@ -91,14 +75,12 @@ def get_pool(workers: int, mp_method: str = "spawn"):
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
-        shm.ensure_run_prefix()  # children must inherit the run prefix
         _pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp.get_context(mp_method)
+            max_workers=workers, mp_context=mp.get_context(_MP_METHOD)
         )
         _pool_workers = workers
-        _pool_method = mp_method
         _stats["spawned"] += 1
-        emit_default("pool.spawn", workers=workers, mp_method=mp_method)
+        emit_default("pool.spawn", workers=workers, mp_method=_MP_METHOD)
         return _pool
 
 

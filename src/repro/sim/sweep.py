@@ -333,13 +333,7 @@ def run_sweep(
              context)
             for span in spans
         ]
-        for span_results in spawn_map(
-            _exec_span,
-            payloads,
-            workers=workers,
-            shm_transport=True,
-            shm_input_transport=True,
-        ):
+        for span_results in spawn_map(_exec_span, payloads, workers=workers):
             results.extend(span_results)
     else:
         for c, ss in zip(cells, seed_seqs):

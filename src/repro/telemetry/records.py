@@ -75,18 +75,10 @@ EVENT_TYPES: dict[str, dict[str, tuple]] = {
     # a sweep silently losing parallelism is not silent any more: emitted
     # when an unpicklable cell forces the in-process path
     "sweep.degrade": {"experiment": (str,), "reason": (str,)},
-    # pool layer — warm worker-pool lifecycle + shm result transport volume
+    # pool layer — warm worker-pool lifecycle
     "pool.spawn": {"workers": (int,), "mp_method": (str,)},
     "pool.reuse": {"workers": (int,), "requested": (int,)},
     "pool.broken": {"workers": (int,)},
-    "shm.bytes": {
-        "shm_bytes": (int,), "pickle_bytes": (int,), "segments": (int,),
-    },
-    # zero-copy *input* transport volume (context/probe arrays shipped to
-    # workers through named segments instead of the executor's task pipe)
-    "shm.input_bytes": {
-        "shm_bytes": (int,), "pickle_bytes": (int,), "segments": (int,),
-    },
     # memory layer — peak-RSS samples from chunked/streaming hot paths
     # (ru_maxrss is process-lifetime max, so samples are non-decreasing)
     "mem.peak": {"phase": (str,), "peak_rss_mb": _NUMBER},

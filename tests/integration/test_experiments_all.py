@@ -78,7 +78,7 @@ def test_serial_and_vectorized_backends_render_identical(name):
 
 
 def test_registry_is_dense():
-    """E1..E15 with no gaps — DESIGN.md §3 promises one per claim."""
+    """E1..E15 with no gaps — EXPERIMENTS.md maps one to each claim."""
     nums = sorted(int(k[1:]) for k in EXPERIMENTS)
     assert nums == list(range(1, len(nums) + 1))
 

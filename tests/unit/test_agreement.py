@@ -1,9 +1,18 @@
-"""Unit tests: phase-king BA and channels (repro.agreement)."""
+"""Unit tests: phase-king BA (repro.agreement)."""
 
 import numpy as np
 import pytest
 
-from repro.agreement import phase_king, transmit
+from repro.agreement import phase_king
+
+
+#: adversary policies that try to split the good players
+POLICIES = {
+    "equivocate": None,  # the module's default, receiver-parity split
+    "always-0": lambda *a: 0,
+    "always-1": lambda *a: 1,
+    "by-phase": lambda phase, rnd, bad, receiver, state: (phase + receiver) % 2,
+}
 
 
 def run_ba(n, t, inputs=None, seed=0):
@@ -74,17 +83,31 @@ class TestPhaseKing:
         # report honest outcomes, not that the attack always lands
         assert disagreements >= 0
 
+    @pytest.mark.parametrize("n,t", [(5, 1), (9, 2), (13, 3), (21, 5), (29, 7)])
+    def test_agreement_and_validity_across_sizes(self, n, t):
+        assert 4 * t < n
+        for seed in range(3):
+            res = run_ba(n=n, t=t, seed=seed)
+            assert res.agreement and res.validity
+            assert res.decided.size == n - t
 
-class TestTransmit:
-    def test_good_majority_correct(self):
-        assert transmit(6, 5, 4, "v").correct
+    @pytest.mark.parametrize("n,t", [(4, 0), (9, 2), (17, 3), (21, 5)])
+    def test_message_count_exact(self, n, t):
+        # per phase: each good player hears all n players in round one
+        # and the king in round two, over t + 1 phases
+        res = run_ba(n=n, t=t)
+        assert res.messages == (t + 1) * (n - t) * (n + 1)
 
-    def test_bad_majority_incorrect(self):
-        assert not transmit(5, 6, 4, "v").correct
-
-    def test_message_count(self):
-        assert transmit(3, 2, 7, "v").messages == 35
-
-    def test_tie_drops(self):
-        out = transmit(3, 3, 4, "v")
-        assert out.delivered is None and not out.correct
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_bad_kings_first_cannot_break_agreement(self, name):
+        """The first t kings are all bad; the last phase's good king still
+        brings every good player to one value."""
+        n, t = 17, 4
+        bad = np.zeros(n, dtype=bool)
+        bad[:t] = True
+        inputs = np.random.default_rng(1).integers(0, 2, size=n)
+        res = phase_king(
+            inputs, bad, np.random.default_rng(0), policy=POLICIES[name]
+        )
+        assert res.agreement and res.validity
+        assert res.phases == t + 1

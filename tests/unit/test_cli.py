@@ -36,6 +36,71 @@ class TestParser:
         assert main(["experiments", "E10"]) == 0
         assert "[E10]" in capsys.readouterr().out
 
+    def test_unknown_experiment_id_is_a_usage_error(self, capsys):
+        # every ID is checked before any runs: E8's table must not print
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "E8", "E99"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown experiment 'E99'" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_experiment_ids_are_case_insensitive(self):
+        args = build_parser().parse_args(["experiments", "e10", "E1"])
+        assert args.ids == ["E10", "E1"]
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "-1", "experiments", "E10"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed: must be >= 0" in captured.err
+
+    @pytest.mark.parametrize("bad", ["E0", "E16", "E1x", "X1", "1", "e"])
+    def test_malformed_experiment_ids_are_usage_errors(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "E10", bad])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown experiment {bad!r}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_every_registered_id_parses_in_either_case(self):
+        from repro.experiments import EXPERIMENTS
+
+        parser = build_parser()
+        for exp_id in EXPERIMENTS:
+            args = parser.parse_args(["experiments", exp_id.lower(), exp_id])
+            assert args.ids == [exp_id, exp_id]
+
+    @pytest.mark.parametrize("bad", ["-42", "1.5", "seven", ""])
+    def test_malformed_seeds_are_usage_errors(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", bad, "experiments", "E10"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64])
+    def test_any_nonnegative_seed_parses(self, seed):
+        args = build_parser().parse_args(["--seed", str(seed), "info"])
+        assert args.seed == seed
+
+    @pytest.mark.parametrize("bad", ["0", "-2"])
+    def test_nonpositive_workers_are_usage_errors(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "E10", "--backend", "process",
+                  "--workers", bad])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers: must be >= 1" in captured.err
+
     def test_experiments_cache_flags_parse(self):
         args = build_parser().parse_args(
             ["experiments", "E1", "--cache", "--force", "--cache-dir", "/tmp/x"]

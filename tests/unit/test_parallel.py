@@ -51,20 +51,76 @@ def crashing_trial(rng: np.random.Generator) -> float:
 
 
 def big_block(seed: float) -> np.ndarray:
-    """A result large enough to cross the shm divert threshold (256 KiB)."""
+    """A 256 KiB float64 result: far more than one pipe buffer."""
     return np.random.default_rng(int(seed)).random(32_768)
 
 
-def share_then_die(seed: float) -> float:
-    """Worker writes a shared segment, then dies before any consumer
-    attaches (SIGKILL semantics: no unlink, no atexit) — exactly the
-    mid-write crash the run-scoped sweep must recover from."""
-    if _in_pool_worker():
-        from repro.sim import shm
+def negate(arr: np.ndarray) -> np.ndarray:
+    return -arr
 
-        shm.ShmArena().share(np.zeros(16_384))
-        os._exit(137)
-    return float(seed)
+
+def offset_sum(arr: np.ndarray, offset: int) -> float:
+    return float(arr.sum()) + offset
+
+
+#: result shapes a task may return; each is built deterministically by
+#: ``result_of_kind`` so a worker and the parent construct equal values
+RESULT_KINDS = (
+    "empty", "zero-d", "strided", "fortran", "object", "bool", "int8",
+    "uint64", "complex128", "float32", "structured", "nested",
+)
+
+
+def result_of_kind(kind: str):
+    rng = np.random.default_rng(len(kind))
+    if kind == "empty":
+        return np.empty(0, dtype=np.float64)
+    if kind == "zero-d":
+        return np.array(3.25)
+    if kind == "strided":
+        return np.arange(4096, dtype=np.int64).reshape(64, 64)[::2, ::3]
+    if kind == "fortran":
+        return np.asfortranarray(rng.random((256, 128)))
+    if kind == "object":
+        return np.array([{"x": 1}, None, "s"], dtype=object)
+    if kind == "bool":
+        return rng.random(10_000) < 0.5
+    if kind == "structured":
+        out = np.zeros(512, dtype=[("node", np.int32), ("load", np.float64)])
+        out["node"] = np.arange(512)
+        out["load"] = rng.random(512)
+        return out
+    if kind == "nested":
+        big = rng.random(16_384)
+        small = np.arange(4, dtype=np.float64)
+        return {"big": big, "small": small, "tag": "mixed",
+                "more": [big * 2, (small + 1, "x")]}
+    if kind == "complex128":
+        return rng.random(2048) + 1j * rng.random(2048)
+    return (rng.random(4096) * 100).astype(kind)
+
+
+def assert_same(expected, actual) -> None:
+    """Recursive equality that also pins array dtype, shape and layout."""
+    assert type(actual) is type(expected)
+    if isinstance(expected, np.ndarray):
+        assert actual.dtype == expected.dtype
+        assert actual.shape == expected.shape
+        assert actual.flags.f_contiguous == expected.flags.f_contiguous
+        if expected.dtype == object:
+            assert actual.tolist() == expected.tolist()
+        else:
+            assert np.array_equal(actual, expected)
+    elif isinstance(expected, dict):
+        assert actual.keys() == expected.keys()
+        for key in expected:
+            assert_same(expected[key], actual[key])
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected)
+        for e, a in zip(expected, actual):
+            assert_same(e, a)
+    else:
+        assert actual == expected
 
 
 class TestExecutionConfig:
@@ -99,6 +155,13 @@ class TestSpawnMap:
     def test_empty(self):
         assert spawn_map(double, [], workers=4) == []
 
+    def test_multiple_iterables_zip_like_map(self):
+        assert spawn_map(pow, [2, 3, 4], [3, 2, 1], workers=2) == [8, 9, 4]
+
+    def test_unequal_iterables_truncate_like_map(self):
+        out = spawn_map(pow, [2, 3, 4, 5], [1, 2], workers=2)
+        assert out == list(map(pow, [2, 3, 4, 5], [1, 2])) == [2, 9]
+
 
 class TestSerialProcessParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -112,6 +175,34 @@ class TestSerialProcessParity:
         par = spawn_map(multi_draw_trial, spawn(make_rng(11), 16), workers=2)
         assert par == serial
 
+    def test_large_array_results_cross_the_pipe_intact(self):
+        seeds = [0.0, 1.0, 2.0, 3.0]
+        serial = [big_block(s) for s in seeds]
+        par = spawn_map(big_block, seeds, workers=2)
+        assert len(par) == 4
+        for a, b in zip(serial, par):
+            assert b.dtype == a.dtype == np.float64
+            assert np.array_equal(a, b)
+
+    def test_large_array_inputs_cross_the_pipe_intact(self):
+        blocks = [big_block(s) for s in (4.0, 5.0, 6.0, 7.0)]
+        par = spawn_map(negate, blocks, workers=2)
+        for block, out in zip(blocks, par):
+            assert_same(-block, out)
+
+    def test_one_input_array_shared_by_every_task(self):
+        shared = big_block(8.0)
+        offsets = range(5)
+        serial = [offset_sum(shared, i) for i in offsets]
+        assert spawn_map(offset_sum, [shared] * 5, offsets, workers=2) == serial
+
+    @pytest.mark.parametrize("kind", RESULT_KINDS)
+    def test_result_kind_crosses_the_pipe_intact(self, kind):
+        expected = result_of_kind(kind)
+        par = spawn_map(result_of_kind, [kind, kind], workers=2)
+        for out in par:
+            assert_same(expected, out)
+
 
 class TestFaultInjection:
     """A pool worker dying mid-chunk must never produce a silent partial
@@ -119,12 +210,22 @@ class TestFaultInjection:
     or the failure surfaces as a clear error."""
 
     def test_worker_killed_mid_chunk_reproduces_serial_result(self):
+        from repro.telemetry import TelemetryBuffer, set_default_writer
+
         serial = [suicidal_trial(rng) for rng in spawn(make_rng(3), 12)]
-        with pytest.warns(RuntimeWarning, match="process pool broke"):
-            par = spawn_map(suicidal_trial, spawn(make_rng(3), 12), workers=2)
+        buf = TelemetryBuffer()
+        previous = set_default_writer(buf)
+        try:
+            with pytest.warns(RuntimeWarning, match="process pool broke"):
+                par = spawn_map(suicidal_trial, spawn(make_rng(3), 12),
+                                workers=2)
+        finally:
+            set_default_writer(previous)
         # the broken pool degraded to the serial path and recomputed
         # every item: bit-identical, nothing partial
         assert par == serial
+        (broken,) = buf.of_type("pool.broken")
+        assert broken["workers"] == 2
 
     def test_worker_killed_in_spawn_map_falls_back_whole(self):
         with pytest.warns(RuntimeWarning, match="process pool broke"):
@@ -158,6 +259,48 @@ class TestWarmPool:
         assert final["spawned"] == after["spawned"] + 1
         assert final["discarded"] >= after["discarded"] + 1
         shutdown_pool()
+
+    def test_nonpositive_request_gets_one_worker(self):
+        from repro.sim.pool import get_pool, shutdown_pool
+        from repro.telemetry import TelemetryBuffer, set_default_writer
+
+        shutdown_pool()
+        buf = TelemetryBuffer()
+        previous = set_default_writer(buf)
+        try:
+            pool = get_pool(0)
+            assert get_pool(-3) is pool
+        finally:
+            set_default_writer(previous)
+            shutdown_pool()
+        (spawn,) = buf.of_type("pool.spawn")
+        assert spawn["workers"] == 1
+        (reuse,) = buf.of_type("pool.reuse")
+        assert reuse["workers"] == 1 and reuse["requested"] == 1
+
+    def test_discard_forces_a_fresh_pool(self):
+        from repro.sim.pool import (
+            discard_pool, get_pool, pool_stats, shutdown_pool,
+        )
+
+        shutdown_pool()
+        first = get_pool(2)
+        before = pool_stats()
+        discard_pool()
+        assert pool_stats()["discarded"] == before["discarded"] + 1
+        second = get_pool(2)
+        assert second is not first
+        assert pool_stats()["spawned"] == before["spawned"] + 1
+        assert spawn_map(double, [1.0, 2.0], workers=2) == [2.0, 4.0]
+        shutdown_pool()
+
+    def test_discard_without_a_pool_is_a_noop(self):
+        from repro.sim.pool import discard_pool, pool_stats, shutdown_pool
+
+        shutdown_pool()
+        before = pool_stats()
+        discard_pool()
+        assert pool_stats() == before
 
     def test_shutdown_idempotent(self):
         from repro.sim.pool import pool_stats, shutdown_pool
@@ -195,60 +338,3 @@ class TestWarmPool:
         assert spawn["workers"] == 2 and spawn["mp_method"] == "spawn"
         (reuse,) = buf.of_type("pool.reuse")
         assert reuse["workers"] == 2 and reuse["requested"] == 2
-
-
-class TestShmTransport:
-    """shm_transport moves large results through shared segments: values
-    stay byte-equal, nothing is left behind in /dev/shm, and the byte
-    accounting surfaces as telemetry."""
-
-    def test_spawn_map_shm_parity_and_no_leaks(self):
-        from repro.sim import shm
-
-        seeds = [0.0, 1.0, 2.0, 3.0]
-        plain = spawn_map(big_block, seeds, workers=2)
-        via_shm = spawn_map(big_block, seeds, workers=2, shm_transport=True)
-        assert len(via_shm) == 4
-        for a, b in zip(plain, via_shm):
-            assert np.array_equal(a, b)
-        assert shm.run_segments() == []
-
-    def test_shm_transport_emits_byte_accounting(self):
-        from repro.telemetry import TelemetryBuffer, set_default_writer
-
-        buf = TelemetryBuffer()
-        previous = set_default_writer(buf)
-        try:
-            spawn_map(big_block, [0.0, 1.0, 2.0, 3.0], workers=2,
-                      shm_transport=True)
-        finally:
-            set_default_writer(previous)
-        (event,) = buf.of_type("shm.bytes")
-        # four 256 KiB results, all above the divert threshold: the
-        # segments carried the arrays, the pipe carried headers
-        assert event["segments"] == 4
-        assert event["shm_bytes"] == 4 * 32_768 * 8
-        assert 0 < event["pickle_bytes"] < event["shm_bytes"]
-
-    def test_worker_killed_mid_write_leaves_no_segments(self):
-        """The os._exit fault, extended to the shm layer: the dead worker's
-        segment has no consumer, so the broken-pool path must sweep it —
-        and the fallback must still produce every result."""
-        from repro.sim import shm
-        from repro.telemetry import TelemetryBuffer, set_default_writer
-
-        prefix = shm.ensure_run_prefix()
-        buf = TelemetryBuffer()
-        previous = set_default_writer(buf)
-        try:
-            with pytest.warns(RuntimeWarning, match="process pool broke"):
-                out = spawn_map(
-                    share_then_die, [1.0, 2.0, 3.0, 4.0], workers=2,
-                    shm_transport=True,
-                )
-        finally:
-            set_default_writer(previous)
-        assert out == [1.0, 2.0, 3.0, 4.0]  # serial fallback, complete
-        assert shm.run_segments(prefix) == []
-        (broken,) = buf.of_type("pool.broken")
-        assert broken["swept_segments"] >= 1

@@ -203,17 +203,3 @@ class TestSearchBatch:
         gg = GroupGraph(H, params, red=np.ones(H.n, dtype=bool))
         out = SecureRouter(gg).search_batch(np.array([0, 1]), np.array([0.2, 0.9]))
         assert out.failure_rate == 1.0
-
-
-class TestChannel:
-    def test_transmit_correct_with_good_majority(self):
-        from repro.agreement import transmit
-
-        out = transmit(5, 4, 8, "v")
-        assert out.correct and out.messages == 72
-
-    def test_transmit_fails_with_bad_majority(self):
-        from repro.agreement import transmit
-
-        out = transmit(4, 5, 8, "v")
-        assert not out.correct

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from repro.sim import child, make_rng, spawn, stream_for, tag_entropy
-from repro.sim.engine import SyncEngine
-from repro.sim.metrics import MetricsRecorder
 from repro.sim.montecarlo import aggregate_trials, wilson_interval
 
 
@@ -74,80 +72,6 @@ class TestRng:
         assert tag_entropy(3) != tag_entropy("3")
 
 
-class TestEngine:
-    def test_flood(self):
-        """Messages seeded at node 0 flood a 4-node line in 3 rounds."""
-        eng = SyncEngine(4)
-        eng.seed(0, "tok")
-        seen = set()
-
-        def handler(node, rnd, inbox):
-            out = []
-            for msg in inbox:
-                if node not in seen:
-                    seen.add(node)
-                    if node + 1 < 4:
-                        out.append((node + 1, msg))
-            return out
-
-        eng.run(4, handler)
-        assert seen == {0, 1, 2, 3}
-        assert eng.total_messages() == 3
-
-    def test_round_stats(self):
-        eng = SyncEngine(2)
-        eng.seed(0, "x")
-        eng.run(2, lambda n, r, inbox: [(1, m) for m in inbox])
-        assert len(eng.stats) == 2
-        assert eng.stats[0].messages == 1
-
-    def test_repeated_run_round_indexes_monotone(self):
-        """Regression: a second run() must continue, not restart, indexing."""
-        eng = SyncEngine(2)
-        eng.seed(0, "x")
-        handler = lambda n, r, inbox: [((n + 1) % 2, m) for m in inbox]
-        eng.run(3, handler)
-        eng.run(2, handler)
-        indexes = [s.round_index for s in eng.stats]
-        assert indexes == [0, 1, 2, 3, 4]
-        assert len(set(indexes)) == len(indexes)
-
-    def test_active_counts_receivers(self):
-        """A node that receives but stays silent is still active."""
-        eng = SyncEngine(2)
-        eng.seed(0, "x")
-        # node 0 forwards to node 1; node 1 swallows everything
-        eng.run(2, lambda n, r, inbox: [(1, m) for m in inbox] if n == 0 else [])
-        # round 0: node 0 receives+sends -> active; round 1: node 1 receives
-        assert eng.stats[0].active_nodes == 1
-        assert eng.stats[1].active_nodes == 1
-
-    def test_active_counts_inbox_consuming_handler(self):
-        """Receipt is judged before the handler runs, so a handler that
-        drains its inbox in place is still counted active."""
-        eng = SyncEngine(2)
-        eng.seed(0, "x")
-
-        def handler(node, rnd, inbox):
-            while inbox:
-                inbox.pop()
-            return []
-
-        eng.run(1, handler)
-        assert eng.stats[0].active_nodes == 1
-
-    def test_run_returns_per_call_slice(self):
-        """run() returns only this call's rounds; history stays on stats."""
-        eng = SyncEngine(2)
-        eng.seed(0, "x")
-        handler = lambda n, r, inbox: [((n + 1) % 2, m) for m in inbox]
-        first = eng.run(3, handler)
-        second = eng.run(2, handler)
-        assert [s.round_index for s in first] == [0, 1, 2]
-        assert [s.round_index for s in second] == [3, 4]
-        assert len(eng.stats) == 5
-
-
 class TestMonteCarlo:
     def test_aggregate_trials_mean(self):
         res = aggregate_trials(make_rng(0).random(200))
@@ -183,30 +107,3 @@ class TestMonteCarlo:
         """Count-valued trials keep the plain normal CI (no fake clamp)."""
         res = aggregate_trials(make_rng(3).poisson(600, 30))
         assert res.lo > 1.0  # nowhere near the unit interval
-
-
-class TestMetrics:
-    def test_record_and_get(self):
-        m = MetricsRecorder()
-        m.record("x", 1.0)
-        m.record("x", 2.0)
-        assert list(m.get("x")) == [1.0, 2.0]
-
-    def test_record_many(self):
-        m = MetricsRecorder()
-        m.record_many(a=1.0, b=2.0)
-        assert m.last("a") == 1.0 and m.last("b") == 2.0
-
-    def test_last_missing_raises(self):
-        with pytest.raises(KeyError):
-            MetricsRecorder().last("nope")
-
-    def test_summary(self):
-        m = MetricsRecorder()
-        for v in (1.0, 3.0):
-            m.record("x", v)
-        s = m.summary("x")
-        assert s["mean"] == 2.0 and s["count"] == 2
-
-    def test_summary_empty(self):
-        assert MetricsRecorder().summary("none") == {"count": 0}

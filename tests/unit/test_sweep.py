@@ -7,6 +7,9 @@ backends and worker counts.  Cell functions live at module level so they
 pickle under the ``spawn`` start method.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,20 @@ def config_probe_cell(rng, *, k, exec_config):
 
 def kernel_probe_cell(rng, *, k, kernel):
     return [[k, kernel]]
+
+
+def failing_cell(rng, *, k):
+    if k == 3:
+        raise ValueError(f"cell k={k} failed")
+    return [[k, float(rng.random())]]
+
+
+def suicidal_cell(rng, *, a, b, seed):
+    """Dies when run inside a pool worker (a crashed worker box); the
+    in-process fallback in the parent runs it normally."""
+    if multiprocessing.current_process().name != "MainProcess":
+        os._exit(137)
+    return draw_cell(rng, a=a, b=b, seed=seed)
 
 
 def _spec(**kw):
@@ -147,6 +164,92 @@ class TestStackedPass:
         par = run_sweep(spec, exec_config=cfg)
         assert par.rows == reference.rows
         assert par.render() == reference.render()
+
+
+class TestSpanPath:
+    """The process backend's span path: ``min(workers, cells)`` contiguous
+    spans in one map over the warm pool, reassembled in grid order."""
+
+    @pytest.mark.parametrize(
+        "cells,workers", [(3, 2), (5, 2), (5, 3), (6, 4), (7, 3)]
+    )
+    def test_uneven_spans_bit_identical(self, cells, workers):
+        spec = _spec(axes=(("a", tuple(range(cells))), ("b", ("x",))))
+        reference = run_sweep(spec)
+        cfg = ExecutionConfig(backend="process", workers=workers)
+        par = run_sweep(spec, exec_config=cfg)
+        assert [r[0] for r in par.rows] == list(range(cells))
+        assert par.rows == reference.rows
+        assert par.render() == reference.render()
+
+    def test_pooled_notes_and_aux_reach_finalize(self):
+        seen = []
+
+        def finalize(table, results, context):
+            seen.append([r.aux for r in results])
+            table.add_note("from finalize")
+
+        spec = _spec(
+            cell=noted_cell, axes=(("k", (1, 2, 3)),), context={},
+            headers=["k", "value"], finalize=finalize,
+        )
+        reference = run_sweep(spec)
+        cfg = ExecutionConfig(backend="process", workers=2)
+        par = run_sweep(spec, exec_config=cfg)
+        assert par.notes == reference.notes == [
+            "note-1", "note-2", "note-3", "from finalize",
+        ]
+        assert seen == [[10, 20, 30], [10, 20, 30]]
+        assert par.rows == reference.rows
+
+    def test_one_pool_map_per_sweep(self):
+        from repro.telemetry import TelemetryBuffer, set_default_writer
+
+        buf = TelemetryBuffer()
+        previous = set_default_writer(buf)
+        try:
+            run_sweep(_spec(), ExecutionConfig(backend="process", workers=2))
+        finally:
+            set_default_writer(previous)
+        # pool workers emit no per-cell events; the parent emits the
+        # run summary and draws the pool exactly once
+        assert buf.of_type("sweep.cell") == []
+        (run,) = buf.of_type("sweep.run")
+        assert run["cells"] == 6 and run["backend"] == "process"
+        assert run["kernel"] == "vectorized"
+        draws = buf.of_type("pool.spawn") + buf.of_type("pool.reuse")
+        assert len(draws) == 1
+
+    def test_cell_error_in_a_worker_propagates(self):
+        spec = _spec(
+            cell=failing_cell, axes=(("k", (1, 2, 3, 4)),), context={},
+            headers=["k", "value"],
+        )
+        cfg = ExecutionConfig(backend="process", workers=2)
+        with pytest.raises(ValueError, match="k=3 failed"):
+            run_sweep(spec, exec_config=cfg)
+        # an exception is not a crash: the warm pool still serves sweeps
+        reference = run_sweep(_spec())
+        assert run_sweep(_spec(), exec_config=cfg).rows == reference.rows
+
+    def test_killed_worker_falls_back_to_the_serial_table(self):
+        from repro.telemetry import TelemetryBuffer, set_default_writer
+
+        spec = _spec(cell=suicidal_cell)
+        reference = run_sweep(spec)
+        buf = TelemetryBuffer()
+        previous = set_default_writer(buf)
+        try:
+            with pytest.warns(RuntimeWarning, match="process pool broke"):
+                par = run_sweep(
+                    spec, exec_config=ExecutionConfig(backend="process", workers=2)
+                )
+        finally:
+            set_default_writer(previous)
+        assert par.rows == reference.rows
+        assert par.render() == reference.render()
+        (broken,) = buf.of_type("pool.broken")
+        assert broken["workers"] == 2
 
 
 class TestCellOut:

@@ -49,9 +49,7 @@ def _mixed_buffer() -> TelemetryBuffer:
     buf.emit("pool.spawn", workers=4, mp_method="spawn")
     buf.emit("pool.reuse", workers=4, requested=2)
     buf.emit("pool.reuse", workers=4, requested=4)
-    buf.emit("pool.broken", workers=4, swept_segments=2)
-    buf.emit("shm.bytes", shm_bytes=600_000, pickle_bytes=300_000, segments=3)
-    buf.emit("shm.bytes", shm_bytes=300_000, pickle_bytes=0, segments=1)
+    buf.emit("pool.broken", workers=4)
     buf.emit("sweep.degrade", experiment="E2", reason="unpicklable-cell",
              detail="PicklingError")
     buf.emit("bench.calibration", wall_s=0.02)
@@ -91,19 +89,12 @@ class TestSummary:
         assert speedup["speedup"] == 10.0
         assert bench["calibration_wall_s"] == 0.02
 
-    def test_pool_and_shm_section(self):
+    def test_pool_section(self):
         summary = summarize_events(_mixed_buffer().events)
         pool = summary["pool"]
         assert pool["spawns"] == 1
         assert pool["reuses"] == 2
         assert pool["broken"] == 1
-        assert pool["swept_segments"] == 2
-        shm = pool["shm"]
-        assert shm["transfers"] == 2
-        assert shm["segments"] == 4
-        assert shm["shm_bytes"] == 900_000
-        assert shm["pickle_bytes"] == 300_000
-        assert shm["shm_fraction"] == 0.75
         assert pool["degrades"] == {"E2:unpicklable-cell": 1}
 
     def test_no_pool_events_no_section(self):
@@ -136,7 +127,7 @@ class TestSummary:
         text = render_report(summarize_events(_mixed_buffer().events))
         for needle in ("dispatch funnel", "sweep cells", "bench ledger",
                        "host calibration", "speedup",
-                       "worker pool / shm transport", "off-pipe",
+                       "worker pool:", "broken=1",
                        "degrade E2:unpicklable-cell", "quorum:",
                        "suspect wLiar", "suspicion=2", "poisoned"):
             assert needle in text

@@ -157,11 +157,12 @@ to refresh, then `python tools/gen_experiments_md.py`).
 
 The paper is a theory/protocol paper: its "tables and figures" are the
 quantitative claims of Theorem 3, Corollary 1, Lemmas 1-12, the §I-D scaling
-argument, and the related-work numbers it quotes ([47]).  DESIGN.md §3 maps
-each to the experiment reproduced below.  Absolute numbers depend on the
-simulator's constants; the **shapes** (who wins, scaling exponents, where
-knees sit, flat-vs-diverging series) are the reproduction targets, and each
-section states the expected shape next to the measured table.
+argument, and the related-work numbers it quotes ([47]).  Each section
+below reproduces one of them, and its heading names the claim.  Absolute
+numbers depend on the simulator's constants; the **shapes** (who wins,
+scaling exponents, where knees sit, flat-vs-diverging series) are the
+reproduction targets, and each section states the expected shape next to
+the measured table.
 
 Execution: every experiment declares its grid as a `repro.sim.sweep.SweepSpec`
 (axes + a per-cell function); the substrate spawns one independent RNG
@@ -175,18 +176,13 @@ fixed `--seed`, so every table below is reproducible at any worker count.
 
 Backend selection: the `process` backend dispatches through a
 **process-wide warm pool** (`repro.sim.pool` — spawn's interpreter-boot
-cost is paid once per process, not once per sweep), moves large results
-through **shared-memory segments** instead of the executor's result pipe
-(`repro.sim.shm`: workers park C-layout ndarrays >= 64 KiB in named
-`/dev/shm` segments and pickle only a header; tune with
-`REPRO_SHM_MIN_BYTES`), ships large *task inputs* the same way
-(`ShmInputBatch`: keep-on-load segments memoized by identity, so an
-array shared by every task — a built graph's CSR arrays, a probe batch —
-crosses once instead of once per task; volume in `shm.input_bytes`
-events), and splits each multi-cell sweep (E1, E2, E3, E5, E6) into
-**contiguous spans** — one task per worker that runs its span's cells in
-grid order and returns one shm-transported result, instead of one task
-per cell.
+cost is paid once per process, not once per sweep) and splits each
+multi-cell sweep (E1, E2, E3, E5, E6) into **contiguous spans** — one
+task per worker that runs its span's cells in grid order, instead of one
+task per cell.  A task ships the pickled cell function, the cells'
+coordinates and `SeedSequence`s and the sweep's scalar context; it
+returns table rows and notes.  At `--seed 3` the five multi-cell fast
+sweeps move 11.6 KB through the executor's pipe in all.
 Together these flip the old economics: per-cell dispatch overhead no
 longer swamps the vectorized kernels, so on a multi-core host `--backend
 process` beats the in-process default on every multi-cell experiment at

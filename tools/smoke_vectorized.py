@@ -29,10 +29,10 @@ so the ledger's trajectory for the fast path never gaps.
 After the kernel cases, the **process-backend** cases (E1/E2/E5 at paper
 scale, ``repro.analysis.benchio.PROCESS_BENCH_CASES``) compare in-process
 execution of the default kernels (``cells-serial``) against the same
-computation dispatched across the warm worker pool with shared-memory
-result transport (``cells-process``): tables must stay byte-identical,
-and on hosts with >= 4 usable cores the process side must beat serial by
-each case's ``min_ratio`` bar (scaled by ``--process-margin``) — the
+computation dispatched across the warm worker pool in contiguous spans
+(``cells-process``): tables must stay byte-identical, and on hosts with
+>= 4 usable cores the process side must beat serial by each case's
+``min_ratio`` bar (scaled by ``--process-margin``) — the
 ROADMAP item-3 acceptance.  On smaller hosts the ratio is recorded
 warn-only (a pool cannot beat one core).
 
@@ -166,9 +166,9 @@ def main(argv: list[str] | None = None) -> int:
 
     telemetry = TelemetryWriter(telemetry_path)
     # install as the process-default sink too, so the runtime's own events
-    # (sweep.run, pool.spawn/reuse, shm.bytes, sweep.degrade) land in the
-    # same artifact as the bench rows — the report CLI's pool/shm section
-    # reads them back
+    # (sweep.run, pool.spawn/reuse, sweep.degrade) land in the same
+    # artifact as the bench rows — the report CLI's pool section reads
+    # them back
     previous_writer = set_default_writer(telemetry)
     cal_wall = measure_calibration()
     telemetry.emit("bench.calibration", wall_s=round(cal_wall, 6))
