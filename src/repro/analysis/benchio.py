@@ -5,8 +5,8 @@ gives the repo its perf-*trajectory* format: a JSON array of rows
 
 .. code-block:: json
 
-    {"experiment": "E3", "n": 8192, "backend": "vectorized",
-     "wall_s": 0.12, "cells": 12, "trials": 98304}
+    {"experiment": "E2", "n": 4096, "backend": "cells-process",
+     "wall_s": 1.32, "cells": 7, "trials": 700000}
 
 written next to the timings (default: ``BENCH_vectorized.json``).  Rows
 are keyed by ``(experiment, n, backend)``: re-recording a key replaces
@@ -16,15 +16,16 @@ measurement point instead of appending duplicates.
 The file doubles as the repo's tracked **perf ledger**.  CI runners are
 heterogeneous — the same commit's wall clock swings 2-3x between runner
 generations — so the *gating* comparison is machine-invariant: the
-serial/vectorized **speedup ratio** per ``(experiment, n)``
+**speedup ratio** of a backend pair per ``(experiment, n)`` — in-process
+against process-pool cells, or offline against served queries
 (:func:`speedup_rows`, compared across runs by
-:func:`diff_bench_ratios`).  Both kernels run on the same host in the
+:func:`diff_bench_ratios`).  Both sides run on the same host in the
 same process, so host speed divides out of their ratio; a ratio drop
-means the vectorized kernel itself regressed.  Absolute wall-clock
-drift (:func:`diff_bench_rows`) is still reported — it catches
+means the code itself regressed.  Absolute wall-clock drift
+(:func:`diff_bench_rows`) is still reported — it catches
 everything-got-slower problems a ratio cannot — but only as a warning,
-because across heterogeneous runners it cannot distinguish a slow
-kernel from a slow machine.  Each run also records a
+because across heterogeneous runners it cannot distinguish slow code
+from a slow machine.  Each run also records a
 :func:`measure_calibration` row (``experiment="CALIBRATION"``,
 ``backend="host"``): a fixed NumPy workload timing that quantifies the
 host's speed, so a reader of the ledger can attribute absolute drift to
@@ -46,8 +47,6 @@ from ..telemetry.records import bench_row
 __all__ = [
     "BENCH_FILENAME",
     "CALIBRATION_EXPERIMENT",
-    "KERNEL_BENCH_CASES",
-    "KERNEL_BENCH_CASES_QUICK",
     "PROCESS_BENCH_CASES",
     "PROCESS_BENCH_CASES_QUICK",
     "SCALE_BENCH_FILENAME",
@@ -73,58 +72,19 @@ CALIBRATION_EXPERIMENT = "CALIBRATION"
 
 _ROW_KEY = ("experiment", "n", "backend")
 
-# The canonical serial-vs-vectorized kernel measurement points, shared by
-# ``benchmarks/bench_vectorized.py`` and ``tools/smoke_vectorized.py`` so
-# the two writers can never fork the trajectory file into rows keyed by
-# diverging (experiment, n) pairs.  Paper scale (non-``fast`` n): one E2
-# cell is already 100k probes through the search kernel; a lone E3 cell is
-# ~10ms vectorized — fixed per-run overhead would swamp it, so E3 measures
-# its whole 12-construction grid.
-#
-# ``min_speedup`` is the per-case serial/vectorized acceptance bar (None =
-# parity-only row, no wall-clock bar):
-#
-# * E2/E3/E4 replace per-probe scalar search loops (and, for E4, per-group
-#   composition loops) — an order of magnitude or more at paper scale, so
-#   the >= 5x bar has plenty of headroom;
-# * E8's serial loop was never the cell's bottleneck (the KS windows
-#   dominate), so its row records parity + trajectory only;
-# * E12's event loop is inherently sequential — the vectorized kernel only
-#   batches each event's relocation cohort — so the honest bar is modest.
-KERNEL_BENCH_CASES = {
-    "E2": dict(n=4096, cells=1, trials=100_000, min_speedup=5.0,
-               kwargs=dict(fast=False, pf_values=(0.02,))),
-    "E3": dict(n=8192, cells=12, trials=12 * 8192, min_speedup=5.0,
-               kwargs=dict(fast=False)),
-    # one epoch of the full dynamic trajectory at paper-scale n: ~270k
-    # construction searches + the q_f/robustness probes (measured ~60x).
-    # serial_smoke=False: the serial reference costs ~47s per epoch, so the
-    # smoke bench times only the vectorized row and proves parity at quick
-    # scale; the full job (--full-serial) still measures the ratio here.
-    "E4": dict(n=2048, cells=1, trials=4000, min_speedup=5.0,
-               serial_smoke=False,
-               kwargs=dict(fast=False, epochs=1, probes=4000)),
-    "E8": dict(n=4096, cells=1, trials=100, min_speedup=None,
-               kwargs=dict(fast=False)),
-    # parity/trajectory row: the event loop is inherently sequential and
-    # the honest per-case gain (~1-3x, commensal-heavy) is too close to
-    # machine noise for a hard bar
-    "E12": dict(n=4096, cells=1, trials=20_000, min_speedup=None,
-                kwargs=dict(fast=True)),
-}
 # The cell-scheduling measurement points for the process backend: the
-# same experiment run in-process with the default kernels
-# (``cells-serial`` — one core, one cell after another) versus
-# dispatched across the warm worker pool (``cells-process``).  Both
-# sides run the identical kernels, so the ratio isolates scheduling:
-# warm-pool spawn amortization + contiguous worker spans against
-# single-core execution.
+# same experiment run in-process (``cells-serial`` — one core, one cell
+# after another) versus dispatched across the warm worker pool
+# (``cells-process``).  Both sides run the identical computation, so the
+# ratio isolates scheduling: warm-pool spawn amortization + contiguous
+# worker spans against single-core execution.
 #
 # ``min_ratio`` is the process-beats-serial acceptance bar (1.0 =
 # strictly faster, the ROADMAP item-3 acceptance).  A pool cannot beat
 # one core on a <4-core host, so the bar is enforced only when the host
 # has >= 4 usable cores (the parity assertion is unconditional) — the
-# same convention as ``benchmarks/bench_sweep.py``.
+# same convention as ``benchmarks/bench_sweep.py``, which times its
+# scheduling rows on these kwargs.
 PROCESS_BENCH_CASES = {
     "E1": dict(n=4096, cells=10, trials=10 * 100_000, workers=4,
                min_ratio=1.0, kwargs=dict(fast=False)),
@@ -145,29 +105,11 @@ PROCESS_BENCH_CASES_QUICK = {
                min_ratio=None, kwargs=dict(fast=True)),
 }
 
-# fast-scale equivalents for a laptop sanity pass (overhead-dominated:
-# expect smaller ratios than the paper-scale acceptance bar)
-KERNEL_BENCH_CASES_QUICK = {
-    "E2": dict(n=1024, cells=1, trials=20_000, min_speedup=2.0,
-               kwargs=dict(fast=True, pf_values=(0.02,))),
-    "E3": dict(n=2048, cells=12, trials=12 * 2048, min_speedup=2.0,
-               kwargs=dict(fast=True)),
-    "E4": dict(n=512, cells=1, trials=2000, min_speedup=2.0,
-               kwargs=dict(fast=True, epochs=1)),
-    # distinct n from the paper-scale case: quick runs must not replace
-    # the full-scale ledger row (rows key by (experiment, n, backend))
-    "E8": dict(n=2048, cells=1, trials=20, min_speedup=None,
-               kwargs=dict(fast=True, n=2048)),
-    "E12": dict(n=1024, cells=1, trials=2000, min_speedup=None,
-                kwargs=dict(fast=True, n=1024, sizes=(8, 32), events=2000)),
-}
-
-
 def measure_calibration(repeats: int = 3) -> float:
     """Time a fixed NumPy workload on this host (best of ``repeats``).
 
     The workload — sorting 1e6 floats plus a 256x256 matmul — pins down
-    roughly what the kernels stress (memory-bandwidth-bound array sweeps
+    roughly what the experiments stress (memory-bandwidth-bound array sweeps
     plus BLAS throughput) with no dependence on the experiment code, so
     the measurement is comparable across commits.  Best-of: the minimum
     is the least contaminated by scheduler noise.
@@ -218,7 +160,7 @@ def diff_bench_rows(
     subset whose current wall clock exceeds ``(1 + max_regression) *
     baseline`` — the perf-ledger CI gate.  Rows where *both* measurements
     sit under ``min_wall_s`` are reported but never flagged: at that scale
-    scheduler jitter swamps any real kernel change.
+    scheduler jitter swamps any real code change.
     """
     base = {tuple(r.get(k) for k in _ROW_KEY): r for r in baseline}
     deltas: list[dict] = []
@@ -264,7 +206,7 @@ def diff_mem_rows(
     machine-invariant for a fixed workload, so the absolute ratio *is*
     the gate.  Keys where both peaks sit under ``min_mb`` are reported
     but never flagged: down there the interpreter's own footprint
-    (allocator arenas, import churn) swamps any kernel change.
+    (allocator arenas, import churn) swamps any code change.
     """
     base = {tuple(r.get(k) for k in _ROW_KEY): r for r in baseline}
     deltas: list[dict] = []
@@ -292,22 +234,21 @@ def diff_mem_rows(
     return deltas, regressions
 
 
-def speedup_rows(
-    rows: list[dict], backends: tuple[str, str] = ("serial", "vectorized")
-) -> list[dict]:
+def speedup_rows(rows: list[dict], backends: tuple[str, str]) -> list[dict]:
     """Base/fast speedup per ``(experiment, n)`` measurement point.
 
     Pairs each point's ``backends[0]`` (base) and ``backends[1]`` (fast)
     rows (both must be present with a positive wall clock; calibration
     rows and single-backend points are skipped) into ``{experiment, n,
     wall_serial_s, wall_vectorized_s, speedup}`` — the field names keep
-    the original serial/vectorized pair's spelling whatever the pair, so
-    every consumer reads one shape (``wall_serial_s`` = base wall,
-    ``wall_vectorized_s`` = fast wall).  The default pair gates the
-    kernel speedup; ``("cells-serial", "cells-process")`` gates the
-    process backend's cell-scheduling win.  Because both sides ran on
-    the same host, the host's speed divides out of ``speedup`` — this is
-    the machine-invariant quantity the perf ledger gates on.
+    the ledger's first pair's spelling whatever the pair, so every
+    consumer reads one shape (``wall_serial_s`` = base wall,
+    ``wall_vectorized_s`` = fast wall).  ``("cells-serial",
+    "cells-process")`` gates the process backend's cell-scheduling win,
+    ``("offline", "closed")`` the serving layer's efficiency.  Because
+    both sides ran on the same host, the host's speed divides out of
+    ``speedup`` — this is the machine-invariant quantity the perf ledger
+    gates on.
     """
     base_backend, fast_backend = backends
     by_point: dict[tuple, dict[str, float]] = {}
@@ -338,7 +279,8 @@ def diff_bench_ratios(
     current: list[dict],
     max_regression: float = 0.20,
     min_wall_s: float = 0.05,
-    backends: tuple[str, str] = ("serial", "vectorized"),
+    *,
+    backends: tuple[str, str],
 ) -> tuple[list[dict], list[dict]]:
     """Diff base/fast speedups by ``(experiment, n)`` — the
     machine-invariant perf gate.
@@ -348,10 +290,8 @@ def diff_bench_ratios(
     baseline), and the subset whose speedup fell below ``(1 -
     max_regression) *`` baseline.  Points where both runs' *fast-side*
     wall clock sits under ``min_wall_s`` are reported but never flagged —
-    at that scale the ratio is scheduler jitter, not kernel behaviour.
-    ``backends`` picks the pair (see :func:`speedup_rows`): the default
-    gates the kernel speedup, ``("cells-serial", "cells-process")`` the
-    process backend's scheduling win.
+    at that scale the ratio is scheduler jitter, not code behaviour.
+    ``backends`` picks the pair (see :func:`speedup_rows`).
     """
     base = {
         (r["experiment"], r["n"]): r for r in speedup_rows(baseline, backends)

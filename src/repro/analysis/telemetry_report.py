@@ -2,7 +2,7 @@
 
 One jsonl file from :mod:`repro.telemetry` can hold events from every
 layer at once — a dispatch spool's unit lifecycle, the sweep substrate's
-per-cell kernel timings, and the benchmark ledger's rows.  This module
+per-cell timings, and the benchmark ledger's rows.  This module
 turns such a stream into the operator-facing views:
 
 * :func:`summarize_events` — the structured summary (event counts, the
@@ -154,21 +154,22 @@ def summarize_events(events: list[dict]) -> dict:
             }
 
     # -- sweep cell trends -------------------------------------------------
+    # grouped per (experiment, backend); a `kernel` field on older events
+    # is ignored, so an old stream folds into the same rows
     cells: dict[tuple, list[dict]] = {}
     for e in by_type.get("sweep.cell", []):
-        key = (str(e.get("experiment")), str(e.get("kernel")), str(e.get("backend")))
+        key = (str(e.get("experiment")), str(e.get("backend")))
         cells.setdefault(key, []).append(e)
     runs: dict[tuple, list[dict]] = {}
     for e in by_type.get("sweep.run", []):
-        key = (str(e.get("experiment")), str(e.get("kernel")), str(e.get("backend")))
+        key = (str(e.get("experiment")), str(e.get("backend")))
         runs.setdefault(key, []).append(e)
     if cells or runs:
         sweeps = []
         for key in sorted(set(cells) | set(runs)):
-            experiment, kernel, backend = key
+            experiment, backend = key
             entry = {
                 "experiment": experiment,
-                "kernel": kernel,
                 "backend": backend,
                 "runs": len(runs.get(key, [])),
                 "run_wall_s": round(sum(_walls(runs.get(key, []))), 6),
@@ -272,7 +273,14 @@ def summarize_events(events: list[dict]) -> dict:
     if rows or timings or calibrations:
         summary["bench"] = {
             "rows": rows,
-            "speedups": speedup_rows(rows),
+            # the two pairs the perf ledger gates
+            "speedups": [
+                {**row, "pair": f"{base}/{fast}"}
+                for base, fast in (
+                    ("cells-serial", "cells-process"), ("offline", "closed"),
+                )
+                for row in speedup_rows(rows, (base, fast))
+            ],
             "timings": len(timings),
             "calibration_wall_s": (
                 round(min(calibrations), 6) if calibrations else None
@@ -325,7 +333,7 @@ def render_report(summary: dict) -> str:
     sweeps = summary.get("sweeps")
     if sweeps:
         lines.append("")
-        lines.append("sweep cells (experiment/kernel/backend):")
+        lines.append("sweep cells (experiment/backend):")
         for s in sweeps:
             cell = s["cell_wall_s"]
             detail = (
@@ -334,7 +342,7 @@ def render_report(summary: dict) -> str:
                 if cell else "no per-cell events"
             )
             lines.append(
-                f"  {s['experiment']:>4} {s['kernel']:<10} {s['backend']:<10} "
+                f"  {s['experiment']:>4} {s['backend']:<10} "
                 f"runs={s['runs']} wall={s['run_wall_s']:.3f}s  {detail}"
             )
 
@@ -404,7 +412,7 @@ def render_report(summary: dict) -> str:
         for s in bench["speedups"]:
             lines.append(
                 f"  speedup {s['experiment']:>4} n={s['n']:<6} "
-                f"{s['speedup']:.2f}x "
+                f"{s['pair']} {s['speedup']:.2f}x "
                 f"({s['wall_serial_s']:.3f}s / {s['wall_vectorized_s']:.3f}s)"
             )
         if bench["calibration_wall_s"] is not None:

@@ -23,23 +23,16 @@ reruns that methodology and contrasts it with the PoW tiny-group
 construction, which gets away with ``Theta(log log n)`` because proof-of-work
 rate-limits exactly the rejoin churn this attack is made of.
 
-Execution kernels (selected by ``kernel=``, differential-tested):
-
-``"vectorized"`` (the default)
-    Array-native relocation: every event's victim cohort relocates in one
-    batched counter update, and occupancy queries come from an
-    *incremental occupancy index* — one membership bucket per eviction
-    region, updated as cohorts move — so a churn event costs ``O(|cohort|)``
-    instead of the ``O(n)`` ``flatnonzero`` scan it used to pay.
-``"serial"``
-    The reference oracle: explicit per-k-region/per-group bucket sets and
-    one scalar ``_move`` per displaced ID.
-
-Both kernels share one canonical RNG discipline — joiner choices and join
-points are pre-drawn for the whole attack up front, victim cohorts are
-enumerated in ascending ring-index order, and each cohort's fresh points
-come from a single ``rng.random(len(victims))`` draw — so the event
-trajectories (and final counters) are bit-identical across kernels.
+Execution is array-native relocation: every event's victim cohort
+relocates in one batched counter update, and occupancy queries come from
+an *incremental occupancy index* — one membership bucket per eviction
+region, updated as cohorts move — so a churn event costs ``O(|cohort|)``
+instead of an ``O(n)`` ``flatnonzero`` scan.  One canonical RNG
+discipline fixes the trajectory: joiner choices and join points are
+pre-drawn for the whole attack up front, victim cohorts are enumerated in
+ascending ring-index order, and each cohort's fresh points come from a
+single ``rng.random(len(victims))`` draw.  The test suite's scalar
+bucket-set loop pins trajectories and final counters bit-identical.
 """
 
 from __future__ import annotations
@@ -50,8 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["CuckooResult", "CuckooSimulator"]
-
-_KERNELS = ("serial", "vectorized")
 
 
 @dataclass(frozen=True)
@@ -97,9 +88,6 @@ class CuckooSimulator:
         Entropy: pass ``rng`` to make an externally spawned stream the
         *single* entropy source (the sweep substrate's per-case streams do
         this); ``seed`` is the fallback for direct construction.
-    kernel:
-        ``"vectorized"`` array relocation (default) or the ``"serial"``
-        bucket-set reference loop; trajectories are bit-identical.
     """
 
     def __init__(
@@ -113,10 +101,7 @@ class CuckooSimulator:
         min_occupancy: int = 3,
         seed: int = 0,
         rng: np.random.Generator | None = None,
-        kernel: str = "vectorized",
     ):
-        if kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
         self.n = int(n)
         self.beta = float(beta)
         self.group_size = int(group_size)
@@ -124,7 +109,6 @@ class CuckooSimulator:
         self.commensal = bool(commensal)
         self.threshold = float(threshold)
         self.min_occupancy = int(min_occupancy)
-        self.kernel = kernel
         self.rng = rng if rng is not None else np.random.default_rng(seed)
 
         self.n_groups = max(1, self.n // self.group_size)
@@ -143,25 +127,15 @@ class CuckooSimulator:
             self.group_of, weights=self.is_bad.astype(np.float64),
             minlength=self.n_groups,
         ).astype(np.int64)
-        if self.kernel == "serial":
-            # k-region buckets for O(k) eviction
-            self._kbuckets: list[set[int]] = [set() for _ in range(self.n_kregions)]
-            for i in range(self.n):
-                self._kbuckets[self.kregion_of[i]].add(i)
-            # group buckets for the commensal variant
-            self._gbuckets: list[set[int]] = [set() for _ in range(self.n_groups)]
-            for i in range(self.n):
-                self._gbuckets[self.group_of[i]].add(i)
-        else:
-            # incremental occupancy index: one membership bucket per
-            # eviction region (group for commensal, k-region otherwise),
-            # kept current by _move_batch — victim cohorts enumerate in
-            # O(|region|) instead of an O(n) flatnonzero scan per event
-            keyed_by = self.group_of if self.commensal else self.kregion_of
-            n_buckets = self.n_groups if self.commensal else self.n_kregions
-            self._vbuckets: list[set[int]] = [set() for _ in range(n_buckets)]
-            for i in range(self.n):
-                self._vbuckets[keyed_by[i]].add(i)
+        # incremental occupancy index: one membership bucket per eviction
+        # region (group for commensal, k-region otherwise), kept current
+        # by _move_batch — victim cohorts enumerate in O(|region|) instead
+        # of an O(n) flatnonzero scan per event
+        keyed_by = self.group_of if self.commensal else self.kregion_of
+        n_buckets = self.n_groups if self.commensal else self.n_kregions
+        self._vbuckets: list[set[int]] = [set() for _ in range(n_buckets)]
+        for i in range(self.n):
+            self._vbuckets[keyed_by[i]].add(i)
 
     # -- partitions -------------------------------------------------------------
 
@@ -177,33 +151,13 @@ class CuckooSimulator:
 
     # -- moves -------------------------------------------------------------------
 
-    def _move(self, idx: int, pos: float) -> None:
-        """Scalar relocation with bucket-set bookkeeping (serial kernel)."""
-        old_g, old_k = self.group_of[idx], self.kregion_of[idx]
-        new_g = int(self._group(pos))
-        new_k = int(self._kregion(pos))
-        self.positions[idx] = pos
-        if new_g != old_g:
-            self.group_total[old_g] -= 1
-            self.group_total[new_g] += 1
-            if self.is_bad[idx]:
-                self.group_bad[old_g] -= 1
-                self.group_bad[new_g] += 1
-            self._gbuckets[old_g].discard(idx)
-            self._gbuckets[new_g].add(idx)
-            self.group_of[idx] = new_g
-        if new_k != old_k:
-            self._kbuckets[old_k].discard(idx)
-            self._kbuckets[new_k].add(idx)
-            self.kregion_of[idx] = new_k
-
     def _move_batch(self, idxs: np.ndarray, pos: np.ndarray) -> None:
-        """Batched relocation (vectorized kernel): one fused counter update
-        for a whole event cohort (joiner + victims).  ``idxs`` are distinct
-        by construction (the joiner plus a subset of one partition region
-        that excludes it), so the fancy-index assignments cannot collide
-        and reading all old groups before writing matches the sequential
-        per-ID move order exactly."""
+        """Batched relocation: one fused counter update for a whole event
+        cohort (joiner + victims).  ``idxs`` are distinct by construction
+        (the joiner plus a subset of one partition region that excludes
+        it), so the fancy-index assignments cannot collide and reading all
+        old groups before writing matches the sequential per-ID move order
+        exactly."""
         new_g = np.minimum(
             (pos * self.n_groups).astype(np.int64), self.n_groups - 1
         )
@@ -235,46 +189,20 @@ class CuckooSimulator:
                 self._vbuckets[okey].discard(i)
                 self._vbuckets[nkey].add(i)
 
-    # -- victim cohorts (canonical ascending order) -------------------------------
-
-    def _victims_serial(self, idx: int) -> np.ndarray:
-        if self.commensal:
-            g = int(self.group_of[idx])
-            others = np.asarray(
-                sorted(i for i in self._gbuckets[g] if i != idx), dtype=np.int64
-            )
-        else:
-            kr = int(self.kregion_of[idx])
-            others = np.asarray(
-                sorted(i for i in self._kbuckets[kr] if i != idx), dtype=np.int64
-            )
-        return others
-
     def _join(self, idx: int, pos: float) -> None:
         """Place ``idx`` at ``pos`` and apply the cuckoo rule.
 
-        Shared RNG discipline across kernels: the commensal down-sample
-        draw happens iff the cohort exceeds ``k`` (one ``choice`` call),
-        then the cohort's fresh points come from one ``rng.random`` draw;
-        victims are enumerated ascending, so both kernels consume the
-        stream identically.
+        RNG discipline: the commensal down-sample draw happens iff the
+        cohort exceeds ``k`` (one ``choice`` call), then the cohort's fresh
+        points come from one ``rng.random`` draw; victims are enumerated
+        ascending.
 
-        The vectorized kernel enumerates the victim cohort from the
-        *pre-join* arrays: the joiner's move only changes its own region
-        membership, and the cohort excludes the joiner either way, so the
-        set equals the serial kernel's post-move bucket lookup — which
-        lets the joiner and its victims relocate in one fused batch.
+        The victim cohort is enumerated from the *pre-join* arrays: the
+        joiner's move only changes its own region membership, and the
+        cohort excludes the joiner either way, so the set equals a lookup
+        after the joiner's move — which lets the joiner and its victims
+        relocate in one fused batch.
         """
-        if self.kernel == "serial":
-            self._move(idx, pos)
-            others = self._victims_serial(idx)
-            if self.commensal and others.size > self.k:
-                sel = self.rng.choice(others.size, size=self.k, replace=False)
-                others = others[sel]
-            new_pos = self.rng.random(others.size)
-            for v, p in zip(others, new_pos):
-                self._move(int(v), float(p))
-            return
         if self.commensal:
             target = min(int(pos * self.n_groups), self.n_groups - 1)
         else:
@@ -314,8 +242,8 @@ class CuckooSimulator:
         rejoins it (fresh random position + cuckoo eviction) — [47]'s
         attack loop.  Joiner choices and join points for the whole attack
         are pre-drawn as two array operations (part of the canonical
-        stream both kernels share); a run that fails early simply leaves
-        the tail of those draws unused.
+        stream); a run that fails early simply leaves the tail of those
+        draws unused.
         """
         bad_idx = np.flatnonzero(self.is_bad)
         max_frac = self.max_group_bad_fraction()

@@ -46,18 +46,16 @@ def build_logn_static(
     bad_mask: np.ndarray,
     rng: np.random.Generator,
     size_multiplier: float = 1.0,
-    kernel: str = "vectorized",
 ) -> LogNBaseline:
     """Build the ``Theta(log n)``-group graph over the same substrate.
 
     ``solicit = size_multiplier * logn_group_size`` points per group; the
     good-group rule keeps the same ``(1+delta)beta`` bad-fraction threshold
     and scales the minimum size proportionally (half the solicited count,
-    mirroring the tiny construction's ``d1/d2`` ratio).  ``kernel`` picks
-    the group-construction kernel (byte-identical CSR either way).
+    mirroring the tiny construction's ``d1/d2`` ratio).
     """
     solicit = max(4, int(round(size_multiplier * params.logn_group_size)))
-    gs = build_groups_fast(H.ring, params, rng, solicit=solicit, kernel=kernel)
+    gs = build_groups_fast(H.ring, params, rng, solicit=solicit)
     quality = classify_groups(
         gs, bad_mask, params,
         min_size=max(2, solicit // 2),

@@ -4,13 +4,12 @@ Commands
 --------
 ``experiments [IDs...] [--workers W] [--backend B] [--cache] [--force]``
     Run experiments (default: all) and print their tables.
-    ``--backend`` selects the execution backend (``serial`` | ``process``
-    | ``vectorized``) for sweep cells; when omitted the
-    substrate default applies — serial cell scheduling with the
-    *vectorized* array kernels, while an explicit ``--backend serial``
-    requests the reference loop implementations.  All backends render
+    ``--backend`` selects the execution backend for sweep cells
+    (``serial``, the default, runs them in-process one after another;
+    ``process`` dispatches them across a spawn pool).  Both render
     bit-identical tables for a fixed ``--seed``; ``--workers`` sizes the
-    ``process`` pool (default: CPU count).
+    ``process`` pool (default: CPU count) and is a usage error without
+    ``--backend process``.
     ``--cache``/``--no-cache`` toggles the on-disk result cache
     (``benchmarks/output/cache/``; a warm run re-executes nothing),
     ``--force`` recomputes and refreshes cached entries, and
@@ -82,9 +81,9 @@ def _cmd_experiments(args) -> int:
     from .experiments import run_experiment
     from .sim.montecarlo import ExecutionConfig
 
-    # no --backend: leave the config unset so the substrate default applies
-    # (serial cell scheduling + vectorized kernels); --workers only matters
-    # for the process pool, which requires an explicit --backend process
+    # no --backend: leave the config unset so the substrate default
+    # (in-process cells) applies; main() rejects --workers without
+    # --backend process
     exec_config = (
         ExecutionConfig(backend=args.backend, workers=args.workers)
         if args.backend is not None
@@ -444,17 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pe.add_argument("--full", action="store_true", help="full (slow) scale")
     pe.add_argument(
-        "--backend", choices=["serial", "process", "vectorized"],
-        default=None,
-        help="execution backend (default: serial cell scheduling with the "
-             "vectorized array kernels; 'serial' requests the reference "
-             "loop kernels; 'process' dispatches cells across a spawn "
-             "pool).  All backends render bit-identical tables for a "
-             "fixed seed",
+        "--backend", choices=["serial", "process"], default=None,
+        help="execution backend (default serial: cells run in-process; "
+             "'process' dispatches cells across a spawn pool).  Both "
+             "render bit-identical tables for a fixed seed",
     )
     pe.add_argument(
         "--workers", type=_positive_int, default=None,
-        help="process-pool size for --backend process (default: CPU count)",
+        help="process-pool size for --backend process (default: CPU "
+             "count); needs --backend process",
     )
     pe.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
@@ -697,7 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", None) is not None and args.backend != "process":
+        parser.error("--workers needs --backend process")
     return args.fn(args)
 
 

@@ -16,7 +16,6 @@ from .initialization import InitReport, elect_representative_cluster, heavyweigh
 from .quarantine import QuarantinePolicy, QuarantineState, SpamRoundReport
 from .storage import GroupStore, StoreStats
 from .groups import (
-    KERNELS,
     GroupQuality,
     GroupSet,
     build_groups,
@@ -43,7 +42,6 @@ from .static_case import (
 __all__ = [
     "SystemParams",
     "DEFAULTS",
-    "KERNELS",
     "GroupSet",
     "GroupQuality",
     "build_groups",

@@ -42,7 +42,7 @@ from ..idspace.ring import Ring
 from ..inputgraph import make_input_graph
 from .costs import CostLedger
 from .group_graph import GroupGraph
-from .groups import build_groups_fast, classify_groups
+from .groups import GroupSet, build_groups_fast, classify_groups
 from .membership import BuildReport, EpochPair, GraphSide, build_new_graph, measure_qf
 from .params import SystemParams
 from .robustness import RobustnessReport, evaluate_robustness
@@ -79,6 +79,27 @@ class EpochReport:
         return 0.5 * (self.qf_1 + self.qf_2)
 
 
+def _split_members(
+    gs: GroupSet, bad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split hashed groups into tracked good members and fixed bad counts.
+
+    Returns ``(good_indptr, good_members, n_bad)``.  CSR segments stay
+    sorted under a boolean mask, so slicing the flat member array keeps
+    each group's good members in ascending order.
+    """
+    good_mask = ~bad[gs.member_idx]
+    good_counts = np.zeros(gs.n_groups, dtype=np.int64)
+    nonempty = gs.sizes() > 0
+    if good_mask.size:
+        good_counts[nonempty] = np.add.reduceat(
+            good_mask.astype(np.int64), gs.indptr[:-1][nonempty]
+        )
+    indptr = np.zeros(gs.n_groups + 1, dtype=np.int64)
+    np.cumsum(good_counts, out=indptr[1:])
+    return indptr, gs.member_idx[good_mask], gs.bad_counts(bad)
+
+
 class EpochSimulator:
     """Runs the two-group-graph epoch protocol over many epochs.
 
@@ -99,15 +120,11 @@ class EpochSimulator:
         False selects the naive single-graph construction (E5 ablation).
     probes:
         Monte-Carlo searches per epoch for ``q_f``/robustness estimates.
-    kernel:
-        ``"vectorized"`` (default) runs every epoch step on the batched
-        array kernels — batched construction searches through
-        ``InputGraph.search_fail``, bucket-LUT successor resolution, one
-        row sort per group composition;
-        ``"serial"`` selects the per-probe / per-group reference loops.
-        Both consume the RNG identically, so trajectories are
-        bit-identical (the dynamic differential-oracle suite pins every
-        :class:`EpochReport` field).
+
+    Every epoch step runs on batched array kernels: construction searches
+    through ``InputGraph.search_fail``, bucket-LUT successor resolution,
+    one row sort per group composition.  The test suite's reference loops
+    pin every :class:`EpochReport` field of whole trajectories.
     """
 
     def __init__(
@@ -120,19 +137,13 @@ class EpochSimulator:
         probes: int = 4000,
         rng: np.random.Generator | None = None,
         size_schedule: Callable[[int], int] | None = None,
-        kernel: str = "vectorized",
     ):
-        if kernel not in ("serial", "vectorized"):
-            raise ValueError(
-                f"unknown kernel {kernel!r}; choose from ('serial', 'vectorized')"
-            )
         self.params = params
         self.topology = topology
         self.adversary = adversary or UniformAdversary(params.beta)
         self.churn = churn
         self.two_graphs = bool(two_graphs)
         self.probes = int(probes)
-        self.kernel = kernel
         self.rng = rng or np.random.default_rng(params.seed)
         #: §III remark: the guarantees hold when the population stays
         #: Theta(n); ``size_schedule(epoch) -> n_epoch`` lets experiments
@@ -183,41 +194,13 @@ class EpochSimulator:
         reds: list[np.ndarray] = []
         departed = np.zeros(ring.n, dtype=bool)
         for _ in (1, 2):
-            gs = build_groups_fast(ring, self.params, self.rng, kernel=self.kernel)
+            gs = build_groups_fast(ring, self.params, self.rng)
             quality = classify_groups(gs, bad, self.params)
-            # split members into good (tracked) and bad (fixed count)
-            if self.kernel == "serial":
-                good_rows, n_bad = [], np.zeros(gs.n_groups, dtype=np.int64)
-                for g in range(gs.n_groups):
-                    mem = gs.members_of(g)
-                    good_rows.append(mem[~bad[mem]])
-                    n_bad[g] = int(bad[mem].sum())
-                indptr = np.zeros(gs.n_groups + 1, dtype=np.int64)
-                indptr[1:] = np.cumsum([r.size for r in good_rows])
-                good_members = (
-                    np.concatenate(good_rows) if good_rows
-                    else np.empty(0, dtype=np.int64)
-                )
-                n_bad_arr = n_bad
-            else:
-                # CSR segments stay sorted under a boolean mask, so slicing
-                # the flat member array reproduces the per-group loop exactly
-                good_mask = ~bad[gs.member_idx]
-                good_members = gs.member_idx[good_mask]
-                good_counts = np.zeros(gs.n_groups, dtype=np.int64)
-                seg_sizes = gs.sizes()
-                nonempty = seg_sizes > 0
-                if good_mask.size:
-                    good_counts[nonempty] = np.add.reduceat(
-                        good_mask.astype(np.int64), gs.indptr[:-1][nonempty]
-                    )
-                indptr = np.zeros(gs.n_groups + 1, dtype=np.int64)
-                np.cumsum(good_counts, out=indptr[1:])
-                n_bad_arr = gs.bad_counts(bad)
+            indptr, good_members, n_bad = _split_members(gs, bad)
             side = GraphSide(
                 good_indptr=indptr,
                 good_members=good_members,
-                n_bad=n_bad_arr,
+                n_bad=n_bad,
                 confused=np.zeros(gs.n_groups, dtype=bool),
                 pool_departed=departed,
             )
@@ -251,14 +234,14 @@ class EpochSimulator:
         led1 = CostLedger()
         b1 = build_new_graph(
             self.pair, new_ring, new_H, 1, params, self.rng,
-            two_graphs=self.two_graphs, ledger=led1, kernel=self.kernel,
+            two_graphs=self.two_graphs, ledger=led1,
         )
         self.ledger.merge(led1)
         if self.two_graphs:
             led2 = CostLedger()
             b2 = build_new_graph(
                 self.pair, new_ring, new_H, 2, params, self.rng,
-                two_graphs=True, ledger=led2, kernel=self.kernel,
+                two_graphs=True, ledger=led2,
             )
             self.ledger.merge(led2)
         else:
@@ -277,13 +260,10 @@ class EpochSimulator:
             ring_departed=new_departed,
         )
 
-        qf1, qf2 = measure_qf(
-            new_pair, params, self.probes, self.rng, kernel=self.kernel
-        )
+        qf1, qf2 = measure_qf(new_pair, params, self.probes, self.rng)
         rob = evaluate_robustness(
             new_pair.group_graph(1, params), self.rng,
             sources_sampled=min(256, new_ring.n),
-            kernel=self.kernel,
         )
         good_pool = max(1, int((~self.pair.bad_mask).sum()))
         mean_membership = float(

@@ -130,6 +130,12 @@ class GroupGraph:
             success=success, search_path_mask=mask, first_red_col=first_red
         )
 
+    def search_success(
+        self, sources: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        """Route one batch and report, per query, whether it succeeded."""
+        return self.evaluate(self.H.route_many(sources, targets)).success
+
     def sample_failure_rate(
         self, probes: int, rng: np.random.Generator
     ) -> tuple[float, SearchEvaluation, RouteBatch]:

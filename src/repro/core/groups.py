@@ -14,21 +14,15 @@ Storage is CSR (flat ``member_idx`` + ``offsets``): classification of all n
 groups is then three vectorized reductions instead of n Python loops — this
 is the layout the construction, churn, and state-cost experiments all share.
 
-Construction comes in two kernels selected by ``kernel=``:
-
-``"vectorized"`` (the default)
-    The oracle points of a row block of leaders map to the flat
-    ``(leader, member)`` edge array of their groups; a row-sort (the edges
-    are then lexsorted by ``(leader, member)``) plus a segment-dedup mask
-    collapses duplicate oracle points and emits the CSR arrays directly —
-    no per-group ``np.unique`` calls, no Python-level per-leader loop.
-    ``build_groups_fast`` draws its points in blocks of ~2^18
-    (``build_groups`` hashes all leaders as one block), so at n = 2^20 no
-    ``(n, m)`` point array is ever held.
-``"serial"``
-    The original per-leader loop, kept as the reference oracle.  Both
-    kernels consume the RNG/oracle identically and produce **byte-identical
-    CSR arrays** (property-tested), so tables never depend on the kernel.
+Construction: the oracle points of a row block of leaders map to the
+flat ``(leader, member)`` edge array of their groups; a row-sort (the
+edges are then lexsorted by ``(leader, member)``) plus a segment-dedup
+mask collapses duplicate oracle points and emits the CSR arrays directly
+— no per-group ``np.unique`` calls, no Python-level per-leader loop.
+``build_groups_fast`` draws its points in blocks of ~2^18
+(``build_groups`` hashes all leaders as one block), so at n = 2^20 no
+``(n, m)`` point array is ever held.  The CSR arrays are property-tested
+byte-identical to the test suite's per-leader ``np.unique`` loop.
 """
 
 from __future__ import annotations
@@ -44,20 +38,11 @@ from .params import SystemParams
 
 __all__ = [
     "GroupSet",
-    "KERNELS",
     "build_groups",
     "build_groups_fast",
     "classify_groups",
     "GroupQuality",
 ]
-
-KERNELS = ("serial", "vectorized")
-
-
-def _require_kernel(kernel: str) -> None:
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-
 
 def _as_index(arr) -> np.ndarray:
     """Coerce to an index array, preserving an already-narrow int32 layout."""
@@ -139,7 +124,7 @@ class GroupQuality:
 def _points_to_csr(
     ring: Ring, blocks: Iterable[np.ndarray], ng: int, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized kernel: oracle points -> CSR ``(indptr, member_idx)``.
+    """Oracle points -> CSR ``(indptr, member_idx)``.
 
     ``blocks`` yields the ``(ng, m)`` point matrix as consecutive row
     blocks.  Per block, one bulk successor lookup maps every point to its
@@ -148,7 +133,6 @@ def _points_to_csr(
     inside a group are exactly the positions equal to their left neighbor
     — a single segment-dedup mask replaces the per-group ``np.unique``
     calls, and the kept-per-row counts cumsum into ``indptr``.
-    Byte-identical to the serial loop.
     """
     sizes = np.zeros(ng, dtype=np.int64)
     # room for every point; the tail that dedup leaves unwritten is never
@@ -180,7 +164,6 @@ def build_groups(
     oracle: RandomOracle,
     leaders: np.ndarray | None = None,
     solicit: int | None = None,
-    kernel: str = "vectorized",
 ) -> GroupSet:
     """Form ``G_w`` for every leader ``w`` by hashing (paper §III-A).
 
@@ -191,32 +174,18 @@ def build_groups(
 
     ``leaders`` defaults to every ID on the ring (the paper's "n IDs and n
     groups"); the dynamic protocol passes new-epoch leaders against the old
-    ring instead.  ``kernel`` selects the vectorized CSR construction or the
-    per-leader reference loop; the oracle calls — the only part a verifier
-    must be able to replay point-wise — are identical either way.
+    ring instead.  The oracle calls are the only part a verifier must be
+    able to replay point-wise.
     """
-    _require_kernel(kernel)
     if leaders is None:
         leaders = np.arange(ring.n, dtype=np.int64)
     m = params.group_solicit_size if solicit is None else int(solicit)
     ids = ring.ids
-    if kernel == "vectorized":
-        pts = np.empty((len(leaders), m), dtype=np.float64)
-        for i, lead in enumerate(leaders):
-            pts[i] = oracle.many(float(ids[lead]) if lead < ring.n else int(lead), m)
-        indptr, member_idx = _points_to_csr(ring, [pts], *pts.shape)
-        return GroupSet(np.asarray(leaders), indptr, member_idx, ring.n)
-    rows: list[np.ndarray] = []
-    for lead in leaders:
-        pts = oracle.many(float(ids[lead]) if lead < ring.n else int(lead), m)
-        members = np.unique(ring.successor_index_many(pts))
-        rows.append(members)
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([r.size for r in rows])
-    member_idx = (np.concatenate(rows) if rows
-                  else np.empty(0, dtype=ring.index_dtype))
-    return GroupSet(np.asarray(leaders), _narrow_indptr(ring, indptr),
-                    member_idx, ring.n)
+    pts = np.empty((len(leaders), m), dtype=np.float64)
+    for i, lead in enumerate(leaders):
+        pts[i] = oracle.many(float(ids[lead]) if lead < ring.n else int(lead), m)
+    indptr, member_idx = _points_to_csr(ring, [pts], *pts.shape)
+    return GroupSet(np.asarray(leaders), indptr, member_idx, ring.n)
 
 
 def build_groups_fast(
@@ -225,7 +194,6 @@ def build_groups_fast(
     rng: np.random.Generator,
     n_groups: int | None = None,
     solicit: int | None = None,
-    kernel: str = "vectorized",
 ) -> GroupSet:
     """Monte-Carlo variant of :func:`build_groups`.
 
@@ -235,32 +203,19 @@ def build_groups_fast(
     the large-n sweeps.  Cross-checked against :func:`build_groups` in the
     test suite.
 
-    Both kernels consume the stream of one ``rng.random((ng, m))`` draw
-    and build identical CSR arrays, so downstream streams and tables do not
-    depend on the kernel choice.  The vectorized kernel draws those points
+    The points are the stream of one ``rng.random((ng, m))`` draw, drawn
     in row blocks (:func:`~repro.idspace.ring.row_blocks`): consecutive
     ``rng.random`` draws give the same values, and leave the generator in
     the same state, as the one draw, and no ``(ng, m)`` point array is
     held.
     """
-    _require_kernel(kernel)
     ng = ring.n if n_groups is None else int(n_groups)
     m = params.group_solicit_size if solicit is None else int(solicit)
     leaders = np.arange(ng, dtype=np.int64) % ring.n
-    if kernel == "vectorized":
-        blocks = (rng.random((rows.stop - rows.start, m))
-                  for rows in row_blocks(ng, m))
-        indptr, member_idx = _points_to_csr(ring, blocks, ng, m)
-        return GroupSet(leaders, indptr, member_idx, ring.n)
-    pts = rng.random((ng, m))
-    idx = ring.successor_index_many(pts.ravel()).reshape(ng, m)
-    idx.sort(axis=1)
-    rows = [np.unique(idx[g]) for g in range(ng)]
-    indptr = np.zeros(ng + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([r.size for r in rows])
-    member_idx = (np.concatenate(rows) if rows
-                  else np.empty(0, dtype=ring.index_dtype))
-    return GroupSet(leaders, _narrow_indptr(ring, indptr), member_idx, ring.n)
+    blocks = (rng.random((rows.stop - rows.start, m))
+              for rows in row_blocks(ng, m))
+    indptr, member_idx = _points_to_csr(ring, blocks, ng, m)
+    return GroupSet(leaders, indptr, member_idx, ring.n)
 
 
 def classify_groups(

@@ -17,15 +17,14 @@ graphs:
   new topology; a group that ends up linking wrongly is *confused*
   (Lemma 8).
 
-:func:`build_new_graph` performs one graph's construction fully vectorized
-(``kernel="vectorized"``, the default): all bootstrap searches for all
-leaders are routed as one batch, then all verification searches, then all
-neighbor searches, and every group's composition falls out of row sorts
-of the ``(group, slot)`` candidate matrix.  This is what makes multi-epoch,
-multi-seed sweeps (experiments E4/E5) tractable.  ``kernel="serial"``
-keeps the reference oracle — per-probe scalar searches and the per-group
-``np.unique`` loop — which consumes the RNG identically and is pinned
-bit-identical by the dynamic differential-oracle suite.
+:func:`build_new_graph` performs one graph's construction in batches: all
+bootstrap searches for all leaders are routed as one batch, then all
+verification searches, then all neighbor searches, and every group's
+composition falls out of row sorts of the ``(group, slot)`` candidate
+matrix.  This is what makes multi-epoch, multi-seed sweeps (experiments
+E4/E5) tractable.  The test suite's reference loops (per-probe scalar
+searches, the per-group ``np.unique`` composition) pin every batch
+bit-identical.
 
 The per-slot outcomes follow Lemma 7's case analysis, except case 3:
 
@@ -193,37 +192,17 @@ def _search_fail_mask(
     points: np.ndarray,
     params: SystemParams,
     ledger: CostLedger,
-    kernel: str = "vectorized",
 ) -> np.ndarray:
     """Route a search batch and return per-query failure under ``red``.
 
     The initiating position is not counted against the search (§III-A: the
     bootstrap group is assumed good, and verification searches are run by
-    good candidates over their own links).  Charges routing messages: each
-    hop between groups of solicited size ``s`` costs ``s^2`` messages
-    (Cor. 1 accounting).
-
-    ``kernel="serial"`` is the per-probe reference oracle: one scalar
-    ``H.route`` per query with an explicit red-prefix check.  The default
-    vectorized kernel hands the whole batch to ``H.search_fail``, which
-    returns the fail bits and the hop total (Chord's never builds the
-    paths); both charge identical ledger totals and produce identical
-    masks (differential-tested).
+    good candidates over their own links).  ``H.search_fail`` returns the
+    fail bits and the hop total (Chord's never builds the paths).  Charges
+    routing messages: each hop between groups of solicited size ``s``
+    costs ``s^2`` messages (Cor. 1 accounting).
     """
     s = params.group_solicit_size
-    if kernel == "serial":
-        q = points.size
-        fail = np.zeros(q, dtype=bool)
-        hops = 0
-        for i in range(q):
-            path, resolved = H.route(int(sources[i]), float(points[i]))
-            hops += path.size - 1
-            # exclude the initiating position, exactly as the batched
-            # H.search_fail does
-            fail[i] = not (resolved and not red[path[1:]].any())
-        ledger.add_messages("routing", hops * s * s)
-        ledger.count_op("searches", q)
-        return fail
     fail, hops = H.search_fail(sources, points, red)
     ledger.add_messages("routing", hops * s * s)
     ledger.count_op("searches", fail.size)
@@ -253,11 +232,11 @@ def _distinct_per_group(
     Returns ``(flat, counts)`` where ``flat`` lists each group's distinct
     values among its ``selected`` slots of ``cand`` in ascending order
     (groups concatenated in row order) and ``counts[g]`` is group ``g``'s
-    distinct count — exactly what the per-group ``np.unique`` reference
-    loop produces.  Unselected slots read ``sentinel``, which is above
-    every candidate, so sorting each row moves them to its end; the
-    segment-dedup mask of ``_points_to_csr`` then keeps the first of each
-    run of equal values, less the sentinel's.
+    distinct count — exactly what a per-group ``np.unique`` loop produces.
+    Unselected slots read ``sentinel``, which is above every candidate, so
+    sorting each row moves them to its end; the segment-dedup mask of
+    ``_points_to_csr`` then keeps the first of each run of equal values,
+    less the sentinel's.
     """
     if not selected.any():
         return np.empty(0, dtype=np.int64), np.zeros(cand.shape[0], dtype=np.int64)
@@ -266,6 +245,31 @@ def _distinct_per_group(
     keep = rows != sentinel
     keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
     return rows[keep], keep.sum(axis=1)
+
+
+def _compose_groups(
+    captured: np.ndarray,
+    bad_cand: np.ndarray,
+    accepted: np.ndarray,
+    cand: np.ndarray,
+    pool_n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-group composition from the ``(groups, slots)`` outcome matrices.
+
+    A captured slot adds a distinct bad member (the adversary's choice),
+    the distinct bad candidates add theirs, and the distinct accepted
+    candidates are the good members.  Returns ``(good_indptr,
+    good_members, n_bad, sizes, membership_counts)``: the CSR of good
+    members (pool indices, ascending per group), bad and total counts per
+    group, and each pool ID's accepted memberships.
+    """
+    good_members, good_counts = _distinct_per_group(cand, accepted, pool_n)
+    _, bad_distinct = _distinct_per_group(cand, bad_cand, pool_n)
+    n_bad = captured.sum(axis=1) + bad_distinct
+    good_indptr = np.zeros(cand.shape[0] + 1, dtype=np.int64)
+    np.cumsum(good_counts, out=good_indptr[1:])
+    return (good_indptr, good_members, n_bad, good_counts + n_bad,
+            np.bincount(good_members, minlength=pool_n))
 
 
 def _any_per_row(indptr: np.ndarray, flags: np.ndarray) -> np.ndarray:
@@ -291,7 +295,6 @@ def build_new_graph(
     rng: np.random.Generator,
     two_graphs: bool = True,
     ledger: CostLedger | None = None,
-    kernel: str = "vectorized",
 ) -> BuildReport:
     """Construct new group graph ``which`` (1 or 2) for the next epoch.
 
@@ -301,14 +304,9 @@ def build_new_graph(
     slot — the naive design whose error accumulates across epochs
     (experiment E5).
 
-    ``kernel`` selects the execution path: ``"vectorized"`` (default)
-    sends every search batch through ``H.search_fail``, resolves candidate
-    successors through the bucket-LUT bulk lookup, and derives all group
-    compositions from row sorts of the ``(group, slot)`` candidate matrix;
-    ``"serial"`` is the reference oracle — per-probe scalar searches and
-    the per-group ``np.unique`` composition loop.  Both consume the RNG
-    identically and produce bit-identical reports (pinned by the
-    differential test suite).
+    Every search batch goes through ``H.search_fail``, candidate
+    successors through the bucket-LUT bulk lookup, and all group
+    compositions through :func:`_compose_groups`.
     """
     ledger = ledger if ledger is not None else CostLedger()
     n_new = new_ring.n
@@ -324,22 +322,19 @@ def build_new_graph(
     # --- bootstrap dual searches ------------------------------------------------
     boot_src_1 = _good_sources(old.red1, q, rng)
     fail_a = _search_fail_mask(
-        old.H, old.red1, boot_src_1, flat_pts, params, ledger, kernel
+        old.H, old.red1, boot_src_1, flat_pts, params, ledger
     )
     if two_graphs:
         boot_src_2 = _good_sources(old.red2, q, rng)
         fail_b = _search_fail_mask(
-            old.H, old.red2, boot_src_2, flat_pts, params, ledger, kernel
+            old.H, old.red2, boot_src_2, flat_pts, params, ledger
         )
         captured = fail_a & fail_b
     else:
         captured = fail_a
 
     # --- candidate successors among the member pool ------------------------------
-    if kernel == "serial":
-        cand = old.ring.successor_index_many(flat_pts)
-    else:
-        cand = old.ring.successor_index_bulk(flat_pts)
+    cand = old.ring.successor_index_bulk(flat_pts)
     cand_bad = old.bad_mask[cand]
     cand_departed = old.ring_departed[cand] & ~cand_bad
 
@@ -350,11 +345,11 @@ def build_new_graph(
     if gi.size:
         vsrc = cand[gi]
         vf1 = _search_fail_mask(
-            old.H, old.red1, vsrc, flat_pts[gi], params, ledger, kernel
+            old.H, old.red1, vsrc, flat_pts[gi], params, ledger
         )
         if two_graphs:
             vf2 = _search_fail_mask(
-                old.H, old.red2, vsrc, flat_pts[gi], params, ledger, kernel
+                old.H, old.red2, vsrc, flat_pts[gi], params, ledger
             )
             vfail[gi] = vf1 & vf2
         else:
@@ -364,37 +359,15 @@ def build_new_graph(
     # Slot outcomes: captured -> distinct bad member (adversary's choice);
     # bad candidate -> bad member; good candidate accepted -> good member;
     # rejection/departed -> missing member.
-    captured_m = captured.reshape(n_new, m)
-    badcand_m = (~captured & cand_bad).reshape(n_new, m)
-    accept_m = (good_cand & ~vfail).reshape(n_new, m)
-    cand_m = cand.reshape(n_new, m)
-
-    if kernel == "serial":
-        sizes = np.zeros(n_new, dtype=np.int64)
-        n_bad = np.zeros(n_new, dtype=np.int64)
-        membership_counts = np.zeros(old_n, dtype=np.int64)
-        good_rows: list[np.ndarray] = []
-        for gidx in range(n_new):
-            good_members = np.unique(cand_m[gidx][accept_m[gidx]])
-            bad_members = np.unique(cand_m[gidx][badcand_m[gidx]])
-            n_b = int(captured_m[gidx].sum()) + bad_members.size
-            sizes[gidx] = good_members.size + n_b
-            n_bad[gidx] = n_b
-            membership_counts[good_members] += 1
-            good_rows.append(good_members)
-        good_indptr = np.zeros(n_new + 1, dtype=np.int64)
-        good_indptr[1:] = np.cumsum([r.size for r in good_rows])
-        good_members_flat = (
-            np.concatenate(good_rows) if good_rows else np.empty(0, dtype=np.int64)
+    good_indptr, good_members_flat, n_bad, sizes, membership_counts = (
+        _compose_groups(
+            captured.reshape(n_new, m),
+            (~captured & cand_bad).reshape(n_new, m),
+            (good_cand & ~vfail).reshape(n_new, m),
+            cand.reshape(n_new, m),
+            old_n,
         )
-    else:
-        good_members_flat, good_counts = _distinct_per_group(cand_m, accept_m, old_n)
-        _, bad_distinct = _distinct_per_group(cand_m, badcand_m, old_n)
-        n_bad = captured_m.sum(axis=1) + bad_distinct
-        sizes = good_counts + n_bad
-        membership_counts = np.bincount(good_members_flat, minlength=old_n)
-        good_indptr = np.zeros(n_new + 1, dtype=np.int64)
-        np.cumsum(good_counts, out=good_indptr[1:])
+    )
 
     with np.errstate(invalid="ignore"):
         bad_frac = np.where(sizes > 0, n_bad / np.maximum(sizes, 1), 1.0)
@@ -464,27 +437,16 @@ def measure_qf(
     params: SystemParams,
     probes: int,
     rng: np.random.Generator,
-    kernel: str = "vectorized",
 ) -> tuple[float, float]:
     """Measured search-failure probability ``q_f`` of each graph in a pair.
 
-    Both kernels draw the probe batch identically (sources, then targets —
-    the ``random_route_batch`` order); ``"serial"`` then walks one scalar
-    search per probe while the default evaluates the batch in lockstep,
-    with bit-equal rates.
+    Each graph gets ``probes`` searches from u.a.r. sources to u.a.r. keys
+    (sources drawn first, then keys — the ``random_route_batch`` order).
     """
     out = []
     for which in (1, 2):
         gg = pair.group_graph(which, params)
-        if kernel == "serial":
-            src = rng.integers(0, gg.n, size=probes)
-            tgt = rng.random(probes)
-            success = np.zeros(probes, dtype=bool)
-            for i in range(probes):
-                path, resolved = gg.H.route(int(src[i]), float(tgt[i]))
-                success[i] = resolved and not gg.red[path].any()
-            rate = float(1.0 - success.mean()) if success.size else 0.0
-        else:
-            rate, _, _ = gg.sample_failure_rate(probes, rng)
-        out.append(rate)
+        src = rng.integers(0, gg.n, size=probes)
+        success = gg.search_success(src, rng.random(probes))
+        out.append(float(1.0 - success.mean()) if success.size else 0.0)
     return out[0], out[1]

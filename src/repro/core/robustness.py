@@ -66,7 +66,6 @@ def evaluate_robustness(
     sources_sampled: int = 256,
     targets_per_source: int = 32,
     blocked_threshold: float = 0.5,
-    kernel: str = "vectorized",
 ) -> RobustnessReport:
     """Probe a group graph for the three Theorem-3 fractions.
 
@@ -78,9 +77,7 @@ def evaluate_robustness(
       non-blocked sources, the fraction of keys whose search failed —
       an unbiased estimate of the key-space mass unreachable per Theorem 3.
 
-    ``kernel="serial"`` resolves the probes one scalar search at a time
-    (the reference loop); the default routes and classifies the whole batch
-    in lockstep.  Both draw the probes identically and agree bit-for-bit.
+    All probes are routed and classified as one batch.
     """
     n = gg.n
     k = gg.params.k
@@ -90,16 +87,9 @@ def evaluate_robustness(
     src = rng.integers(0, n, size=sources_sampled)
     src_rep = np.repeat(src, targets_per_source)
     tgt = rng.random(src_rep.size)
-    if kernel == "serial":
-        flat = np.zeros(src_rep.size, dtype=bool)
-        for i in range(src_rep.size):
-            path, resolved = gg.H.route(int(src_rep[i]), float(tgt[i]))
-            flat[i] = resolved and not gg.red[path].any()
-        success = flat.reshape(sources_sampled, targets_per_source)
-    else:
-        batch = gg.H.route_many(src_rep, tgt)
-        ev = gg.evaluate(batch)
-        success = ev.success.reshape(sources_sampled, targets_per_source)
+    success = gg.search_success(src_rep, tgt).reshape(
+        sources_sampled, targets_per_source
+    )
 
     per_source_fail = 1.0 - success.mean(axis=1)
     blocked = (per_source_fail > blocked_threshold) | gg.red[src]

@@ -34,7 +34,6 @@ __all__ = [
     "synthetic_static_graph",
     "constructive_static_graph",
     "measure_static_search",
-    "measure_static_search_routed",
     "measure_static_search_streamed",
     "measure_responsibility_bound",
 ]
@@ -97,7 +96,6 @@ def constructive_static_graph(
     bad_mask: np.ndarray,
     rng: np.random.Generator | None = None,
     oracle: RandomOracle | None = None,
-    kernel: str = "vectorized",
 ) -> tuple[GroupGraph, GroupSet, GroupQuality]:
     """Build all groups by hashing and mark red from composition (§I-C).
 
@@ -105,15 +103,13 @@ def constructive_static_graph(
     fast Monte-Carlo equivalent (distribution-identical; see
     ``groups.build_groups_fast``).  In the static case neighbor sets are
     assumed correct (the paper's §II premise), so red == bad composition.
-    ``kernel`` selects the group-construction kernel (byte-identical CSR
-    either way; ``"serial"`` is the per-leader reference loop).
     """
     if oracle is not None:
-        gs = build_groups(H.ring, params, oracle, kernel=kernel)
+        gs = build_groups(H.ring, params, oracle)
     else:
         if rng is None:
             raise ValueError("need either oracle or rng")
-        gs = build_groups_fast(H.ring, params, rng, kernel=kernel)
+        gs = build_groups_fast(H.ring, params, rng)
     quality = classify_groups(gs, bad_mask, params)
     gg = GroupGraph(H, params, red=quality.is_bad.copy(), groups=gs)
     return gg, gs, quality
@@ -122,7 +118,6 @@ def constructive_static_graph(
 def measure_static_search(
     gg: GroupGraph, probes: int, rng: np.random.Generator,
     resp_constant: float = 8.0,
-    kernel: str = "vectorized",
     probe_chunk: int | None = None,
 ) -> StaticSearchStats:
     """Measure ``X`` and ``rho`` on a marked group graph.
@@ -132,77 +127,19 @@ def measure_static_search(
     reported.
 
     Execution is a :class:`~repro.core.secure_routing.SecureRouter` pass
-    over all probes: ``kernel="vectorized"`` (the default) routes and
-    classifies the whole probe batch in one lockstep kernel call;
-    ``kernel="serial"`` is the per-probe reference loop (one scalar
-    secure search per probe).  Both consume identical RNG draws and
-    produce identical statistics — the sweep substrate parity-tests them.
-
-    ``probe_chunk`` (vectorized kernel only) streams the probes through
-    fixed-size windows via :func:`measure_static_search_streamed`: the RNG
-    draws happen once up front exactly as here, so results are bit-equal
-    at any window size while the transient tables stay window-bounded.
+    over all probes, routed and classified in one lockstep batch.
+    ``probe_chunk`` streams the probes through fixed-size windows instead
+    (:func:`measure_static_search_streamed`): the RNG draws happen once up
+    front, so results are bit-equal at any window size while the transient
+    tables stay window-bounded.
     """
-    n = gg.n
     # same draw order as InputGraph.random_route_batch, so stats (and every
-    # cached table built on them) are unchanged by the kernel split
-    sources = rng.integers(0, n, size=probes)
+    # cached table built on them) do not depend on the window size
+    sources = rng.integers(0, gg.n, size=probes)
     targets = rng.random(probes)
-    if kernel == "serial":
-        router = SecureRouter(gg)
-        delivered = 0
-        path_len_total = 0
-        counts = np.zeros(n, dtype=np.int64)
-        for s, t in zip(sources, targets):
-            out = router.search(int(s), float(t))
-            delivered += 1 if out.delivered else 0
-            prefix = out.path[: min(out.first_blocked + 1, out.path.size)]
-            path_len_total += prefix.size
-            np.add.at(counts, prefix, 1)
-        # arranged exactly as the kernel's float reductions (mean = sum/n,
-        # failure = 1 - mean) so both paths agree to the last bit
-        failure_rate = 1.0 - delivered / probes
-        mean_path_len = path_len_total / probes
-        resp = counts.astype(np.float64) / probes
-        return _finish_stats(
-            gg, probes, resp_constant, failure_rate, mean_path_len,
-            float(resp.max()),
-        )
-    if probe_chunk is not None and 0 < probe_chunk < probes:
-        return measure_static_search_streamed(
-            gg, sources, targets, probes,
-            resp_constant=resp_constant, probe_chunk=probe_chunk,
-        )
-    return measure_static_search_routed(
-        gg, gg.H.route_many(sources, targets), probes,
-        resp_constant=resp_constant,
-    )
-
-
-def measure_static_search_routed(
-    gg: GroupGraph,
-    batch,
-    probes: int,
-    resp_constant: float = 8.0,
-) -> StaticSearchStats:
-    """The vectorized measurement over an already-routed probe batch.
-
-    :func:`measure_static_search`'s one-shot path: the caller routes every
-    probe in one ``route_many`` call and the secure-search classification
-    and statistics happen here.  Every statistic is a padding-masked
-    per-row reduction over the batch.
-    """
-    n = gg.n
-    router = SecureRouter(gg)
-    out = router.route_outcomes(batch)
-    mask = out.search_path_mask()
-    failure_rate = out.failure_rate
-    mean_path_len = float(mask.sum(axis=1).mean())
-    visited = batch.paths[mask]
-    resp = np.bincount(visited, minlength=n).astype(np.float64) / probes
-    return _finish_stats(
-        gg, probes, resp_constant, failure_rate, mean_path_len,
-        float(resp.max()),
+    return measure_static_search_streamed(
+        gg, sources, targets, probes,
+        resp_constant=resp_constant, probe_chunk=probe_chunk,
     )
 
 
@@ -214,22 +151,24 @@ def measure_static_search_streamed(
     resp_constant: float = 8.0,
     probe_chunk: int | None = None,
 ) -> StaticSearchStats:
-    """Window-streamed variant of :func:`measure_static_search_routed`.
+    """:func:`measure_static_search` over already-drawn probes.
 
-    Routes and classifies at most ``probe_chunk`` probes at a time, so the
-    peak transient footprint is the window's ``(chunk, width)`` tables
-    instead of the whole batch's — the difference between fitting and not
-    fitting the 100k-probe workload at n = 10^6 in a ~4 GB budget.
+    Routes and classifies at most ``probe_chunk`` probes at a time (all of
+    them when ``probe_chunk`` is unset), so the peak transient footprint
+    is the window's ``(chunk, width)`` tables instead of the whole
+    batch's — the difference between fitting and not fitting the
+    100k-probe workload at n = 10^6 in a ~4 GB budget.
 
     Every statistic reduces across windows through *integer* accumulators
     (delivered count, search-path cell count, per-node visit counts) and
-    divides by ``probes`` once at the end — exactly how the one-shot kernel
-    computes its float reductions (mean = sum / probes), so the streamed
-    stats are bit-equal at any window size.  Each window emits a
-    ``mem.peak`` telemetry event (phase ``static.search``).
+    divides by ``probes`` once at the end, so the stats are bit-equal at
+    any window size.  Each window of a chunked pass emits a ``mem.peak``
+    telemetry event (phase ``static.search``).
     """
     from ..telemetry import emit_peak
 
+    if not probes:  # an empty batch: no search failed, none walked a path
+        return _finish_stats(gg, 0, resp_constant, 0.0, np.nan, np.nan)
     n = gg.n
     router = SecureRouter(gg)
     chunk = probes if not probe_chunk or probe_chunk <= 0 else int(probe_chunk)
@@ -244,7 +183,8 @@ def measure_static_search_streamed(
         delivered_total += int(out.delivered.sum())
         path_cells_total += int(mask.sum())
         counts += np.bincount(routed.paths[mask], minlength=n)
-        emit_peak("static.search", chunk=ci)
+        if chunk < probes:
+            emit_peak("static.search", chunk=ci)
     failure_rate = 1.0 - delivered_total / probes
     mean_path_len = path_cells_total / probes
     resp = counts.astype(np.float64) / probes

@@ -14,14 +14,12 @@ constants): survival time increases steeply with group size; sizes ≤ 16
 fail quickly; 64 survives the full run.
 
 Declared as a single-cell :class:`~repro.sim.sweep.SweepSpec` that opts
-into ``exec_config`` *and* ``pass_kernel``: the cell spawns one child RNG
-stream per (construction, |G|) case from its own sweep stream — the single
-entropy source, so every case reproduces identically on any backend — and
-either fans the cases out across the spawn pool (``--backend process``) or
-batches them through the :class:`~repro.baselines.cuckoo.CuckooSimulator`
-relocation kernel selected by ``kernel`` (vectorized array relocation by
-default, the bucket-set reference loop under ``--backend serial``; the
-kernels are trajectory-bit-identical).
+into ``exec_config``: the cell spawns one child RNG stream per
+(construction, |G|) case from its own sweep stream — the single entropy
+source, so every case reproduces identically on any backend — and either
+fans the cases out across the spawn pool (``--backend process``) or runs
+them in-process, each through the
+:class:`~repro.baselines.cuckoo.CuckooSimulator` array-relocation kernel.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ def _churn_case(
     sim_kwargs: dict,
     events: int,
     seed_seq: np.random.SeedSequence,
-    kernel: str,
 ) -> CuckooResult:
     """One (construction, |G|) churn run — module-level so the ``process``
     backend can dispatch the independent cases across spawn workers.  The
@@ -51,13 +48,13 @@ def _churn_case(
     so the sweep's per-cell stream stays the single entropy source and
     results match the in-process path bit-for-bit at any worker count."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    return CuckooSimulator(**sim_kwargs, rng=rng, kernel=kernel).run(events)
+    return CuckooSimulator(**sim_kwargs, rng=rng).run(events)
 
 
 def _cell(
     rng: np.random.Generator, *, n: int, beta: float, sizes: tuple[int, ...],
     events: int, threshold: float, commensal_beta: float, seed: int,
-    exec_config: ExecutionConfig | None, kernel: str,
+    exec_config: ExecutionConfig | None,
 ):
     cases = [
         ("cuckoo", dict(n=n, beta=beta, group_size=size, k=2,
@@ -77,7 +74,6 @@ def _cell(
         [kw for _, kw in cases],
         [events] * len(cases),
         child_seqs,
-        [kernel] * len(cases),
         workers=exec_config.resolved_workers() if use_pool else 1,
     )
     rows = []
@@ -130,7 +126,6 @@ def build_spec(
         ),
         seed=seed,
         pass_exec_config=True,
-        pass_kernel=True,
     )
 
 

@@ -9,10 +9,8 @@ the reader sees both the scaling in ``n`` and the constant's headroom.
 Declared as a (topology x n) :class:`~repro.sim.sweep.SweepSpec`: each
 grid cell draws its own population from its spawned stream and measures
 one topology at one scale, so the process backend can dispatch cells
-concurrently without changing the table.  The cell body is already fully
-array-native (batch routing + one masked ``bincount``), so the serial and
-vectorized kernel paths coincide here — the table is kernel-independent
-by construction.
+concurrently without changing the table.  The cell body is fully
+array-native (batch routing + one masked ``bincount``).
 """
 
 from __future__ import annotations

@@ -14,9 +14,7 @@ spawned stream — cells are independent, so the process backend dispatches
 them concurrently with a bit-identical table.
 
 Each cell evaluates all its probes in one batched secure-search kernel
-(``pass_kernel``): the default ``vectorized`` path walks every probe path
-in lockstep, the explicit ``serial`` backend runs the per-probe scalar
-reference loop — identical statistics either way, parity-tested.
+that walks every probe path in lockstep.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ def _cell_out(pf: float, stats) -> CellOut:
 
 def _cell(
     rng: np.random.Generator, *, pf: float, topology: str, n: int,
-    probes: int, seed: int, kernel: str = "vectorized",
-    probe_chunk: int | None = None,
+    probes: int, seed: int, probe_chunk: int | None = None,
 ):
     # identical substrate in every cell: the graph is a function of the
     # experiment seed, so only the red colouring and probes vary with p_f
@@ -54,9 +51,7 @@ def _cell(
     H = make_input_graph(topology, ids)
     params = SystemParams(n=n, seed=seed)
     gg = synthetic_static_graph(H, params, pf, rng)
-    stats = measure_static_search(
-        gg, probes, rng, kernel=kernel, probe_chunk=probe_chunk
-    )
+    stats = measure_static_search(gg, probes, rng, probe_chunk=probe_chunk)
     return _cell_out(pf, stats)
 
 
@@ -102,7 +97,6 @@ def build_spec(
         ),
         seed=seed,
         finalize=_finalize,
-        pass_kernel=True,
     )
 
 

@@ -11,11 +11,8 @@ when the bar is ``1/poly(n)`` (the classic regime).
 Declared as a (beta x d2) :class:`~repro.sim.sweep.SweepSpec`: each cell
 places its own adversarial population and builds one group construction
 from its spawned stream, so all construction/classification work runs
-cell-parallel under the process backend.
-
-Each cell builds its n-group construction with the vectorized CSR kernel
-by default (``pass_kernel``); the explicit ``serial`` backend runs the
-per-leader reference loop — byte-identical CSR, hence identical tables.
+cell-parallel under the process backend.  Each cell builds its n-group
+construction with the one-pass CSR kernel.
 """
 
 from __future__ import annotations
@@ -36,13 +33,12 @@ __all__ = ["run", "build_spec"]
 
 def _cell(
     rng: np.random.Generator, *, beta: float, d2: float, n: int, seed: int,
-    kernel: str = "vectorized",
 ):
     adv = UniformAdversary(beta)
     ids, bad = adv.population(n, rng)
     ring = Ring(ids)
     params = SystemParams(n=n, beta=beta, d1=d2 / 4.0, d2=d2, seed=seed)
-    gs = build_groups_fast(ring, params, rng, kernel=kernel)
+    gs = build_groups_fast(ring, params, rng)
     q = classify_groups(gs, bad, params)
     m = params.group_solicit_size
     pred = bad_group_probability(m, beta, params.bad_member_threshold)
@@ -89,7 +85,6 @@ def build_spec(
         context=dict(n=n, seed=seed),
         seed=seed,
         finalize=_finalize,
-        pass_kernel=True,
     )
 
 

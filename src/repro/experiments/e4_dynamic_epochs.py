@@ -10,11 +10,10 @@ replaces all n IDs, so e epochs = e*n joins + e*n departures).
 Declared as a single-cell :class:`~repro.sim.sweep.SweepSpec`: the epoch
 series is one inherently sequential trajectory (epoch ``j+1`` consumes
 epoch ``j``'s graphs), so the whole body is one addressable cell on its
-own spawned stream.  The cell opts into ``pass_kernel``: each *step* of
-the trajectory runs on the batched array kernels by default, while an
-explicit ``--backend serial`` selects the per-probe / per-group reference
-loops — both produce the bit-identical epoch table (the dynamic
-differential-oracle suite pins the whole trajectory, not just the table).
+own spawned stream.  Each *step* of the trajectory runs on the batched
+array kernels; the dynamic differential-oracle suite pins the whole
+trajectory against the test suite's per-probe / per-group reference
+loops, not just the table.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ __all__ = ["run", "build_spec"]
 
 def _cell(
     rng: np.random.Generator, *, n: int, beta: float, d2: float, epochs: int,
-    churn_rate: float, topology: str, probes: int, seed: int, kernel: str,
+    churn_rate: float, topology: str, probes: int, seed: int,
 ):
     # Lemma 9 requires d2 "sufficiently large" for the epoch map to have a
     # stable small fixed point (k >= 2c + gamma); d2 = 10 at these n keeps
@@ -45,7 +44,6 @@ def _cell(
         churn=UniformChurn(rate=churn_rate),
         probes=probes,
         rng=rng,
-        kernel=kernel,
     )
     rows = []
     reports = sim.run(epochs)
@@ -105,7 +103,6 @@ def build_spec(
             topology=topology, probes=probes, seed=seed,
         ),
         seed=seed,
-        pass_kernel=True,
     )
 
 

@@ -26,9 +26,7 @@ the comparison stays paired; the pair shares one substrate build, forking
 the generator state at the divergence point) on its own spawned stream,
 cell-parallel under the process backend.  Part B is deterministic and
 assembled in the spec's finalize hook.  The transition machinery
-(``build_new_graph``) batches its per-slot searches internally, so the
-cell is kernel-neutral: serial and vectorized backends render the
-identical table.
+(``build_new_graph``) batches its per-slot searches internally.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ predicted ratio next to the realized one.
 Declared as an ``n``-axis :class:`~repro.sim.sweep.SweepSpec`: each scale
 builds both constructions on its own spawned stream, so the scales run
 cell-parallel under the process backend.  Both constructions use the
-vectorized CSR group-build kernel by default (``pass_kernel``); the
-explicit ``serial`` backend is the per-leader reference loop.
+one-pass CSR group-build kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ __all__ = ["run", "build_spec"]
 
 def _cell(
     rng: np.random.Generator, *, n: int, beta: float, topology: str,
-    probes: int, seed: int, kernel: str = "vectorized",
+    probes: int, seed: int,
 ):
     adv = UniformAdversary(beta)
     ids, bad = adv.population(n, rng)
@@ -50,7 +49,6 @@ def _cell(
 
     gg_tiny, gs_tiny, _ = constructive_static_graph(
         H, params.with_(d2=max(1.0, m_tiny / params.ln_ln_n)), bad, rng=rng,
-        kernel=kernel,
     )
     router_tiny = SecureRouter(gg_tiny, bad)
     tiny_route, _ = router_tiny.search_cost_batch(probes, rng)
@@ -64,7 +62,6 @@ def _cell(
     bl = build_logn_static(
         H, params, bad, rng,
         size_multiplier=m_classic / max(1, params.logn_group_size),
-        kernel=kernel,
     )
     router_logn = SecureRouter(bl.group_graph, bad)
     logn_route, _ = router_logn.search_cost_batch(probes, rng)
@@ -110,7 +107,6 @@ def build_spec(
         axes=(("n", ns),),
         context=dict(beta=beta, topology=topology, probes=probes, seed=seed),
         seed=seed,
-        pass_kernel=True,
     )
 
 

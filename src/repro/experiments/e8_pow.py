@@ -12,16 +12,13 @@ Three measurements on the puzzle scheme:
    the arc concentration hits ~100%, versus ~5% under two hashes — the
    attack the composed scheme exists to stop.
 
-Declared as a single-cell :class:`~repro.sim.sweep.SweepSpec` that opts
-into ``pass_kernel``: the window Monte-Carlo runs on the batched
-``mint_count_windows`` kernel by default (one array draw for the whole
-trial loop) while ``--backend serial`` selects the per-window
-``mint_fast_count`` reference loop.  The KS inputs come from the shared
-``uniformity_windows`` generator in both kernels (each window is already
-one array draw; the generator is differential-tested against the
-sequential ``mint_fast``/``mint_fast_one_hash`` oracle pair).  Kernels
-share the RNG draw order exactly, so the rendered table is bit-identical
-either way (pinned by the dynamic differential suite).
+Declared as a single-cell :class:`~repro.sim.sweep.SweepSpec`: the window
+Monte-Carlo runs on the batched ``mint_count_windows`` kernel (one array
+draw for the whole trial loop; the dynamic differential suite pins it
+draw-for-draw against a per-window loop).  The KS inputs come from the
+``uniformity_windows`` generator (each window is already one array draw;
+the generator is differential-tested against the sequential
+``mint_fast``/``mint_fast_one_hash`` oracle pair).
 """
 
 from __future__ import annotations
@@ -40,26 +37,21 @@ __all__ = ["run", "build_spec"]
 
 def _cell(
     rng: np.random.Generator, *, n: int, beta: float, epoch_length: int,
-    trials: int, arc: tuple[float, float], seed: int, kernel: str,
+    trials: int, arc: tuple[float, float], seed: int,
 ):
     suite = OracleSuite(seed=seed)
     scheme = PuzzleScheme(suite, epoch_length=epoch_length)
     window_steps = 1.5 * epoch_length / 2.0
     power = beta * n
 
-    if kernel == "serial":
-        counts = np.asarray(
-            [scheme.mint_fast_count(power, window_steps, rng) for _ in range(trials)]
-        )
-    else:
-        counts = scheme.mint_count_windows(power, window_steps, rng, trials)
+    counts = scheme.mint_count_windows(power, window_steps, rng, trials)
     mc = aggregate_trials(counts)
     budget = 1.5 * beta * n  # (window/T2) * beta * n solutions expected
     eps_bound = 1.10 * budget  # (1 + eps) slack, eps = 0.10
 
-    # both kernels share the KS-input generator: each window is already one
-    # array draw, and the generator is pinned against the sequential
-    # mint_fast/mint_fast_one_hash oracle pair by the differential suite
+    # each KS-input window is already one array draw; the generator is
+    # pinned against the sequential mint_fast/mint_fast_one_hash oracle
+    # pair by the differential suite
     two_hash_ids, one_hash_ids = scheme.uniformity_windows(
         power, 40 * window_steps, rng, arc_start=arc[0], arc_width=arc[1]
     )
@@ -122,7 +114,6 @@ def build_spec(
             arc=tuple(arc), seed=seed,
         ),
         seed=seed,
-        pass_kernel=True,
     )
 
 

@@ -184,18 +184,16 @@ def _run_one(
     """Spawn-pool entry point: run one experiment in a worker.
 
     Module-level so it pickles under the ``spawn`` start method.  The
-    child receives an *explicit* serial config — process
-    backends do not nest, and the caller's ``exec_config`` must not leak
-    into workers implicitly — with the ``vectorized`` cell kernels kept
-    (kernels are byte-identical, so this only affects speed), plus the
-    caller's cache settings, so warm entries short-circuit inside the
-    worker too.
+    child receives an *explicit* in-process config — process backends do
+    not nest, and the caller's ``exec_config`` must not leak into workers
+    implicitly — plus the caller's cache settings, so warm entries
+    short-circuit inside the worker too.
     """
     return run_experiment(
         name,
         seed=seed,
         fast=fast,
-        exec_config=ExecutionConfig(backend="serial", kernel="vectorized"),
+        exec_config=ExecutionConfig(backend="serial"),
         cache=cache,
         force=force,
         cache_dir=cache_dir,

@@ -213,18 +213,6 @@ class InputGraph(abc.ABC):
         lo = np.roll(ids, 1)
         return lo, ids
 
-    def _owners_of_interval(self, lo: float, hi: float) -> np.ndarray:
-        """Ring indices of all IDs responsible for some point in ``[lo, hi]``.
-
-        ``hi`` may be < ``lo`` (wrapping interval).  The owners are
-        ``suc(lo) .. suc(hi)`` inclusive along the ring.
-        """
-        a = self.ring.successor_index(lo % 1.0)
-        b = self.ring.successor_index(hi % 1.0)
-        if a <= b:
-            return np.arange(a, b + 1)
-        return np.concatenate([np.arange(a, self.n), np.arange(0, b + 1)])
-
     @staticmethod
     def _pack_paths(rows: Sequence[np.ndarray]) -> np.ndarray:
         """Pack variable-length index paths into a padded matrix."""

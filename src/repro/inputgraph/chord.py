@@ -102,9 +102,9 @@ class ChordGraph(InputGraph):
     def _neighbor_sets(self) -> tuple[np.ndarray, np.ndarray]:
         # One-pass vectorized build: row-sort the finger matrix, mask
         # duplicate-adjacent and self entries, and gather the survivors.
-        # Per row that is exactly ``np.unique(row[row != i])`` — the same
-        # sorted/unique/self-free neighbor list as the reference loop below,
-        # without n Python iterations (the wall-time blocker at n = 10^6).
+        # Per row that is exactly ``np.unique(row[row != i])`` — a sorted,
+        # unique, self-free neighbor list — without n Python iterations
+        # (the wall-time blocker at n = 10^6).
         n = self.n
         f = np.sort(self._fingers, axis=1)
         keep = np.empty(f.shape, dtype=bool)
@@ -114,15 +114,6 @@ class ChordGraph(InputGraph):
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
         return indptr, f[keep]
-
-    def _neighbor_sets_reference(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node loop the vectorized build is defined against (oracle)."""
-        n = self.n
-        rows = [np.unique(self._fingers[i][self._fingers[i] != i]) for i in range(n)]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([r.size for r in rows])
-        indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        return indptr, indices.astype(np.int64)
 
     @property
     def finger_count(self) -> int:

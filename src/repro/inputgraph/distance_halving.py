@@ -79,13 +79,12 @@ class DistanceHalvingGraph(InputGraph):
         the reverse-orientation edges the routing walk traverses from the
         far side.  All sets are recomputable from the ring alone (P3).
 
-        Instead of assembling a Python list per node (the reference loop in
-        :meth:`_neighbor_sets_reference`, the wall-time blocker at n = 10^6),
-        all arcs' interval endpoints are computed elementwise with the *same*
-        float expressions as the scalar path, resolved to owner ranges with
-        one bulk successor pass, expanded with a repeat/arange offset trick,
-        and reduced to per-node sorted-unique-self-free lists by one global
-        lexsort + segment dedup — byte-identical CSR, property-tested.
+        Instead of assembling a Python list per node (the wall-time blocker
+        at n = 10^6), all arcs' interval endpoints are computed elementwise,
+        resolved to owner ranges with one bulk successor pass, expanded with
+        a repeat/arange offset trick, and reduced to per-node
+        sorted-unique-self-free lists by one global lexsort + segment dedup
+        — property-tested byte-identical to a per-node loop.
         """
         n = self.n
         b = self._base
@@ -139,36 +138,6 @@ class DistanceHalvingGraph(InputGraph):
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(e_node[first], minlength=n), out=indptr[1:])
         return indptr, e_tgt[first]
-
-    def _neighbor_sets_reference(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node loop the vectorized edge pass is defined against."""
-        n = self.n
-        b = self._base
-        lo, hi = self._arc_bounds()
-        rows: list[np.ndarray] = []
-        for i in range(n):
-            pieces = [np.array([(i - 1) % n, (i + 1) % n], dtype=np.int64)]
-            a, z = float(lo[i]), float(hi[i])
-            if z < a:  # wrapped arc (only node 0 after roll): split
-                spans = [(a, 1.0 - 1e-15), (0.0, z)]
-            else:
-                spans = [(a, z)]
-            for sa, sz in spans:
-                for c in range(b):
-                    # forward (contraction) image of the arc
-                    pieces.append(self._owners_of_interval((sa + c) / b, (sz + c) / b))
-                # backward (expansion) image: owners of b*arc mod 1 — the
-                # reverse-orientation edges (arc length ~1/n, so the image
-                # never wraps more than once and stays O(b/n) long)
-                pieces.append(
-                    self._owners_of_interval((sa * b) % 1.0, (sa * b + (sz - sa) * b) % 1.0)
-                )
-            row = np.unique(np.concatenate(pieces))
-            rows.append(row[row != i])
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([r.size for r in rows])
-        indices = (np.concatenate(rows) if rows else np.empty(0)).astype(np.int64)
-        return indptr, indices
 
     # -- routing ----------------------------------------------------------------
 

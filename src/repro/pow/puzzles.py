@@ -142,16 +142,6 @@ class PuzzleScheme:
         count = int(rng.binomial(trials, self.tau)) if trials > 0 else 0
         return rng.random(count)
 
-    def mint_fast_count(
-        self, compute_units: float, steps: float, rng: np.random.Generator
-    ) -> int:
-        """Solution *count* of one :meth:`mint_fast` window: the single
-        ``Binomial(M, tau)`` draw, without materializing the per-solution
-        uniform IDs.  This is the per-window serial reference the batched
-        :meth:`mint_count_windows` kernel is differential-tested against."""
-        trials = int(round(compute_units * steps * self.hash_rate))
-        return int(rng.binomial(trials, self.tau)) if trials > 0 else 0
-
     def mint_count_windows(
         self,
         compute_units: float,
@@ -162,12 +152,13 @@ class PuzzleScheme:
         """Solution counts of ``windows`` independent minting windows, drawn
         as one array operation.
 
+        Each window's count is the single ``Binomial(M, tau)`` draw of one
+        :meth:`mint_fast` window, without the per-solution uniform IDs.
         NumPy's ``Generator`` fills distribution arrays by consuming the
         bit stream sequentially, so ``binomial(M, tau, size=w)`` equals
-        ``w`` successive :meth:`mint_fast_count` calls on the same
-        generator draw-for-draw — the "unchanged RNG draw order" contract
-        the differential suite pins.  This is E8's vectorized kernel: the
-        whole adversary-window Monte-Carlo collapses into one call.
+        ``w`` successive single draws on the same generator
+        draw-for-draw — the draw order the test suite's per-window loop
+        pins.  E8's whole adversary-window Monte-Carlo is this one call.
         """
         if windows <= 0:
             return np.empty(0, dtype=np.int64)
@@ -192,7 +183,7 @@ class PuzzleScheme:
         a :meth:`mint_fast_one_hash` window on the same generator — so it
         and the two sequential oracle calls are interchangeable
         bit-for-bit (pinned by the differential suite).  E8's uniformity
-        rows consume this on every kernel.
+        rows consume this.
         """
         two_hash = self.mint_fast(compute_units, steps, rng)
         one_hash = self.mint_fast_one_hash(

@@ -4,18 +4,16 @@ worker pool, and the declarative sweep substrate.
 ``repro.sim.sweep`` runs experiment grids: a :class:`SweepSpec` declares
 axes plus a per-cell function, each cell gets an independent spawned RNG
 stream keyed by its coordinates, and cells execute on any backend
-(``serial`` | ``process`` | ``vectorized``, selected via
-:class:`ExecutionConfig` and the ``--backend``/``--workers`` CLI flags)
+(in-process ``serial`` | ``process``, selected via :class:`ExecutionConfig`
+and the ``--backend``/``--workers`` CLI flags)
 with bit-identical tables at any worker count.
 """
 
 from .montecarlo import (
     BACKENDS,
-    KERNELS,
     ExecutionConfig,
     MCResult,
     aggregate_trials,
-    resolve_kernel,
     spawn_map,
     wilson_interval,
 )
@@ -33,7 +31,6 @@ from .sweep import (
 
 __all__ = [
     "BACKENDS",
-    "KERNELS",
     "Cell",
     "CellOut",
     "CellResult",
@@ -48,7 +45,6 @@ __all__ = [
     "make_rng",
     "pool_stats",
     "reset_cells_executed",
-    "resolve_kernel",
     "run_sweep",
     "shutdown_pool",
     "spawn",

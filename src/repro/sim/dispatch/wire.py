@@ -41,7 +41,6 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..montecarlo import resolve_kernel
 from ..sweep import CellResult, SweepSpec, _run_cell, count_cells_executed
 
 __all__ = [
@@ -113,8 +112,8 @@ def sweep_fingerprint(
     """The sweep generation's identity on the wire.
 
     Deliberately the PR-2 result-cache key — ``(experiment, seed, fast,
-    overrides, package version)``, backend and kernel excluded because
-    tables are bit-identical across them — so "this result belongs to
+    overrides, package version)``, backend excluded because tables are
+    bit-identical across backends — so "this result belongs to
     that sweep" and "this table is a cache hit for that request" are the
     same judgement.
     """
@@ -362,10 +361,6 @@ def execute_unit(
         # dispatch workers are leaves: no nested pools (same rule as the
         # sweep substrate's process backend)
         context["exec_config"] = None
-    if spec.pass_kernel:
-        # the kernel run_sweep resolves with no config: kernels are
-        # byte-identical, so the unit needs no hint of its own
-        context["kernel"] = resolve_kernel(None)
     count_cells_executed()
     out = _run_cell(spec.cell, cell, spec.seed_sequence_for(cell), context)
     payload = encode_payload(out)

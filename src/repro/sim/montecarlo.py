@@ -4,24 +4,11 @@ Every experiment runs as a declarative sweep (:mod:`repro.sim.sweep`);
 this module holds what the sweeps share about how they execute and how
 their trial values become estimates:
 
-* :class:`ExecutionConfig` selects the backend (``serial`` | ``process``
-  | ``vectorized``, surfaced on the CLI as ``--backend``/``--workers``)
-  and, optionally, the cell kernel;
+* :class:`ExecutionConfig` selects the backend (``serial`` = in-process
+  | ``process``, surfaced on the CLI as ``--backend``/``--workers``);
 * :func:`spawn_map` is the order-preserving map across the warm spawn
   pool that every process-backend call site goes through;
 * :func:`aggregate_trials` turns trial values into an :class:`MCResult`.
-
-Orthogonal to the backend (how cells are *scheduled*), a sweep cell may
-support two *kernels* (how the cell body computes): ``"vectorized"``
-array kernels — the default execution path for the static-case
-experiments — and the ``"serial"`` reference loops they are
-parity-tested against.  :func:`resolve_kernel` maps an
-:class:`ExecutionConfig` to the kernel its cells should use: an explicit
-``backend="serial"`` requests the reference loops, everything else (and
-no config at all) the kernels, and ``ExecutionConfig(kernel=...)``
-overrides the mapping (e.g. a process-backend run of the reference
-loops).  Kernels are byte-identical by contract, so the choice never
-shows up in a table.
 
 Confidence intervals: 0/1-valued trials are detected and get the Wilson
 score interval (the normal approximation produces ``lo < 0`` / ``hi > 1``
@@ -44,17 +31,14 @@ from ..telemetry import emit_default
 
 __all__ = [
     "BACKENDS",
-    "KERNELS",
     "ExecutionConfig",
     "MCResult",
     "aggregate_trials",
-    "resolve_kernel",
     "spawn_map",
     "wilson_interval",
 ]
 
-BACKENDS = ("serial", "process", "vectorized")
-KERNELS = ("serial", "vectorized")
+BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -64,17 +48,14 @@ class ExecutionConfig:
     Parameters
     ----------
     backend:
-        ``"serial"`` | ``"process"`` | ``"vectorized"``.
+        ``"serial"`` (cells run in-process, one after another) |
+        ``"process"`` (cells dispatched across the warm spawn pool).
     workers:
         Process count for the ``process`` backend (``None`` -> CPU count).
-    kernel:
-        Explicit cell-kernel override (``"serial"`` | ``"vectorized"``);
-        ``None`` derives it from the backend via :func:`resolve_kernel`.
     """
 
     backend: str = "serial"
     workers: int | None = None
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -83,16 +64,9 @@ class ExecutionConfig:
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.kernel is not None and self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; choose from {KERNELS}"
-            )
 
     def resolved_workers(self) -> int:
         return self.workers if self.workers is not None else (os.cpu_count() or 1)
-
-    def resolved_kernel(self) -> str:
-        return resolve_kernel(self)
 
 
 @dataclass(frozen=True)
@@ -108,23 +82,6 @@ class MCResult:
 
     def __str__(self) -> str:  # pragma: no cover
         return f"{self.mean:.4g} [{self.lo:.4g}, {self.hi:.4g}] (x{self.trials})"
-
-
-def resolve_kernel(config: "ExecutionConfig | None") -> str:
-    """Which cell kernel an execution config selects.
-
-    ``None`` (no config) and every non-``serial`` backend resolve to the
-    ``"vectorized"`` array kernels — the promoted default execution path.
-    An explicit ``backend="serial"`` is the request for the reference loop
-    implementations (the parity oracle).  ``ExecutionConfig.kernel``
-    overrides both, which is how a process-backend run selects the
-    reference loops.
-    """
-    if config is None:
-        return "vectorized"
-    if config.kernel is not None:
-        return config.kernel
-    return "serial" if config.backend == "serial" else "vectorized"
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -143,8 +100,7 @@ def aggregate_trials(values) -> MCResult:
     """Aggregate trial values into an :class:`MCResult`.
 
     Cells compute their trial values through batched kernels and share
-    this one bookkeeping path, so a kernel choice can never change a
-    reported statistic.
+    this one bookkeeping path.
     """
     vals = np.asarray(values, dtype=float)
     trials = int(vals.size)

@@ -16,7 +16,7 @@ axes plus a per-cell function) and the substrate
   ``(seed, experiment, coords)`` and never of the execution schedule or
   of which other cells the grid happens to contain,
 * executes the cells on any :class:`~repro.sim.montecarlo.ExecutionConfig`
-  backend (``serial`` | ``process`` | ``vectorized``) with **bit-identical
+  backend (in-process ``serial`` | ``process``) with **bit-identical
   results at any worker count**, and
 * assembles the resulting :class:`~repro.analysis.tables.TableResult`
   rows in grid order, so the rendered table is byte-identical no matter
@@ -50,7 +50,7 @@ import numpy as np
 
 from ..analysis.tables import TableResult
 from ..telemetry import emit_default
-from .montecarlo import ExecutionConfig, resolve_kernel, spawn_map
+from .montecarlo import ExecutionConfig, spawn_map
 from .rng import tag_entropy
 
 __all__ = [
@@ -153,14 +153,6 @@ class SweepSpec:
         When True the cell receives an ``exec_config=`` keyword: the
         caller's config when cells run in-process, ``None`` when cells are
         themselves dispatched across a process pool (pools do not nest).
-    pass_kernel:
-        When True the cell receives a ``kernel=`` keyword
-        (``"vectorized"`` | ``"serial"``) resolved from the caller's
-        execution config (:func:`~repro.sim.montecarlo.resolve_kernel`):
-        the vectorized array kernels are the default execution path, an
-        explicit serial backend selects the reference loops.  Cells must
-        be kernel-transparent — both choices produce the identical rows —
-        so the flag never changes a table, only how fast it is computed.
     notes:
         Static notes appended after the per-cell notes.
     """
@@ -174,7 +166,6 @@ class SweepSpec:
     seed: int = 0
     finalize: Callable[[TableResult, list, dict], None] | None = None
     pass_exec_config: bool = False
-    pass_kernel: bool = False
     notes: tuple = ()
 
     def cells(self) -> list[Cell]:
@@ -287,7 +278,6 @@ def run_sweep(
     global _CELLS_EXECUTED
     cells = spec.cells()
     seed_seqs = [spec.seed_sequence_for(c) for c in cells]
-    kernel = resolve_kernel(exec_config)
     use_pool = (
         exec_config is not None
         and exec_config.backend == "process"
@@ -318,8 +308,6 @@ def run_sweep(
     context = dict(spec.context)
     if spec.pass_exec_config:
         context["exec_config"] = None if use_pool else exec_config
-    if spec.pass_kernel:
-        context["kernel"] = kernel
 
     backend = "serial" if exec_config is None else exec_config.backend
     sweep_t0 = time.perf_counter()
@@ -343,7 +331,6 @@ def run_sweep(
                 "sweep.cell",
                 experiment=spec.experiment,
                 index=c.index,
-                kernel=kernel,
                 backend=backend,
                 wall_s=round(time.perf_counter() - t0, 6),
             )
@@ -351,7 +338,6 @@ def run_sweep(
         "sweep.run",
         experiment=spec.experiment,
         cells=len(cells),
-        kernel=kernel,
         backend=backend,
         wall_s=round(time.perf_counter() - sweep_t0, 6),
     )

@@ -1,7 +1,7 @@
 """repro.telemetry — one structured event stream for every layer.
 
 The reproduction's auditable-evidence substrate (ROADMAP item 5): the
-dispatch spool's unit lifecycle, the sweep substrate's per-cell kernel
+dispatch spool's unit lifecycle, the sweep substrate's per-cell
 timings, and the benchmark/perf-ledger rows all emit the same versioned
 jsonl record shape instead of three incompatible logging idioms
 (free-text ``events.log``, the bespoke ``timing_sink`` lines, ad-hoc

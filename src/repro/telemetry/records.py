@@ -63,14 +63,15 @@ EVENT_TYPES: dict[str, dict[str, tuple]] = {
     "dispatch.quorum": {"index": (int,), "outcome": (str,)},
     "dispatch.poison": {"index": (int,), "attempts": (int,)},
     "dispatch.suspect": {"worker": (str,), "suspicion": (int,)},
-    # sweep layer — per-cell kernel timings and sweep summaries
+    # sweep layer — per-cell timings and sweep summaries (streams from
+    # before the kernel option was retired also carry a `kernel` field)
     "sweep.cell": {
-        "experiment": (str,), "index": (int,), "kernel": (str,),
-        "backend": (str,), "wall_s": _NUMBER,
+        "experiment": (str,), "index": (int,), "backend": (str,),
+        "wall_s": _NUMBER,
     },
     "sweep.run": {
-        "experiment": (str,), "cells": (int,), "kernel": (str,),
-        "backend": (str,), "wall_s": _NUMBER,
+        "experiment": (str,), "cells": (int,), "backend": (str,),
+        "wall_s": _NUMBER,
     },
     # a sweep silently losing parallelism is not silent any more: emitted
     # when an unpicklable cell forces the in-process path

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import oracles
 import pytest
 
 from repro.core.params import SystemParams
@@ -27,3 +28,11 @@ def medium_ring() -> Ring:
 @pytest.fixture
 def params() -> SystemParams:
     return SystemParams(n=512, beta=0.05, seed=0)
+
+
+@pytest.fixture(scope="session")
+def oracle_loops():
+    """Context manager: inside it every batched kernel runs as its
+    reference loop from ``tests/oracles.py``.  Session-scoped, so
+    hypothesis tests can use it too."""
+    return oracles.swapped

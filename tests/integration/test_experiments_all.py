@@ -45,36 +45,35 @@ def test_experiment_produces_table(name):
     assert f"[{name}]" in rendered
 
 
-# the experiments promoted to the vectorized kernels: the static-case
-# pipeline (PR 3) plus the dynamic-case trajectories (E4 epochs, E8 PoW
-# windows, E12 churn — this PR)
+# the experiments whose cells run batched kernels: the static-case
+# pipeline plus the dynamic-case trajectories (E4 epochs, E8 PoW windows,
+# E12 churn)
 KERNEL_EXPERIMENTS = ("E1", "E2", "E3", "E4", "E5", "E6", "E8", "E12")
 
 
 @pytest.mark.parametrize(
     "name",
     [
-        # the E4 serial reference costs ~45s at this point alone — it is
+        # E4 on the reference loops costs ~45s at this point alone — it is
         # the canonical >10s case the `slow` marker exists for
         pytest.param(n, marks=pytest.mark.slow) if n == "E4" else n
         for n in KERNEL_EXPERIMENTS
     ],
 )
-def test_serial_and_vectorized_backends_render_identical(name):
-    """Acceptance bar of the kernel layer: the explicit serial backend (the
-    reference loop implementations) and the default vectorized kernels must
-    render bit-identical tables."""
+def test_serial_and_vectorized_backends_render_identical(name, oracle_loops):
+    """Acceptance bar of the kernel layer: the reference loops
+    (``tests/oracles.py``) and the batched kernels must render
+    bit-identical tables, with or without an explicit in-process config."""
     from repro.sim import ExecutionConfig
 
     kwargs = dict(seed=3, fast=True, **FAST_OVERRIDES.get(name, {}))
+    with oracle_loops():
+        loops = run_experiment(name, **kwargs)
     serial = run_experiment(
         name, exec_config=ExecutionConfig(backend="serial"), **kwargs
     )
-    vectorized = run_experiment(
-        name, exec_config=ExecutionConfig(backend="vectorized"), **kwargs
-    )
-    default = run_experiment(name, **kwargs)  # no config -> vectorized kernels
-    assert serial.render() == vectorized.render() == default.render()
+    default = run_experiment(name, **kwargs)
+    assert loops.render() == serial.render() == default.render()
 
 
 def test_registry_is_dense():
@@ -300,17 +299,16 @@ def test_run_all_process_threads_serial_config_and_overrides(tmp_path):
         assert hit is not None and hit.render() == serial[name].render()
 
 
-def test_e12_per_case_streams_cross_backend_deterministic():
+def test_e12_per_case_streams_cross_backend_deterministic(oracle_loops):
     """E12's churn cases draw from per-case streams spawned off the cell's
     sweep stream (the single entropy source — no seed re-derivation inside
-    the case), so serial kernel, vectorized kernel, and a 2-worker spawn
-    pool must all render the byte-identical table."""
+    the case), so the bucket-set reference loop, the array relocation, and
+    a 2-worker spawn pool must all render the byte-identical table."""
     from repro.sim import ExecutionConfig
 
     kwargs = dict(seed=5, fast=True, **FAST_OVERRIDES["E12"])
-    serial = run_experiment(
-        "E12", exec_config=ExecutionConfig(backend="serial"), **kwargs
-    )
+    with oracle_loops():
+        serial = run_experiment("E12", **kwargs)
     default = run_experiment("E12", **kwargs)
     pooled = run_experiment(
         "E12", exec_config=ExecutionConfig(backend="process", workers=2), **kwargs
@@ -319,14 +317,12 @@ def test_e12_per_case_streams_cross_backend_deterministic():
 
 
 @pytest.mark.slow
-def test_e4_trajectory_table_independent_of_probe_kernel_scale():
-    """Changing only the kernel must never change an E4 table even at a
-    different (n, epochs) point than the parity matrix covers."""
-    from repro.sim import ExecutionConfig
-
+def test_e4_trajectory_table_independent_of_probe_kernel_scale(oracle_loops):
+    """Swapping the kernels for the reference loops must never change an
+    E4 table even at a different (n, epochs) point than the parity matrix
+    covers."""
     kwargs = dict(seed=11, fast=True, n=96, epochs=3, probes=300)
-    serial = run_experiment(
-        "E4", exec_config=ExecutionConfig(backend="serial"), **kwargs
-    )
+    with oracle_loops():
+        serial = run_experiment("E4", **kwargs)
     vectorized = run_experiment("E4", **kwargs)
     assert serial.render() == vectorized.render()

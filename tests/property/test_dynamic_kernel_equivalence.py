@@ -1,20 +1,22 @@
-"""Differential oracles: dynamic-case kernels == serial reference loops.
+"""Differential oracles: dynamic-case kernels == reference loops.
 
-PR-3 pinned the static-case kernels (CSR construction, batched secure
-search); this suite pins the *dynamic* case promoted in this PR.  The
-load-bearing contract: over any (n, beta, d2, churn_rate, topology, seed),
+The static-case kernels (CSR construction, batched secure search) are
+pinned in ``test_kernel_equivalence.py``; this suite pins the *dynamic*
+case against the loops in ``tests/oracles.py``, swapped in at the leaf
+kernels by the ``oracle_loops`` fixture.  The load-bearing contract: over
+any (n, beta, d2, churn_rate, topology, seed),
 
-* the vectorized :class:`~repro.core.dynamic.EpochSimulator` — lockstep
+* the :class:`~repro.core.dynamic.EpochSimulator` — lockstep
   construction searches, bucket-LUT successor resolution, row-sorted
   group composition, batched q_f/robustness probing — must reproduce the
-  serial reference **trajectory bit-for-bit**: every field of every
+  reference loops' **trajectory bit-for-bit**: every field of every
   :class:`~repro.core.dynamic.EpochReport` (and the underlying
   :class:`~repro.core.membership.BuildReport` arrays), not just the final
   rendered table;
 * the PoW batch kernels (``mint_count_windows``, ``uniformity_windows``)
-  must equal their per-window serial oracles draw-for-draw;
-* the cuckoo relocation kernels must leave identical positions, counters
-  and :class:`~repro.baselines.cuckoo.CuckooResult` outcomes.
+  must equal their per-window loops draw-for-draw;
+* the cuckoo array relocation must leave the bucket-set loop's positions,
+  counters and :class:`~repro.baselines.cuckoo.CuckooResult` outcomes.
 
 These are the adversarial-robustness tradition's "slow reference as
 ground truth" checks (cf. exact round/bit accounting in PAPERS.md): the
@@ -25,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mint_fast_count
 
 from repro.baselines.cuckoo import CuckooSimulator
 from repro.churn import UniformChurn
@@ -48,7 +51,7 @@ BUILD_SCALAR_FIELDS = (
 )
 
 
-def _run_trajectory(kernel, *, n, beta, d2, churn_rate, topology, seed,
+def _run_trajectory(*, n, beta, d2, churn_rate, topology, seed,
                     epochs=2, probes=150):
     params = SystemParams(n=n, beta=beta, d1=d2 / 4.0, d2=d2, seed=seed)
     sim = EpochSimulator(
@@ -57,7 +60,6 @@ def _run_trajectory(kernel, *, n, beta, d2, churn_rate, topology, seed,
         churn=UniformChurn(rate=churn_rate) if churn_rate > 0 else None,
         probes=probes,
         rng=np.random.default_rng(seed),
-        kernel=kernel,
     )
     return sim.run(epochs), sim
 
@@ -84,17 +86,16 @@ def _assert_build_equal(a, b):
 )
 @settings(max_examples=6, deadline=None)
 @pytest.mark.slow
-def test_epoch_trajectories_bit_identical(n, beta, d2, churn_rate, topology, seed):
+def test_epoch_trajectories_bit_identical(
+    n, beta, d2, churn_rate, topology, seed, oracle_loops
+):
     """The whole epoch trajectory — every EpochReport field per epoch —
-    must agree between the serial reference loops and the array kernels."""
-    serial, sim_s = _run_trajectory(
-        "serial", n=n, beta=beta, d2=d2, churn_rate=churn_rate,
-        topology=topology, seed=seed,
-    )
-    vec, sim_v = _run_trajectory(
-        "vectorized", n=n, beta=beta, d2=d2, churn_rate=churn_rate,
-        topology=topology, seed=seed,
-    )
+    must agree between the reference loops and the array kernels."""
+    kw = dict(n=n, beta=beta, d2=d2, churn_rate=churn_rate,
+              topology=topology, seed=seed)
+    with oracle_loops():
+        serial, sim_s = _run_trajectory(**kw)
+    vec, sim_v = _run_trajectory(**kw)
     assert len(serial) == len(vec)
     for ra, rb in zip(serial, vec):
         for f in EPOCH_FIELDS:
@@ -114,16 +115,20 @@ def test_epoch_trajectories_bit_identical(n, beta, d2, churn_rate, topology, see
 @given(seed=st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=5, deadline=None)
 @pytest.mark.slow
-def test_single_graph_ablation_trajectories_bit_identical(seed):
-    """two_graphs=False (the E5 ablation) runs the same kernel split."""
+def test_single_graph_ablation_trajectories_bit_identical(seed, oracle_loops):
+    """two_graphs=False (the E5 ablation) runs the same kernels."""
     params = SystemParams(n=48, beta=0.08, seed=seed)
-    out = {}
-    for kernel in ("serial", "vectorized"):
+
+    def run():
         sim = EpochSimulator(
             params, two_graphs=False, probes=120,
-            rng=np.random.default_rng(seed), kernel=kernel,
+            rng=np.random.default_rng(seed),
         )
-        out[kernel] = sim.run(2)
+        return sim.run(2)
+
+    out = {"vectorized": run()}
+    with oracle_loops():
+        out["serial"] = run()
     for ra, rb in zip(out["serial"], out["vectorized"]):
         for f in EPOCH_FIELDS:
             assert getattr(ra, f) == getattr(rb, f), (ra.epoch, f)
@@ -137,14 +142,14 @@ def test_single_graph_ablation_trajectories_bit_identical(seed):
 )
 @settings(max_examples=30, deadline=None)
 def test_mint_count_windows_matches_serial_loop(power, epoch_length, windows, seed):
-    """The batched window-count kernel must equal per-window mint_fast_count
-    calls draw-for-draw on identically seeded generators."""
+    """The batched window-count kernel must equal per-window count draws
+    draw-for-draw on identically seeded generators."""
     scheme = PuzzleScheme(OracleSuite(), epoch_length=epoch_length)
     steps = 1.5 * epoch_length / 2.0
     a = np.random.default_rng(seed)
     b = np.random.default_rng(seed)
     serial = np.asarray(
-        [scheme.mint_fast_count(power, steps, a) for _ in range(windows)],
+        [mint_fast_count(scheme, power, steps, a) for _ in range(windows)],
         dtype=np.int64,
     )
     batch = scheme.mint_count_windows(power, steps, b, windows)
@@ -184,19 +189,24 @@ def test_uniformity_windows_matches_sequential_oracle_pair(power, epoch_length, 
 )
 @settings(max_examples=20, deadline=None)
 def test_cuckoo_relocation_kernels_bit_identical(
-    n, beta, group_size, k, commensal, threshold, seed
+    n, beta, group_size, k, commensal, threshold, seed, oracle_loops
 ):
-    """Serial (bucket sets) vs vectorized (array relocation) churn runs:
-    same CuckooResult and same final simulator state."""
+    """Bucket-set loop vs array relocation churn runs: same CuckooResult
+    and same final simulator state."""
     sims = {}
     outs = {}
-    for kernel in ("serial", "vectorized"):
+
+    def run(label):
         sim = CuckooSimulator(
             n=n, beta=beta, group_size=group_size, k=k, commensal=commensal,
-            threshold=threshold, rng=np.random.default_rng(seed), kernel=kernel,
+            threshold=threshold, rng=np.random.default_rng(seed),
         )
-        outs[kernel] = sim.run(400, check_every=16)
-        sims[kernel] = sim
+        outs[label] = sim.run(400, check_every=16)
+        sims[label] = sim
+
+    run("vectorized")
+    with oracle_loops():
+        run("serial")
     assert outs["serial"] == outs["vectorized"]
     a, b = sims["serial"], sims["vectorized"]
     assert np.array_equal(a.positions, b.positions)
@@ -207,3 +217,17 @@ def test_cuckoo_relocation_kernels_bit_identical(
     # and the generators stayed draw-aligned (pre-drawn event arrays +
     # identical per-event victim draws)
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+@pytest.mark.slow
+def test_e4_paper_scale_epoch_matches_oracle(oracle_loops):
+    """One E4 epoch at paper scale (n = 2048, 4000 probes): the table the
+    reference loops render (~40 s on one core) equals the kernels'."""
+    from repro.experiments import run_experiment
+
+    kwargs = dict(seed=0, fast=False, epochs=1, probes=4000)
+    kernels = run_experiment("E4", **kwargs)
+    assert "n=2048" in kernels.title
+    with oracle_loops():
+        loops = run_experiment("E4", **kwargs)
+    assert loops.render() == kernels.render()

@@ -18,6 +18,7 @@ raise, never silently wrap.
 """
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,20 @@ def test_probe_chunk_streaming_is_bit_equal(n, seed, probe_chunk):
     assert run(probe_chunk) == run(None)
 
 
+@pytest.mark.parametrize("probe_chunk", [None, 7])
+def test_zero_probes_read_as_an_empty_batch(probe_chunk):
+    """No probes: nothing failed (X = 0) and no path was walked (NaN
+    length and responsibility), whatever the window size."""
+    H = _graph("chord", 48, 1, "auto")
+    gg = synthetic_static_graph(H, SystemParams(n=48, seed=1), 0.05,
+                                np.random.default_rng(1))
+    stats = measure_static_search(gg, 0, np.random.default_rng(2),
+                                  probe_chunk=probe_chunk)
+    assert stats.probes == 0 and stats.failure_rate == 0.0
+    assert np.isnan(stats.mean_search_path_len)
+    assert np.isnan(stats.max_responsibility)
+
+
 @given(
     topology=st.sampled_from(["chord", "distance-halving"]),
     n=st.sampled_from([1, 2, 3, 17, 64, 257]),
@@ -121,11 +136,13 @@ def test_probe_chunk_streaming_is_bit_equal(n, seed, probe_chunk):
 )
 @settings(max_examples=20, deadline=None)
 def test_vectorized_neighbor_sets_match_reference_loop(topology, n, seed):
-    """The one-pass edge build must be byte-identical to the retired
-    per-node Python loop (kept as ``_neighbor_sets_reference``)."""
+    """The one-pass edge build must be byte-identical to the per-node
+    Python loop in ``tests/oracles.py``."""
     H = _graph(topology, n, seed, "int64")
     indptr, indices = H._neighbor_sets()
-    ref_indptr, ref_indices = H._neighbor_sets_reference()
+    loop = {"chord": oracles.chord_neighbor_sets,
+            "distance-halving": oracles.distance_halving_neighbor_sets}
+    ref_indptr, ref_indices = loop[topology](H)
     np.testing.assert_array_equal(
         indptr.astype(np.int64), ref_indptr.astype(np.int64)
     )

@@ -1,18 +1,19 @@
-"""Property tests: vectorized kernels == serial reference implementations.
+"""Property tests: array kernels == reference loops (``tests/oracles.py``).
 
-The load-bearing contract of the vectorized trial-kernel layer: over any
+The load-bearing contract of the static-case kernels: over any
 population, topology, seed, and scale, the array kernels must produce
 
 * **byte-identical CSR** group constructions (``leaders``/``indptr``/
   ``member_idx``) to the per-leader loops,
 * probe-for-probe identical secure-search verdicts to the scalar search,
 * identical :class:`~repro.core.static_case.StaticSearchStats` between the
-  per-probe serial path and the lockstep batch path,
+  per-probe loop and the lockstep batch path,
 
-so the kernel choice can never leak into a rendered table.
+so no rendered table depends on the batching.
 """
 
 import numpy as np
+import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,9 +43,9 @@ def test_fast_build_kernels_byte_identical(n, seed, solicit):
     ring = Ring(np.random.default_rng(seed).random(n))
     params = SystemParams(n=max(8, n), seed=0)
     a = build_groups_fast(ring, params, np.random.default_rng(seed),
-                          solicit=solicit, kernel="vectorized")
-    b = build_groups_fast(ring, params, np.random.default_rng(seed),
-                          solicit=solicit, kernel="serial")
+                          solicit=solicit)
+    b = oracles.build_groups_fast(ring, params, np.random.default_rng(seed),
+                                  solicit=solicit)
     _same_csr(a, b)
 
 
@@ -53,14 +54,13 @@ def test_fast_build_kernels_byte_identical(n, seed, solicit):
     seed=st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=15, deadline=None)
-def test_oracle_build_kernels_byte_identical(n, seed):
+def test_oracle_build_kernels_byte_identical(n, seed, oracle_loops):
     ring = Ring(np.random.default_rng(seed).random(n))
     params = SystemParams(n=max(8, n), seed=0)
     oracle = RandomOracle("h1", seed % 1000)
-    _same_csr(
-        build_groups(ring, params, oracle, kernel="vectorized"),
-        build_groups(ring, params, oracle, kernel="serial"),
-    )
+    kernel = build_groups(ring, params, oracle)
+    with oracle_loops():
+        _same_csr(kernel, build_groups(ring, params, oracle))
 
 
 @given(
@@ -118,16 +118,15 @@ def test_search_batch_matches_scalar_member_level(seed, beta):
     pf=st.floats(min_value=0.0, max_value=0.3),
 )
 @settings(max_examples=10, deadline=None)
-def test_measure_static_search_kernels_equal(seed, pf):
-    """The serial per-probe loop and the batch kernel produce the exact
-    same statistics object (all float fields bitwise equal)."""
+def test_measure_static_search_kernels_equal(seed, pf, oracle_loops):
+    """The per-probe loop and the batch kernel produce the exact same
+    statistics object (all float fields bitwise equal)."""
     rng = np.random.default_rng(seed)
     n = 128
     H = make_input_graph("chord", rng.random(n))
     params = SystemParams(n=n, seed=0)
     gg = synthetic_static_graph(H, params, pf, np.random.default_rng(seed + 1))
-    a = measure_static_search(gg, 500, np.random.default_rng(seed + 2),
-                              kernel="vectorized")
-    b = measure_static_search(gg, 500, np.random.default_rng(seed + 2),
-                              kernel="serial")
+    a = measure_static_search(gg, 500, np.random.default_rng(seed + 2))
+    with oracle_loops():
+        b = measure_static_search(gg, 500, np.random.default_rng(seed + 2))
     assert a == b

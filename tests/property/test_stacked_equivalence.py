@@ -1,15 +1,15 @@
 """Property tests: the multi-cell sweeps are schedule- and kernel-invisible.
 
 For every multi-cell experiment (E1, E2, E3, E5, E6) the rendered table
-from the default path (in-process, vectorized kernels) must be
-byte-identical to
+from the default path (in-process, array kernels) must be byte-identical
+to
 
-* the serial reference loops (``ExecutionConfig(backend="serial")``),
-  over random grids, scales, and seeds, and
+* the reference loops (``tests/oracles.py``, swapped in by the
+  ``oracle_loops`` fixture), over random grids, scales, and seeds, and
 * the process backend's contiguous worker spans at 2 and 3 workers, on
   one fixed grid per experiment,
 
-so neither the kernel choice nor the schedule can leak into a table.
+so neither the batching nor the schedule can leak into a table.
 """
 
 from hypothesis import given, settings
@@ -23,10 +23,10 @@ from repro.experiments.e6_costs import build_spec as e6_spec
 from repro.sim import ExecutionConfig, run_sweep
 
 
-def _assert_kernel_invariant(spec_fn, **kw):
+def _assert_kernel_invariant(oracle_loops, spec_fn, **kw):
     default = run_sweep(spec_fn(**kw))
-    serial = run_sweep(spec_fn(**kw),
-                       exec_config=ExecutionConfig(backend="serial"))
+    with oracle_loops():
+        serial = run_sweep(spec_fn(**kw))
     assert default.render() == serial.render()
 
 
@@ -38,9 +38,9 @@ def _assert_kernel_invariant(spec_fn, **kw):
     probes=st.integers(min_value=50, max_value=400),
 )
 @settings(max_examples=10, deadline=None)
-def test_e1_stacked_matches_per_cell(seed, n_values, probes):
+def test_e1_stacked_matches_per_cell(seed, n_values, probes, oracle_loops):
     _assert_kernel_invariant(
-        e1_spec, seed=seed, n_values=tuple(n_values), probes=probes
+        oracle_loops, e1_spec, seed=seed, n_values=tuple(n_values), probes=probes
     )
 
 
@@ -54,9 +54,9 @@ def test_e1_stacked_matches_per_cell(seed, n_values, probes):
     probes=st.integers(min_value=50, max_value=300),
 )
 @settings(max_examples=10, deadline=None)
-def test_e2_stacked_matches_per_cell(seed, n, pf_values, probes):
+def test_e2_stacked_matches_per_cell(seed, n, pf_values, probes, oracle_loops):
     _assert_kernel_invariant(
-        e2_spec, seed=seed, n=n, pf_values=tuple(pf_values), probes=probes
+        oracle_loops, e2_spec, seed=seed, n=n, pf_values=tuple(pf_values), probes=probes
     )
 
 
@@ -69,9 +69,9 @@ def test_e2_stacked_matches_per_cell(seed, n, pf_values, probes):
     ),
 )
 @settings(max_examples=6, deadline=None)
-def test_e5_stacked_matches_per_cell(seed, n, pf0_values):
+def test_e5_stacked_matches_per_cell(seed, n, pf0_values, oracle_loops):
     _assert_kernel_invariant(
-        e5_spec, seed=seed, n=n, pf0_values=tuple(pf0_values)
+        oracle_loops, e5_spec, seed=seed, n=n, pf0_values=tuple(pf0_values)
     )
 
 
@@ -88,9 +88,9 @@ def test_e5_stacked_matches_per_cell(seed, n, pf0_values):
     ),
 )
 @settings(max_examples=6, deadline=None)
-def test_e3_stacked_matches_per_cell(seed, n, betas, d2_values):
+def test_e3_stacked_matches_per_cell(seed, n, betas, d2_values, oracle_loops):
     _assert_kernel_invariant(
-        e3_spec, seed=seed, n=n, betas=tuple(betas),
+        oracle_loops, e3_spec, seed=seed, n=n, betas=tuple(betas),
         d2_values=tuple(d2_values),
     )
 
@@ -103,9 +103,9 @@ def test_e3_stacked_matches_per_cell(seed, n, betas, d2_values):
     probes=st.integers(min_value=30, max_value=150),
 )
 @settings(max_examples=5, deadline=None)
-def test_e6_stacked_matches_per_cell(seed, n_values, probes):
+def test_e6_stacked_matches_per_cell(seed, n_values, probes, oracle_loops):
     _assert_kernel_invariant(
-        e6_spec, seed=seed, n_values=tuple(n_values), probes=probes
+        oracle_loops, e6_spec, seed=seed, n_values=tuple(n_values), probes=probes
     )
 
 

@@ -293,7 +293,7 @@ class TestBenchIOMergeEdgeCases:
         from repro.analysis import read_bench_rows, record_bench_rows
 
         path = tmp_path / "bench.json"
-        # writer A (e.g. bench_vectorized.py) ...
+        # writer A (e.g. benchmarks/bench_sweep.py) ...
         record_bench_rows(path, [self._row(wall_s=2.0)])
         # ... then writer B (tools/smoke_vectorized.py) re-records the key
         record_bench_rows(path, [self._row(wall_s=0.5)])
@@ -399,19 +399,6 @@ class TestBenchDiff:
         deltas, regressions = diff_bench_rows(baseline, current)
         assert deltas == [] and regressions == []
 
-    def test_kernel_case_registry_covers_dynamic_experiments(self):
-        from repro.analysis.benchio import (
-            KERNEL_BENCH_CASES,
-            KERNEL_BENCH_CASES_QUICK,
-        )
-
-        for cases in (KERNEL_BENCH_CASES, KERNEL_BENCH_CASES_QUICK):
-            assert {"E2", "E3", "E4", "E8", "E12"} <= set(cases)
-            for case in cases.values():
-                assert {"n", "cells", "trials", "kwargs", "min_speedup"} <= set(case)
-        # the acceptance bar of this PR: >= 5x on the E4 epoch trajectory
-        assert KERNEL_BENCH_CASES["E4"]["min_speedup"] >= 5.0
-
     def test_current_rows_missing_wall_s_skipped_not_fatal(self):
         from repro.analysis.benchio import bench_row, diff_bench_rows
 
@@ -421,29 +408,33 @@ class TestBenchDiff:
         assert deltas == [] and regressions == []
 
 
+# the process backend's cell-scheduling pair, as the perf ledger gates it
+CELLS = ("cells-serial", "cells-process")
+
+
 class TestSpeedupRows:
     """Machine-invariant speedup pairing (repro.analysis.benchio)."""
 
-    def _rows(self, serial=2.0, vectorized=0.2):
+    def _rows(self, serial=2.0, process=0.2):
         from repro.analysis.benchio import bench_row
 
         return [
-            bench_row("E2", 4096, "serial", serial, 1, 100),
-            bench_row("E2", 4096, "vectorized", vectorized, 1, 100),
+            bench_row("E2", 4096, "cells-serial", serial, 1, 100),
+            bench_row("E2", 4096, "cells-process", process, 1, 100),
         ]
 
     def test_pairs_serial_and_vectorized(self):
         from repro.analysis.benchio import speedup_rows
 
-        (row,) = speedup_rows(self._rows())
+        (row,) = speedup_rows(self._rows(), CELLS)
         assert row["experiment"] == "E2" and row["n"] == 4096
         assert row["speedup"] == 10.0
 
     def test_single_backend_points_skipped(self):
         from repro.analysis.benchio import bench_row, speedup_rows
 
-        rows = self._rows() + [bench_row("E3", 8192, "vectorized", 0.1, 12, 10)]
-        assert len(speedup_rows(rows)) == 1  # E3 has no serial partner
+        rows = self._rows() + [bench_row("E3", 8192, "cells-process", 0.1, 12, 10)]
+        assert len(speedup_rows(rows, CELLS)) == 1  # E3 has no serial partner
 
     def test_calibration_and_foreign_backends_excluded(self):
         from repro.analysis.benchio import calibration_row, speedup_rows
@@ -452,25 +443,25 @@ class TestSpeedupRows:
             calibration_row(0.01),
             {"experiment": "E2", "n": 4096, "backend": "process", "wall_s": 1.0},
         ]
-        (row,) = speedup_rows(rows)
+        (row,) = speedup_rows(rows, CELLS)
         assert row["experiment"] == "E2"
 
     def test_zero_or_missing_wall_skipped(self):
         from repro.analysis.benchio import speedup_rows
 
-        rows = self._rows(vectorized=0.0)
-        assert speedup_rows(rows) == []
+        rows = self._rows(process=0.0)
+        assert speedup_rows(rows, CELLS) == []
 
 
 class TestDiffBenchRatios:
     """The heterogeneous-runner perf gate: speedup ratios, not wall clock."""
 
-    def _rows(self, serial, vectorized):
+    def _rows(self, serial, process):
         from repro.analysis.benchio import bench_row
 
         return [
-            bench_row("E2", 4096, "serial", serial, 1, 100),
-            bench_row("E2", 4096, "vectorized", vectorized, 1, 100),
+            bench_row("E2", 4096, "cells-serial", serial, 1, 100),
+            bench_row("E2", 4096, "cells-process", process, 1, 100),
         ]
 
     def test_uniform_machine_slowdown_is_not_a_regression(self):
@@ -479,7 +470,7 @@ class TestDiffBenchRatios:
         # a 3x slower runner scales both backends; the ratio is unchanged
         baseline = self._rows(2.0, 0.2)
         current = self._rows(6.0, 0.6)
-        deltas, regressions = diff_bench_ratios(baseline, current)
+        deltas, regressions = diff_bench_ratios(baseline, current, backends=CELLS)
         assert len(deltas) == 1 and deltas[0]["ratio"] == 1.0
         assert regressions == []
 
@@ -488,7 +479,7 @@ class TestDiffBenchRatios:
 
         baseline = self._rows(2.0, 0.2)   # 10x
         current = self._rows(2.0, 0.4)    # 5x -> ratio 0.5
-        deltas, regressions = diff_bench_ratios(baseline, current)
+        deltas, regressions = diff_bench_ratios(baseline, current, backends=CELLS)
         assert len(regressions) == 1
         assert regressions[0]["speedup"] == 5.0
         assert regressions[0]["baseline_speedup"] == 10.0
@@ -496,16 +487,18 @@ class TestDiffBenchRatios:
     def test_noise_floor_reports_but_never_flags(self):
         from repro.analysis.benchio import diff_bench_ratios
 
-        # microsecond-scale vectorized cells: ratio is scheduler jitter
+        # microsecond-scale pooled cells: ratio is scheduler jitter
         baseline = self._rows(0.004, 0.001)
         current = self._rows(0.004, 0.003)
-        deltas, regressions = diff_bench_ratios(baseline, current)
+        deltas, regressions = diff_bench_ratios(baseline, current, backends=CELLS)
         assert len(deltas) == 1 and regressions == []
 
     def test_new_measurement_points_skipped(self):
         from repro.analysis.benchio import diff_bench_ratios
 
-        deltas, regressions = diff_bench_ratios([], self._rows(2.0, 0.2))
+        deltas, regressions = diff_bench_ratios(
+            [], self._rows(2.0, 0.2), backends=CELLS
+        )
         assert deltas == [] and regressions == []
 
 
@@ -523,12 +516,3 @@ class TestCalibration:
         assert row["experiment"] == CALIBRATION_EXPERIMENT
         assert row["n"] == 0 and row["backend"] == "host"
         assert row["wall_s"] == 0.012346
-
-    def test_e4_flagged_out_of_smoke_serial(self):
-        from repro.analysis.benchio import KERNEL_BENCH_CASES
-
-        # the ~47s/epoch serial reference runs only under --full-serial
-        assert KERNEL_BENCH_CASES["E4"].get("serial_smoke") is False
-        for name, case in KERNEL_BENCH_CASES.items():
-            if name != "E4":
-                assert case.get("serial_smoke", True) is True

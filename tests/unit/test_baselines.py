@@ -111,9 +111,9 @@ class TestCuckoo:
 
 
 class TestCuckooEntropyAndKernels:
-    """The explicit-rng seam (ISSUE-4 satellite): an externally spawned
-    stream is the single entropy source, and the kernel choice never
-    changes a trajectory."""
+    """The explicit-rng seam: an externally spawned stream is the single
+    entropy source, and the array relocation follows the bucket-set
+    reference loop's trajectory exactly."""
 
     def test_explicit_rng_overrides_seed(self):
         a = CuckooSimulator(n=256, beta=0.05, group_size=16,
@@ -127,28 +127,23 @@ class TestCuckooEntropyAndKernels:
         b = CuckooSimulator(n=256, beta=0.05, group_size=16, seed=7)
         assert a.run(200) == b.run(200)
 
-    def test_unknown_kernel_rejected(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError, match="kernel"):
-            CuckooSimulator(n=256, beta=0.05, group_size=16, kernel="bogus")
-
-    def test_kernels_share_one_trajectory(self):
-        outs = {}
-        for kernel in ("serial", "vectorized"):
+    def test_kernels_share_one_trajectory(self, oracle_loops):
+        def run():
             sim = CuckooSimulator(
                 n=512, beta=0.04, group_size=16, k=2, threshold=1 / 3,
-                rng=np.random.default_rng(42), kernel=kernel,
+                rng=np.random.default_rng(42),
             )
-            outs[kernel] = (sim.run(500), sim.group_total.copy(),
-                            sim.group_bad.copy())
+            return sim.run(500), sim.group_total.copy(), sim.group_bad.copy()
+
+        outs = {"vectorized": run()}
+        with oracle_loops():
+            outs["serial"] = run()
         assert outs["serial"][0] == outs["vectorized"][0]
         assert np.array_equal(outs["serial"][1], outs["vectorized"][1])
         assert np.array_equal(outs["serial"][2], outs["vectorized"][2])
 
     def test_vectorized_counters_consistent_after_run(self):
-        sim = CuckooSimulator(n=512, beta=0.05, group_size=16, k=2, seed=0,
-                              kernel="vectorized")
+        sim = CuckooSimulator(n=512, beta=0.05, group_size=16, k=2, seed=0)
         sim.run(500, check_every=100)
         total = np.bincount(sim.group_of, minlength=sim.n_groups)
         bad = np.bincount(

@@ -280,8 +280,8 @@ class TestEntriesAndPrune:
 
 class TestVersionBump:
     """Version-keyed invalidation: a stale-version entry is ignored, never
-    served (the E4/E8/E12 kernel PR bumps __version__ because their cell
-    streams changed — old tables must become misses, not wrong answers)."""
+    served (a change to a cell's RNG stream bumps __version__ — old tables
+    must become misses, not wrong answers)."""
 
     def test_store_then_version_bump_is_miss(self, tmp_path, monkeypatch):
         import repro

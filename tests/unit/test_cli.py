@@ -130,10 +130,45 @@ class TestParser:
         assert capsys.readouterr().out == cold
 
     def test_backend_default_is_substrate_default(self):
-        # no --backend: exec_config stays unset so the vectorized kernels
-        # (the promoted default path) apply
+        # no --backend: exec_config stays unset so the substrate default
+        # (in-process cells) applies
         args = build_parser().parse_args(["experiments", "E1"])
         assert args.backend is None
+
+    @pytest.mark.parametrize("backend", [[], ["--backend", "serial"]])
+    def test_workers_without_process_backend_is_a_usage_error(
+        self, backend, capsys
+    ):
+        # --workers only sizes the process pool: without --backend process
+        # it was silently ignored, so it fails before anything runs
+        from repro.sim import cells_executed, reset_cells_executed
+
+        reset_cells_executed()
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "3", "experiments", "E1", "--workers", "4",
+                  *backend])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert errors == ["repro: error: --workers needs --backend process"]
+        assert "Traceback" not in captured.err
+        assert cells_executed() == 0
+
+    def test_workers_with_process_backend_runs(self, capsys):
+        # E10 is one cell, so it runs in-process: no pool is spawned
+        assert main(["experiments", "E10", "--backend", "process",
+                     "--workers", "2"]) == 0
+        assert "[E10]" in capsys.readouterr().out
+
+    def test_vectorized_backend_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "E10", "--backend", "vectorized"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'vectorized'" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_explicit_serial_backend_parses(self):
         args = build_parser().parse_args(

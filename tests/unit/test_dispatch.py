@@ -42,11 +42,6 @@ def toy_cell(rng, *, x, scale):
     return [[x, scale, f"{rng.random():.12f}"]]
 
 
-def kernel_cell(rng, *, x, kernel):
-    # no default for ``kernel``: the cell needs the injected keyword
-    return [[x, kernel]]
-
-
 def build_toy_spec(seed=0, fast=True, xs=(1, 2, 3), scale=2):
     return SweepSpec(
         experiment="TOY",
@@ -163,23 +158,20 @@ class TestWire:
         _, units = toy_units()
         assert {u.fingerprint for u in units} == {base}
 
-    def test_pass_kernel_cell_receives_default_kernel(self):
-        spec = SweepSpec(
-            experiment="TOY", title="t", headers=["x", "kernel"],
-            cell=kernel_cell, axes=(("x", (1, 2)),), context={},
-            pass_kernel=True,
-        )
-        units = [
-            WorkUnit(
-                experiment="TOY", seed=0, fast=True, overrides={}, index=i,
-                n_cells=2, fingerprint="",
-            )
-            for i in range(2)
-        ]
-        rows = [execute_unit(u, spec=spec).payload["rows"] for u in units]
-        # the same kernel run_sweep hands the cell with no exec config
-        assert rows == [[row] for row in run_sweep(spec).rows]
-        assert rows == [[[1, "vectorized"]], [[2, "vectorized"]]]
+    @pytest.mark.parametrize("experiment", ["E4", "E8", "E12"])
+    def test_single_cell_trajectories_reassemble_exactly(self, experiment):
+        # these cells once needed a keyword the dispatcher had to inject
+        # (a unit without it failed every cell): each unit, rebuilt from
+        # the registry alone, must reassemble to run_experiment's table
+        from repro.experiments import run_experiment
+
+        spec, units = units_for_request(experiment, 0, True, {})
+        reasm = Reassembler(spec, units[0].fingerprint)
+        for unit in units:
+            assert reasm.accept(execute_unit(unit, worker="w")) == ACCEPTED
+        local = run_experiment(experiment, seed=0, fast=True)
+        assert reasm.table().to_json() == local.to_json()
+        assert reasm.table().render() == local.render()
 
     def test_non_jsonable_payload_raises_clearly(self):
         def opaque_cell(rng, *, x, scale):

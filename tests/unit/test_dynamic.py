@@ -111,26 +111,54 @@ class TestStep:
 
 
 class TestKernelSelection:
-    def test_unknown_kernel_rejected(self, params):
-        import pytest as _pytest
+    """One epoch step on the batched kernels equals the same step on the
+    reference loops (``tests/oracles.py``)."""
 
-        with _pytest.raises(ValueError, match="kernel"):
-            EpochSimulator(params, kernel="bogus")
+    def test_serial_kernel_step_matches_vectorized(self, params, oracle_loops):
+        def step():
+            sim = EpochSimulator(params, probes=200, rng=np.random.default_rng(2))
+            return sim.step()
 
-    def test_default_kernel_is_vectorized(self, params):
-        assert EpochSimulator(params, probes=100).kernel == "vectorized"
-
-    def test_serial_kernel_step_matches_vectorized(self, params):
-        import numpy as np
-
-        reports = {}
-        for kernel in ("serial", "vectorized"):
-            sim = EpochSimulator(
-                params, probes=200, rng=np.random.default_rng(2), kernel=kernel
-            )
-            reports[kernel] = sim.step()
-        a, b = reports["serial"], reports["vectorized"]
+        b = step()
+        with oracle_loops():
+            a = step()
         assert a.fraction_red == b.fraction_red
         assert a.qf == b.qf
         assert a.routing_messages == b.routing_messages
         assert a.mean_membership == b.mean_membership
+
+    @pytest.mark.parametrize(
+        "topology", ["chord", "debruijn", "distance-halving", "kautz", "viceroy"]
+    )
+    def test_step_matches_oracle_on_every_topology(self, topology, oracle_loops):
+        # small groups at a high beta: ~10% of the old groups are red, so
+        # searches fail and slots are captured on both sides
+        params = SystemParams(n=32, beta=0.15, d1=1.25, d2=5.0, seed=3)
+
+        def step():
+            sim = EpochSimulator(
+                params, topology=topology, churn=UniformChurn(rate=0.05),
+                probes=100, rng=np.random.default_rng(4),
+            )
+            return sim.step(), sim
+
+        kernel, sim_k = step()
+        with oracle_loops():
+            loop, sim_l = step()
+        assert kernel.robustness == loop.robustness
+        for f in ("fraction_red_1", "fraction_red_2", "fraction_bad_1",
+                  "fraction_bad_2", "fraction_confused_1",
+                  "fraction_confused_2", "qf_1", "qf_2", "departures",
+                  "routing_messages", "mean_membership"):
+            assert getattr(kernel, f) == getattr(loop, f), f
+        for a, b in ((kernel.build_1, loop.build_1),
+                     (kernel.build_2, loop.build_2)):
+            assert np.array_equal(a.side.good_indptr, b.side.good_indptr)
+            assert np.array_equal(a.side.good_members, b.side.good_members)
+            assert np.array_equal(a.side.n_bad, b.side.n_bad)
+            assert np.array_equal(a.side.confused, b.side.confused)
+            assert np.array_equal(a.membership_counts, b.membership_counts)
+        assert np.array_equal(sim_k.pair.red1, sim_l.pair.red1)
+        assert np.array_equal(sim_k.pair.red2, sim_l.pair.red2)
+        # not vacuous: searches failed and slots were captured
+        assert kernel.build_1.slot_capture_rate + kernel.build_2.slot_capture_rate > 0

@@ -1,6 +1,7 @@
 """Unit tests: group construction and classification (repro.core.groups)."""
 
 import numpy as np
+import oracles
 import pytest
 
 import repro.idspace.ring as ring_module
@@ -101,7 +102,8 @@ class TestBuildGroups:
 
 
 class TestKernelEquivalence:
-    """The vectorized CSR kernel must be byte-identical to the loop."""
+    """The one-pass CSR kernel must be byte-identical to the per-leader
+    ``np.unique`` loop (``tests/oracles.py``)."""
 
     def _assert_same(self, a, b):
         assert np.array_equal(a.leaders, b.leaders)
@@ -111,38 +113,35 @@ class TestKernelEquivalence:
         assert a.member_idx.dtype == b.member_idx.dtype
         assert a.n_ids == b.n_ids
 
-    def test_oracle_build_kernels_identical(self, ring, params):
+    def test_oracle_build_kernels_identical(self, ring, params, oracle_loops):
         h = RandomOracle("h1", 4)
-        self._assert_same(
-            build_groups(ring, params, h, kernel="vectorized"),
-            build_groups(ring, params, h, kernel="serial"),
-        )
+        kernel = build_groups(ring, params, h)
+        with oracle_loops():
+            loop = build_groups(ring, params, h)
+        self._assert_same(kernel, loop)
 
     def test_fast_build_kernels_identical(self, ring, params):
         self._assert_same(
-            build_groups_fast(ring, params, np.random.default_rng(5),
-                              kernel="vectorized"),
-            build_groups_fast(ring, params, np.random.default_rng(5),
-                              kernel="serial"),
+            build_groups_fast(ring, params, np.random.default_rng(5)),
+            oracles.build_groups_fast(ring, params, np.random.default_rng(5)),
         )
 
     def test_fast_build_kernels_consume_same_stream(self, ring, params):
-        """Downstream draws must not depend on the kernel choice."""
+        """Downstream draws must match the one-draw loop's."""
         r1 = np.random.default_rng(5)
         r2 = np.random.default_rng(5)
-        build_groups_fast(ring, params, r1, kernel="vectorized")
-        build_groups_fast(ring, params, r2, kernel="serial")
+        build_groups_fast(ring, params, r1)
+        oracles.build_groups_fast(ring, params, r2)
         assert r1.random() == r2.random()
 
     def test_kernels_identical_with_custom_solicit_and_subset(self, ring, params):
         for solicit in (1, 3, 17):
             self._assert_same(
                 build_groups_fast(ring, params, np.random.default_rng(0),
-                                  n_groups=10, solicit=solicit,
-                                  kernel="vectorized"),
-                build_groups_fast(ring, params, np.random.default_rng(0),
-                                  n_groups=10, solicit=solicit,
-                                  kernel="serial"),
+                                  n_groups=10, solicit=solicit),
+                oracles.build_groups_fast(ring, params,
+                                          np.random.default_rng(0),
+                                          n_groups=10, solicit=solicit),
             )
 
     BLOCK = 4  # rows per block under test
@@ -160,26 +159,20 @@ class TestKernelEquivalence:
         r2 = np.random.default_rng(8)
         self._assert_same(
             build_groups_fast(ring, params, r1, n_groups=n_groups,
-                              solicit=solicit, kernel="vectorized"),
-            build_groups_fast(ring, params, r2, n_groups=n_groups,
-                              solicit=solicit, kernel="serial"),
+                              solicit=solicit),
+            oracles.build_groups_fast(ring, params, r2, n_groups=n_groups,
+                                      solicit=solicit),
         )
         assert r1.random() == r2.random()
 
-    def test_oracle_subset_leaders_kernels_identical(self, ring, params):
+    def test_oracle_subset_leaders_kernels_identical(self, ring, params,
+                                                     oracle_loops):
         h = RandomOracle("h2", 11)
         leaders = np.array([0, 5, 17, 255])
-        self._assert_same(
-            build_groups(ring, params, h, leaders=leaders, kernel="vectorized"),
-            build_groups(ring, params, h, leaders=leaders, kernel="serial"),
-        )
-
-    def test_unknown_kernel_rejected(self, ring, params):
-        with pytest.raises(ValueError, match="kernel"):
-            build_groups_fast(ring, params, np.random.default_rng(0),
-                              kernel="gpu")
-        with pytest.raises(ValueError, match="kernel"):
-            build_groups(ring, params, RandomOracle("h1", 0), kernel="loop")
+        kernel = build_groups(ring, params, h, leaders=leaders)
+        with oracle_loops():
+            loop = build_groups(ring, params, h, leaders=leaders)
+        self._assert_same(kernel, loop)
 
 
 class TestClassify:

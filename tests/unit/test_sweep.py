@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.sim import (
+    BACKENDS,
     CellOut,
     ExecutionConfig,
     SweepSpec,
@@ -38,10 +39,6 @@ def single_cell(rng, *, seed):
 def config_probe_cell(rng, *, k, exec_config):
     backend = "none" if exec_config is None else exec_config.backend
     return [[k, backend]]
-
-
-def kernel_probe_cell(rng, *, k, kernel):
-    return [[k, kernel]]
 
 
 def failing_cell(rng, *, k):
@@ -130,12 +127,14 @@ class TestRunSweep:
         solo = run_sweep(_spec(axes=(("a", (2,)), ("b", ("y",)))))
         assert solo.rows == [by_coords[(2, "y")]]
 
-    def test_vectorized_backend_matches_serial(self):
-        # cell-level execution has no batch form: vectorized runs the same
-        # in-process loop and must be bit-identical
-        serial = run_sweep(_spec())
-        vec = run_sweep(_spec(), exec_config=ExecutionConfig(backend="vectorized"))
-        assert serial.rows == vec.rows
+    def test_vectorized_backend_is_rejected(self):
+        # "serial" is the in-process backend; the old "vectorized" name
+        # (and a kernel field) no longer configure anything
+        assert BACKENDS == ("serial", "process")
+        with pytest.raises(ValueError, match="backend"):
+            ExecutionConfig(backend="vectorized")
+        with pytest.raises(TypeError):
+            ExecutionConfig(kernel="serial")
 
     def test_unpicklable_cell_falls_back_serial(self):
         bad = _spec(cell=lambda rng, *, a, b, seed: [[a, b, float(rng.random())]])
@@ -216,7 +215,7 @@ class TestSpanPath:
         assert buf.of_type("sweep.cell") == []
         (run,) = buf.of_type("sweep.run")
         assert run["cells"] == 6 and run["backend"] == "process"
-        assert run["kernel"] == "vectorized"
+        assert "kernel" not in run
         draws = buf.of_type("pool.spawn") + buf.of_type("pool.reuse")
         assert len(draws) == 1
 
@@ -297,49 +296,6 @@ class TestExecConfigPassthrough:
         assert run_sweep(spec, exec_config=cfg).rows == [[1, "none"], [2, "none"]]
 
 
-class TestKernelPassthrough:
-    def _spec(self):
-        return _spec(
-            cell=kernel_probe_cell, axes=(("k", (1, 2)),), context={},
-            headers=["k", "kernel"], pass_kernel=True,
-        )
-
-    def test_default_is_vectorized(self):
-        # no exec config: the vectorized kernels are the promoted default
-        assert run_sweep(self._spec()).rows == [
-            [1, "vectorized"], [2, "vectorized"],
-        ]
-
-    def test_serial_backend_selects_reference_loops(self):
-        cfg = ExecutionConfig(backend="serial")
-        assert run_sweep(self._spec(), exec_config=cfg).rows == [
-            [1, "serial"], [2, "serial"],
-        ]
-
-    def test_vectorized_backend_selects_kernels(self):
-        cfg = ExecutionConfig(backend="vectorized")
-        assert run_sweep(self._spec(), exec_config=cfg).rows == [
-            [1, "vectorized"], [2, "vectorized"],
-        ]
-
-    def test_pooled_cells_keep_vectorized_kernels(self):
-        cfg = ExecutionConfig(backend="process", workers=2)
-        assert run_sweep(self._spec(), exec_config=cfg).rows == [
-            [1, "vectorized"], [2, "vectorized"],
-        ]
-
-    def test_explicit_kernel_overrides_backend(self):
-        cfg = ExecutionConfig(backend="serial", kernel="vectorized")
-        assert run_sweep(self._spec(), exec_config=cfg).rows == [
-            [1, "vectorized"], [2, "vectorized"],
-        ]
-
-    def test_invalid_kernel_rejected(self):
-        for kernel in ("gpu", "stacked"):
-            with pytest.raises(ValueError, match="kernel"):
-                ExecutionConfig(kernel=kernel)
-
-
 class TestExecutionCounter:
     def test_counts_and_resets(self):
         reset_cells_executed()
@@ -368,22 +324,10 @@ class TestSweepTelemetry:
         assert len(cells) == 6  # 2 x 3 grid
         assert {e["index"] for e in cells} == set(range(6))
         assert all(e["experiment"] == "TOY" for e in cells)
-        assert all(e["kernel"] == "vectorized" for e in cells)
+        assert all("kernel" not in e for e in cells)
         (run,) = buf.of_type("sweep.run")
         assert run["cells"] == 6 and run["backend"] == "serial"
         assert run["wall_s"] >= max(e["wall_s"] for e in cells)
-
-    def test_serial_backend_labels_kernel(self):
-        from repro.telemetry import TelemetryBuffer, set_default_writer
-
-        buf = TelemetryBuffer()
-        previous = set_default_writer(buf)
-        try:
-            run_sweep(_spec(), ExecutionConfig(backend="serial"))
-        finally:
-            set_default_writer(previous)
-        (run,) = buf.of_type("sweep.run")
-        assert run["kernel"] == "serial" and run["backend"] == "serial"
 
     def test_unpicklable_cell_emits_degrade_event(self):
         from repro.telemetry import TelemetryBuffer, set_default_writer

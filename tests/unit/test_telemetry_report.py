@@ -38,12 +38,12 @@ def _mixed_buffer() -> TelemetryBuffer:
     buf.emit("dispatch.poison", index=1, attempts=3)
     buf.emit("dispatch.suspect", worker="wLiar", suspicion=1)
     buf.emit("dispatch.suspect", worker="wLiar", suspicion=2)
-    buf.emit("sweep.cell", experiment="E2", index=0, kernel="vectorized",
-             backend="serial", wall_s=0.01)
-    buf.emit("sweep.cell", experiment="E2", index=1, kernel="vectorized",
-             backend="serial", wall_s=0.03)
-    buf.emit("sweep.run", experiment="E2", cells=2, kernel="vectorized",
-             backend="serial", wall_s=0.05)
+    buf.emit("sweep.cell", experiment="E2", index=0, backend="serial",
+             wall_s=0.01)
+    buf.emit("sweep.cell", experiment="E2", index=1, backend="serial",
+             wall_s=0.03)
+    buf.emit("sweep.run", experiment="E2", cells=2, backend="serial",
+             wall_s=0.05)
     buf.emit("trials.run", backend="serial", trials=1000, wall_s=0.5)
     buf.emit("trials.run", backend="vectorized", trials=1000, wall_s=0.1)
     buf.emit("pool.spawn", workers=4, mp_method="spawn")
@@ -53,8 +53,8 @@ def _mixed_buffer() -> TelemetryBuffer:
     buf.emit("sweep.degrade", experiment="E2", reason="unpicklable-cell",
              detail="PicklingError")
     buf.emit("bench.calibration", wall_s=0.02)
-    buf.emit("bench.row", **bench_row("E2", 1024, "serial", 2.0, 1, 1000))
-    buf.emit("bench.row", **bench_row("E2", 1024, "vectorized", 0.2, 1, 1000))
+    buf.emit("bench.row", **bench_row("E2", 1024, "cells-serial", 2.0, 1, 1000))
+    buf.emit("bench.row", **bench_row("E2", 1024, "cells-process", 0.2, 1, 1000))
     return buf
 
 
@@ -87,7 +87,25 @@ class TestSummary:
         assert len(bench["rows"]) == 2
         (speedup,) = bench["speedups"]
         assert speedup["speedup"] == 10.0
+        assert speedup["pair"] == "cells-serial/cells-process"
         assert bench["calibration_wall_s"] == 0.02
+
+    def test_old_sweep_events_with_kernel_fold_into_backend_rows(self):
+        # streams written while cells still had a kernel option carry a
+        # `kernel` field; readers ignore it and group per (experiment,
+        # backend), so old and new events land in one row
+        buf = TelemetryBuffer(clock=lambda: 1.0)
+        for kernel in ("serial", "vectorized", None):
+            extra = {} if kernel is None else {"kernel": kernel}
+            buf.emit("sweep.cell", experiment="E4", index=0,
+                     backend="serial", wall_s=0.5, **extra)
+            buf.emit("sweep.run", experiment="E4", cells=1,
+                     backend="serial", wall_s=0.5, **extra)
+        (sweep,) = summarize_events(buf.events)["sweeps"]
+        assert (sweep["experiment"], sweep["backend"]) == ("E4", "serial")
+        assert "kernel" not in sweep
+        assert sweep["runs"] == 3 and sweep["cell_wall_s"]["count"] == 3
+        assert "E4 serial" in render_report(summarize_events(buf.events))
 
     def test_pool_section(self):
         summary = summarize_events(_mixed_buffer().events)
@@ -99,8 +117,8 @@ class TestSummary:
 
     def test_no_pool_events_no_section(self):
         buf = TelemetryBuffer(clock=lambda: 1.0)
-        buf.emit("sweep.run", experiment="E2", cells=2, kernel="vectorized",
-                 backend="serial", wall_s=0.05)
+        buf.emit("sweep.run", experiment="E2", cells=2, backend="serial",
+                 wall_s=0.05)
         assert "pool" not in summarize_events(buf.events)
 
     def test_quorum_funnel(self):

@@ -49,12 +49,12 @@ CLAIMS = {
         "Paper: over polynomially many joins/departures all but a "
         "1/poly(log n) fraction of groups stay good. Expected shape: flat "
         "red-fraction series across epochs (no drift), eps within envelope. "
-        "Execution: each epoch *step* runs on the batched kernels by default "
-        "(batched construction searches, bucket-LUT successors, row-sorted "
-        "group composition); `--backend serial` selects the per-probe / "
-        "per-group reference loops with a bit-identical trajectory. Measured "
-        "one core, n=2048, one epoch: serial ~40s vs vectorized ~0.17s "
-        "(~240x; `BENCH_vectorized.json` E4 rows).",
+        "Execution: each epoch *step* runs on batched kernels (batched "
+        "construction searches, bucket-LUT successors, row-sorted group "
+        "composition); the test suite's per-probe / per-group reference "
+        "loops (`tests/oracles.py`) pin whole trajectories bit-identical, "
+        "and one paper-scale epoch (n=2048) in the slow set. Measured one "
+        "core, n=2048, one epoch: loops ~40s vs kernels ~0.17s (~240x).",
     ),
     "E5": (
         "§III motivation — two group graphs vs one (ablation)",
@@ -82,12 +82,11 @@ CLAIMS = {
         "within budget; KS accepts uniformity for two-hash, rejects for the "
         "one-hash ablation (aimed IDs). Execution: the window Monte-Carlo "
         "draws all solution counts as one `mint_count_windows` array op "
-        "(`--backend serial` = the per-window `mint_fast_count` loop; "
-        "unchanged RNG draw order, bit-identical table); both kernels share "
-        "the `uniformity_windows` KS-input generator (each window is one "
-        "array draw, differential-tested against the sequential oracle "
-        "pair). The cell is KS-dominated, so its `BENCH_vectorized.json` "
-        "rows record parity/trajectory rather than a speedup bar.",
+        "(differential-tested draw-for-draw against a per-window loop in "
+        "`tests/oracles.py`); the KS inputs come from the "
+        "`uniformity_windows` generator (each window is one array draw, "
+        "differential-tested against the sequential oracle pair). The cell "
+        "is KS-dominated, so it carries no speed measurement.",
     ),
     "E9": (
         "Lemma 12 / App. VIII — global random-string propagation",
@@ -118,9 +117,9 @@ CLAIMS = {
         "sweep stream (single entropy source, reproducible at any worker "
         "count); the event loop is inherently sequential, but each event's "
         "relocation cohort (occupancy query, eviction sample, counter "
-        "bookkeeping) runs as one batched array update by default — "
-        "`--backend serial` is the bucket-set reference loop, trajectory-"
-        "bit-identical (~1-3x; commensal cases gain most).",
+        "bookkeeping) runs as one batched array update — the test suite's "
+        "bucket-set reference loop pins it trajectory-bit-identical (the "
+        "batching gained ~1-3x; commensal cases gain most).",
     ),
     "E13": (
         "§I footnote 2 — quarantine damps spam",
@@ -168,8 +167,9 @@ Execution: every experiment declares its grid as a `repro.sim.sweep.SweepSpec`
 (axes + a per-cell function); the substrate spawns one independent RNG
 stream per cell (`SeedSequence.spawn`, keyed by the cell's grid
 coordinates) and assembles rows in deterministic grid order.  `python -m
-repro experiments` accepts `--backend {serial,process,vectorized}` and
-`--workers W`: the `process` backend dispatches sweep cells (E1/E2/E3/E5/E6
+repro experiments` accepts `--backend {serial,process}` (`serial`, the
+default, runs cells in-process) and, with `--backend process`, `--workers
+W`: the `process` backend dispatches sweep cells (E1/E2/E3/E5/E6
 genuinely cell-parallel), E12's churn cases, and — via `run_all` — whole
 experiments across a spawn-safe pool, **bit-identical** to serial for a
 fixed `--seed`, so every table below is reproducible at any worker count.
@@ -184,7 +184,7 @@ coordinates and `SeedSequence`s and the sweep's scalar context; it
 returns table rows and notes.  At `--seed 3` the five multi-cell fast
 sweeps move 11.6 KB through the executor's pipe in all.
 Together these flip the old economics: per-cell dispatch overhead no
-longer swamps the vectorized kernels, so on a multi-core host `--backend
+longer swamps the batched kernels, so on a multi-core host `--backend
 process` beats the in-process default on every multi-cell experiment at
 paper scale (the `cells-serial`/`cells-process` rows in
 `BENCH_vectorized.json`; CI enforces the ratio on >= 4-core runners).
@@ -196,42 +196,39 @@ win.  A cell that fails to pickle degrades to in-process execution with
 a `RuntimeWarning` plus a `sweep.degrade` telemetry event — the table is
 still produced, and still bit-identical, but serially; module-level cell
 functions avoid it.  Determinism is never backend-dependent: per-cell
-`SeedSequence` streams are spawned in the parent, so serial, vectorized,
-and process execution render byte-identical tables at any worker count
+`SeedSequence` streams are spawned in the parent, so in-process and
+process execution render byte-identical tables at any worker count
 (property-tested in `tests/property/test_stacked_equivalence.py`).
 `tools/smoke_parallel.py` separately checks the experiment-level pool
 (`run_all` on the process backend, one experiment per task) against the
 in-process suite: all fifteen fast tables must render byte-identical.
 
 Both the static-case pipeline and the sequential-trajectory experiments
-run on vectorized kernels by default: group construction is a one-pass CSR
-kernel (flat `(leader, member)` edge array, single sort + segment dedup —
-no per-group `np.unique`), E2-style secure searches evaluate every probe
-in one lockstep batch over the group graph (`SecureRouter.search_batch`,
+run on batched kernels: group construction is a one-pass CSR kernel (flat
+`(leader, member)` edge array, single sort + segment dedup — no per-group
+`np.unique`), E2-style secure searches evaluate every probe in one
+lockstep batch over the group graph (`SecureRouter.search_batch`,
 good-majority tests precomputed as boolean arrays), and the dynamic case
 (E4 epochs, E8 PoW windows, E12 churn) keeps each epoch/window/event
 *step* sequential while batching the step's inner work — batched
-construction searches + row-sorted group composition per epoch,
-whole solution-count windows as one array draw, one fused relocation
-update per churn event.  An explicit `--backend serial` selects the loop
-implementations, which are kept as the reference oracles and
-differential-tested: all backends render byte-identical tables, and for
-E4 the *entire trajectory* (every per-epoch report field) is pinned
-bit-identical, not just the table.  Measured on one core at paper-scale
-n, the kernels are >= 5x (E3 construction grid, n=8192, ~8x) to ~240x (E4
-one epoch, n=2048) and ~70x (E2 probe batch, n=4096) faster than the
-loops — `benchmarks/output/BENCH_vectorized.json` (from
-`pytest benchmarks/bench_vectorized.py` or `tools/smoke_vectorized.py`)
-is the machine-readable record, and CI's `smoke-vectorized` job doubles
-as the tracked perf ledger: it downloads the previous run's artifact and
-gates via `tools/perf_ledger.py` on the machine-invariant
-serial/vectorized **speedup ratio** per `(experiment, n)` — a >20% ratio
-drop fails, absolute wall-clock drift is warn-only with a per-run
-`CALIBRATION` row as host context, so heterogeneous runner generations
-can't flap the gate (warn-only on the bootstrap run).  E4's ~47s/epoch
-serial reference is trimmed from the smoke bench (quick-scale parity
-stays always-on); the `full-tests` job measures its paper-scale ratio
-via `--full-serial`.
+construction searches + row-sorted group composition per epoch, whole
+solution-count windows as one array draw, one fused relocation update
+per churn event.  The loop implementations live in the test suite
+(`tests/oracles.py`) as reference oracles; one fixture swaps them in at
+the leaf kernels, so whole tables — and for E4 the *entire trajectory*,
+every per-epoch report field — are pinned bit-identical.  Measured on one
+core at paper-scale n, the kernels were >= 5x (E3 construction grid,
+n=8192, ~8x) to ~240x (E4 one epoch, n=2048) and ~70x (E2 probe batch,
+n=4096) faster than the loops; `BENCHMARK.json`'s `static-1m` and
+`epoch-4k` workloads now track the E2/E3/E4 kernels' speed end to end.
+CI's `smoke-vectorized` job is the tracked process-backend ledger
+(`benchmarks/output/BENCH_vectorized.json`, from
+`tools/smoke_vectorized.py`): it downloads the previous run's artifact
+and gates via `tools/perf_ledger.py` on the machine-invariant
+`cells-serial`/`cells-process` **speedup ratio** per `(experiment, n)` —
+a >20% ratio drop fails, absolute wall-clock drift is warn-only with a
+per-run `CALIBRATION` row as host context, so heterogeneous runner
+generations can't flap the gate (warn-only on the bootstrap run).
 
 **Scale bench — the million-node memory budget.**
 `benchmarks/bench_scale.py` runs the E2-shaped static pipeline (ring

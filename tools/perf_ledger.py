@@ -3,24 +3,25 @@
 
 The ROADMAP's tracked perf ledger, normalized for heterogeneous runners.
 CI's ``smoke-vectorized`` job downloads the previous run's
-``BENCH_vectorized`` artifact, re-measures the kernel rows, and runs this
-tool to compare the two files:
+``BENCH_vectorized`` artifact, re-measures the process-backend rows, and
+runs this tool to compare the two files:
 
-* **Gating** (exit 1): the machine-invariant *speedup ratios* per
+* **Gating** (exit 1): the machine-invariant *speedup ratio* per
   ``(experiment, n)`` (:func:`repro.analysis.benchio.diff_bench_ratios`)
-  — the kernel pair (``serial``/``vectorized``) and the process
-  backend's cell-scheduling pair (``cells-serial``/``cells-process``,
-  the warm-pool + contiguous-span win).  Both sides of a pair run on
-  the same host in the same run, so host speed divides out of the ratio
-  — a drop of more than ``--max-regression`` (default 20%) means the
-  code itself regressed, whatever machine CI landed on.
+  of the process backend's cell-scheduling pair
+  (``cells-serial``/``cells-process``, the warm-pool + contiguous-span
+  win).  Both sides of the pair run on the same host in the same run, so
+  host speed divides out of the ratio — a drop of more than
+  ``--max-regression`` (default 20%) means the code itself regressed,
+  whatever machine CI landed on.
 * **Warn-only**: absolute wall-clock drift per ``(experiment, n,
   backend)`` (:func:`~repro.analysis.benchio.diff_bench_rows`).  It
   catches everything-got-slower problems a ratio cannot, but across
-  runner generations it cannot distinguish a slow kernel from a slow
+  runner generations it cannot distinguish slow code from a slow
   machine, so it never fails the job.  The per-run ``CALIBRATION`` row
   (a fixed NumPy workload timing both runs record) is printed alongside
-  so a reader can attribute the drift.
+  so a reader can attribute the drift.  Rows of other backends (an older
+  baseline's ``serial``/``vectorized`` kernel rows) are never gated.
 
 A second, independent gate covers the **memory ledger**
 (``BENCH_scale.json``, written by ``benchmarks/bench_scale.py``): pass
@@ -42,7 +43,7 @@ more than ``--max-regression`` means the asyncio/TCP layer itself got
 slower.
 
 Rows under the ``--min-wall`` noise floor are reported but never gated
-(µs-scale cells measure scheduler jitter, not kernels).  Missing or
+(µs-scale cells measure scheduler jitter, not code).  Missing or
 unreadable baseline (first run, expired artifact) is **warn-only**: the
 tool prints the situation and exits 0, so the ledger bootstraps itself —
 the same convention for both the speedup and the memory baselines.
@@ -188,10 +189,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--current", default=None,
                     help="this run's BENCH JSON")
     ap.add_argument("--max-regression", type=float, default=0.20,
-                    help="fail when the serial/vectorized speedup drops by "
-                         "more than this fraction (default 0.20 = 20%%)")
+                    help="fail when a gated speedup ratio drops by more "
+                         "than this fraction (default 0.20 = 20%%)")
     ap.add_argument("--min-wall", type=float, default=0.05,
-                    help="noise floor in seconds: points whose vectorized "
+                    help="noise floor in seconds: points whose fast-side "
                          "wall clock sits below it are never gated")
     ap.add_argument("--scale-baseline", default=None,
                     help="previous run's BENCH_scale JSON (missing -> "
@@ -284,49 +285,33 @@ def main(argv: list[str] | None = None) -> int:
             "(heterogeneous runners; the speedup ratio below is the gate)"
         )
 
-    # the gate: machine-invariant speedup ratios per point, for both the
-    # kernel pair (serial/vectorized) and the process backend's
-    # cell-scheduling pair (cells-serial/cells-process)
-    pairs = (
-        ("kernel", ("serial", "vectorized")),
-        ("process", ("cells-serial", "cells-process")),
+    # the gate: the process backend's cell-scheduling speedup per point
+    deltas, regressions = diff_bench_ratios(
+        baseline, current,
+        max_regression=args.max_regression, min_wall_s=args.min_wall,
+        backends=("cells-serial", "cells-process"),
     )
-    any_deltas = False
-    all_regressions: list[str] = []
-    for label, backends in pairs:
-        deltas, regressions = diff_bench_ratios(
-            baseline, current,
-            max_regression=args.max_regression, min_wall_s=args.min_wall,
-            backends=backends,
-        )
-        if not deltas:
-            print(f"perf-ledger: no (experiment, n) point has a "
-                  f"{backends[0]}/{backends[1]} pair in both files; "
-                  f"{label} ratios not comparable")
-            continue
-        any_deltas = True
-        print(f"perf-ledger: {len(deltas)} comparable {label} speedup "
-              f"point(s) (gate: ratio drop >{args.max_regression:.0%}, "
-              f"noise floor {args.min_wall}s)")
-        flagged = {(d["experiment"], d["n"]) for d in regressions}
-        for d in deltas:
-            mark = "REGRESSION" if (d["experiment"], d["n"]) in flagged else "ok"
-            print(
-                f"  ratio {d['experiment']:>4} n={d['n']:<6} "
-                f"{d['baseline_speedup']:.2f}x -> {d['speedup']:.2f}x "
-                f"({d['ratio']:.2f} of baseline)  {mark}"
-            )
-        all_regressions.extend(
-            f"{label} {d['experiment']} n={d['n']}" for d in regressions
-        )
-    if not any_deltas:
-        print("perf-ledger: no ratio-comparable point in both files; "
+    if not deltas:
+        print("perf-ledger: no (experiment, n) point has a "
+              "cells-serial/cells-process pair in both files; "
               "warn-only (nothing to gate)")
         return mem_rc
-    if all_regressions:
+    print(f"perf-ledger: {len(deltas)} comparable process speedup "
+          f"point(s) (gate: ratio drop >{args.max_regression:.0%}, "
+          f"noise floor {args.min_wall}s)")
+    flagged = {(d["experiment"], d["n"]) for d in regressions}
+    for d in deltas:
+        mark = "REGRESSION" if (d["experiment"], d["n"]) in flagged else "ok"
         print(
-            f"perf-ledger: {len(all_regressions)} speedup point(s) regressed "
-            f"beyond {args.max_regression:.0%}: {', '.join(all_regressions)}",
+            f"  ratio {d['experiment']:>4} n={d['n']:<6} "
+            f"{d['baseline_speedup']:.2f}x -> {d['speedup']:.2f}x "
+            f"({d['ratio']:.2f} of baseline)  {mark}"
+        )
+    if regressions:
+        print(
+            f"perf-ledger: {len(regressions)} speedup point(s) regressed "
+            f"beyond {args.max_regression:.0%}: "
+            + ", ".join(f"{d['experiment']} n={d['n']}" for d in regressions),
             file=sys.stderr,
         )
         return mem_rc if args.warn_only else 1
