@@ -19,7 +19,11 @@ million-node case) fit a ~4 GB budget is exactly this PR's hot-path work:
 * ``--probe-chunk`` streams the probe batch through fixed-size windows
   (:func:`repro.core.static_case.measure_static_search_streamed`), so the
   transient ``(q, hops)`` route/outcome tables are window-bounded instead
-  of scaling with the whole workload.
+  of scaling with the whole workload;
+* the Chord fingers and the hashed groups are built in row blocks that
+  hold ~2^18 points in all, run on up to four threads
+  (:func:`repro.idspace.ring.map_blocks`; ``taskset -c 0`` runs them on
+  the calling thread), so no ``(n, m)`` point array is ever held.
 
 Each phase emits a ``mem.peak`` telemetry event and each point a
 ``bench.row`` event, so ``repro telemetry report --mem`` summarizes the

@@ -19,10 +19,14 @@ flat ``(leader, member)`` edge array of their groups; a row-sort (the
 edges are then lexsorted by ``(leader, member)``) plus a segment-dedup
 mask collapses duplicate oracle points and emits the CSR arrays directly
 — no per-group ``np.unique`` calls, no Python-level per-leader loop.
-``build_groups_fast`` draws its points in blocks of ~2^18
-(``build_groups`` hashes all leaders as one block), so at n = 2^20 no
-``(n, m)`` point array is ever held.  The CSR arrays are property-tested
-byte-identical to the test suite's per-leader ``np.unique`` loop.
+``build_groups_fast`` draws its points in row blocks
+(:func:`~repro.idspace.ring.row_blocks`; ``build_groups`` hashes all
+leaders as one block), and the blocks' lookup, sort and dedup run on up
+to four threads (:func:`~repro.idspace.ring.map_blocks`) while the
+calling thread draws the blocks and writes the CSR in order.  The blocks
+in flight hold ~2^18 points in all, so at n = 2^20 no ``(n, m)`` point
+array is ever held.  The CSR arrays are property-tested byte-identical
+to the test suite's per-leader ``np.unique`` loop, at any thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from ..idspace.hashing import RandomOracle
-from ..idspace.ring import Ring, row_blocks
+from ..idspace.ring import Ring, map_blocks, row_blocks
 from .params import SystemParams
 
 __all__ = [
@@ -74,7 +78,7 @@ class GroupSet:
                  member_idx: np.ndarray, n_ids: int):
         # index arrays keep the builder's (ring-policy) dtype — at n = 10^6
         # the flat member list is the biggest array the static pipeline owns
-        self.leaders = np.asarray(leaders, dtype=np.int64)
+        self.leaders = _as_index(leaders)
         self.indptr = _as_index(indptr)
         self.member_idx = _as_index(member_idx)
         self.n_groups = int(self.leaders.size)
@@ -132,27 +136,33 @@ def _points_to_csr(
     edge array lexsorted by ``(leader, member)``, so duplicate members
     inside a group are exactly the positions equal to their left neighbor
     — a single segment-dedup mask replaces the per-group ``np.unique``
-    calls, and the kept-per-row counts cumsum into ``indptr``.
+    calls, and the kept-per-row counts cumsum into ``indptr``.  The blocks
+    run on :func:`~repro.idspace.ring.map_blocks`' threads; this thread
+    pulls them from ``blocks`` and writes their members in order.
     """
+
+    def dedup(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = pts.shape[0]
+        if not pts.size:  # zero solicit: all-empty groups
+            return np.zeros(rows, dtype=np.int64), pts.ravel()
+        idx = ring.successor_index_bulk(pts.ravel()).reshape(rows, m)
+        idx.sort(axis=1)
+        keep = np.empty((rows, m), dtype=bool)
+        keep[:, 0] = True
+        np.not_equal(idx[:, 1:], idx[:, :-1], out=keep[:, 1:])
+        return keep.sum(axis=1), idx[keep]
+
     sizes = np.zeros(ng, dtype=np.int64)
     # room for every point; the tail that dedup leaves unwritten is never
     # touched, so it never becomes resident.  Member indices carry
     # ring.index_dtype, as the bulk lookup does.
     members = np.empty(ng * m, dtype=ring.index_dtype)
     row = total = 0
-    for pts in blocks:
-        rows = pts.shape[0]
-        if pts.size:  # zero solicit: all-empty groups
-            idx = ring.successor_index_bulk(pts.ravel()).reshape(rows, m)
-            idx.sort(axis=1)
-            keep = np.empty((rows, m), dtype=bool)
-            keep[:, 0] = True
-            np.not_equal(idx[:, 1:], idx[:, :-1], out=keep[:, 1:])
-            keep.sum(axis=1, out=sizes[row : row + rows])
-            kept = idx[keep]
-            members[total : total + kept.size] = kept
-            total += kept.size
-        row += rows
+    for counts, kept in map_blocks(dedup, blocks):
+        sizes[row : row + counts.size] = counts
+        members[total : total + kept.size] = kept
+        row += counts.size
+        total += kept.size
     indptr = np.zeros(ng + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return _narrow_indptr(ring, indptr), members[:total]
@@ -178,7 +188,7 @@ def build_groups(
     able to replay point-wise.
     """
     if leaders is None:
-        leaders = np.arange(ring.n, dtype=np.int64)
+        leaders = np.arange(ring.n, dtype=ring.index_dtype)
     m = params.group_solicit_size if solicit is None else int(solicit)
     ids = ring.ids
     pts = np.empty((len(leaders), m), dtype=np.float64)
@@ -204,14 +214,19 @@ def build_groups_fast(
     test suite.
 
     The points are the stream of one ``rng.random((ng, m))`` draw, drawn
-    in row blocks (:func:`~repro.idspace.ring.row_blocks`): consecutive
-    ``rng.random`` draws give the same values, and leave the generator in
-    the same state, as the one draw, and no ``(ng, m)`` point array is
-    held.
+    in row blocks (:func:`~repro.idspace.ring.row_blocks`) on the calling
+    thread: consecutive ``rng.random`` draws give the same values, and
+    leave the generator in the same state, as the one draw, and no
+    ``(ng, m)`` point array is held.  Leaders are stored at the ring's
+    index dtype.
     """
     ng = ring.n if n_groups is None else int(n_groups)
     m = params.group_solicit_size if solicit is None else int(solicit)
-    leaders = np.arange(ng, dtype=np.int64) % ring.n
+    # leader g is ID g mod n; only more groups than IDs need the modulo
+    if ng <= ring.n:
+        leaders = np.arange(ng, dtype=ring.index_dtype)
+    else:
+        leaders = (np.arange(ng) % ring.n).astype(ring.index_dtype)
     blocks = (rng.random((rows.stop - rows.start, m))
               for rows in row_blocks(ng, m))
     indptr, member_idx = _points_to_csr(ring, blocks, ng, m)

@@ -12,8 +12,10 @@ This module provides:
 * scalar and vectorized clockwise-distance / interval predicates,
 * :class:`Ring` — an immutable sorted collection of IDs supporting O(log n)
   successor queries (vectorized over query batches via ``np.searchsorted``),
-* :func:`row_blocks` — the row blocks in which the million-node builds
-  stream their points through the bulk successor lookup,
+* :func:`row_blocks` and :func:`map_blocks` — the row blocks in which the
+  million-node builds stream their points through the bulk successor
+  lookup, and the ordered map that runs those blocks on up to four threads
+  (NumPy releases the GIL inside a block's lookup, sort and dedup),
 * the paper's ``ln ln n`` estimation trick (§III-A "How is ln ln n
   estimated?"), which works even when an adversary omits some of its IDs.
 
@@ -25,7 +27,11 @@ adversarial inputs) are removed on construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import itertools
+import os
+import threading
+from collections import deque
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +43,7 @@ __all__ = [
     "estimate_ln_n",
     "estimate_ln_ln_n",
     "index_dtype_for",
+    "map_blocks",
     "row_blocks",
 ]
 
@@ -79,20 +86,98 @@ _ALMOST_ONE = float(np.nextafter(1.0, 0.0))
 
 # Points per row block of a streamed bulk build: a block's points, buckets
 # and indices stay a few MB, where one (n, m) pass at n = 2^20 would hold
-# ~22M of each.
+# ~22M of each.  Run on threads, the blocks in flight share this budget.
 _BLOCK_POINTS = 1 << 18
+
+# Threads of the block map: at most 4, fewer when the process may use fewer
+# CPUs.  With one, every block runs on the calling thread.
+_THREADS = min(4, len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+_pool = None  # the map's ThreadPoolExecutor, made by its first multi-block run
+_pool_lock = threading.Lock()
+_tables_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the parent's threads: start over."""
+    global _pool, _pool_lock, _tables_lock
+    _pool, _pool_lock, _tables_lock = None, threading.Lock(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_flight() -> int:
+    """Blocks :func:`map_blocks` holds at once: two per thread, so a thread
+    finds the next block queued while the caller takes a result."""
+    return 2 * _THREADS
 
 
 def row_blocks(rows: int, width: int) -> Iterator[slice]:
     """Consecutive row slices covering a ``(rows, width)`` point array.
 
-    Each slice holds about ``_BLOCK_POINTS`` points (at least one row), so
-    a build that draws or computes its points block by block never holds
-    more than one block of them.
+    A build that draws or computes its points block by block and runs the
+    blocks through :func:`map_blocks` never holds more than about
+    ``_BLOCK_POINTS`` points of them.  Rows that fit one block are one
+    block.  Beyond that, each slice holds about ``_BLOCK_POINTS`` points
+    (at least one row), divided by the map's in-flight bound when it runs
+    on threads.
     """
     step = max(1, _BLOCK_POINTS // max(1, width))
+    if rows > step and _THREADS > 1:
+        step = max(1, step // _in_flight())
     for lo in range(0, rows, step):
         yield slice(lo, min(lo + step, rows))
+
+
+def _block_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_THREADS, thread_name_prefix="row-block")
+        return _pool
+
+
+def map_blocks(fn: Callable, items: Iterable) -> Iterator:
+    """``map(fn, items)`` with the calls spread over up to four threads.
+
+    Results come back in input order.  ``items`` is pulled on the calling
+    thread, and never more than the in-flight bound ahead of the results
+    already returned, so a generator that draws its blocks from an RNG
+    draws them in order and holds few at once.  The first call runs on
+    the calling thread, so what it builds on first use (a ring's bucket
+    LUT) is built there, once, before any other thread starts.  The pool
+    takes the remaining calls; there is none for a single item, or with
+    one usable CPU.
+
+    ``fn`` must only read shared state.  When a call raises, or the caller
+    stops early, the queued calls are cancelled and the running ones
+    finish before the exception (or the close) leaves the map.
+    """
+    items = iter(items)
+    for item in itertools.islice(items, 1):
+        yield fn(item)
+    head = list(itertools.islice(items, 1))
+    if not head or _THREADS == 1:
+        yield from map(fn, itertools.chain(head, items))
+        return
+    pool, bound = _block_pool(), _in_flight()
+    pending = deque()
+    try:
+        for item in itertools.chain(head, items):
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= bound:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            if not future.cancel():
+                future.exception()  # waits for a running call to finish
 
 
 def cw_dist(a: float, b: float) -> float:
@@ -166,12 +251,14 @@ class Ring:
         # written so that NaN (sorted last by np.unique) fails it too
         if not (arr[0] >= 0.0 and arr[-1] < 1.0):
             raise ValueError("IDs must lie in [0, 1)")
-        self.ids: np.ndarray = arr
-        self.ids.setflags(write=False)
+        # the IDs share one buffer with an inf sentinel, so an index of n
+        # is a safe gather target in the bulk lookup's advance loop
+        self._ids_ext = np.append(arr, np.inf)
+        self._ids_ext.setflags(write=False)
+        self.ids: np.ndarray = self._ids_ext[:-1]
         self.n: int = int(arr.size)
         self.index_dtype: np.dtype = index_dtype_for(self.n, index_dtype)
         self._succ_lut: np.ndarray | None = None
-        self._ids_ext: np.ndarray | None = None
 
     # -- successor / predecessor ------------------------------------------------
 
@@ -202,28 +289,31 @@ class Ring:
     _BULK_MAX_ADVANCE = 32
 
     def _bulk_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lazily built bucket LUT for :meth:`successor_index_bulk`.
+        """``(lut, ids_ext)`` for :meth:`successor_index_bulk`.
 
         ``lut[b]`` is the first ring index whose ID is >= ``b / K``, for
         ``K`` the largest power of two <= ``4n``.  With a power-of-two
         ``K``, ``id * K`` is exact, so the IDs below ``b / K`` are exactly
         those in buckets ``< b``: the LUT is the running count of IDs per
-        bucket.  ``ids_ext`` appends ``inf`` so an index of ``n`` is a safe
-        gather target during the advance loop.
+        bucket.  It is built on first use, once, under a lock: the blocks
+        of a threaded build reach a fresh ring together.
         """
         if self._succ_lut is None:
-            K = 1 << ((4 * self.n).bit_length() - 1)
-            counts = np.bincount((self.ids * K).astype(np.int64), minlength=K)
-            # int32 under the narrow policy halves the LUT (its K + 1 slots
-            # dominate the ring's resident footprint at large n); lut values
-            # reach n, which fits whenever ring indices do
-            lut = np.zeros(K + 1, dtype=self.index_dtype)
-            np.cumsum(counts, out=lut[1:])
-            lut.setflags(write=False)
-            self._succ_lut = lut
-            self._ids_ext = np.append(self.ids, np.inf)
-            self._ids_ext.setflags(write=False)
+            with _tables_lock:
+                if self._succ_lut is None:
+                    self._succ_lut = self._build_lut()
         return self._succ_lut, self._ids_ext
+
+    def _build_lut(self) -> np.ndarray:
+        K = 1 << ((4 * self.n).bit_length() - 1)
+        counts = np.bincount((self.ids * K).astype(np.int64), minlength=K)
+        # int32 under the narrow policy halves the LUT (its K + 1 slots
+        # dominate the ring's resident footprint at large n); lut values
+        # reach n, which fits whenever ring indices do
+        lut = np.zeros(K + 1, dtype=self.index_dtype)
+        np.cumsum(counts, out=lut[1:])
+        lut.setflags(write=False)
+        return lut
 
     def successor_index_bulk(self, points) -> np.ndarray:
         """Exact :meth:`successor_index_many`, tuned for large batches.

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..idspace.ring import Ring, row_blocks
+from ..idspace.ring import Ring, map_blocks, row_blocks
 from .base import PADDING, InputGraph, RouteBatch
 
 __all__ = ["ChordGraph"]
@@ -64,27 +64,41 @@ class ChordGraph(InputGraph):
     congestion_exponent = 2.0
 
     def __init__(self, ring: Ring, extra_fingers: int = 1):
+        """Build the finger table over ``ring``.
+
+        The table is computed in row blocks
+        (:func:`~repro.idspace.ring.row_blocks`) on up to four threads
+        (:func:`~repro.idspace.ring.map_blocks`), and this thread writes
+        each block's rows in order; a table of at most ~2^18 finger points
+        is one block, computed here.
+        """
         self._extra = int(extra_fingers)
         n = ring.n
         m = max(1, math.ceil(math.log2(max(2, n)))) + self._extra
         ids = ring.ids
-        succ = (np.arange(n) + 1) % n
         # Columns: m fingers, successor, predecessor.  Stored at the ring's
         # index dtype: the (n, m+2) finger matrix is the largest persistent
         # array of the topology, so int32 halves it at million-node scale.
         self._fingers = np.empty((n, m + 2), dtype=ring.index_dtype)
-        self._fingers[:, m] = succ
-        self._fingers[:, m + 1] = (np.arange(n) - 1) % n
-        # finger_table[i, j] = suc(ids[i] + 2^{-(j+1)}), j = 0..m-1, filled
-        # one row block at a time.  A point lies in [0, 1.5], so subtracting
-        # (x >= 1) is np.mod(x, 1.0) bit for bit: x - 1 is exact there.
+        # finger_table[i, j] = suc(ids[i] + 2^{-(j+1)}), j = 0..m-1.  A point
+        # lies in [0, 1.5], so subtracting (x >= 1) is np.mod(x, 1.0) bit
+        # for bit: x - 1 is exact there.
         offsets = 2.0 ** -(np.arange(1, m + 1))
-        for rows in row_blocks(n, m):
+
+        def rows_of(rows: slice) -> np.ndarray:
             points = ids[rows, None] + offsets
             points -= points >= 1
-            self._fingers[rows, :m] = ring.successor_index_bulk(
-                points.ravel()
-            ).reshape(points.shape)
+            table = np.empty((points.shape[0], m + 2), dtype=ring.index_dtype)
+            table[:, :m] = ring.successor_index_bulk(points.ravel()).reshape(
+                points.shape)
+            i = np.arange(rows.start, rows.stop)
+            table[:, m] = (i + 1) % n
+            table[:, m + 1] = (i - 1) % n
+            return table
+
+        blocks = list(row_blocks(n, m))
+        for rows, table in zip(blocks, map_blocks(rows_of, blocks)):
+            self._fingers[rows] = table
         self._m = m
         # Routing reads the matrix flat: node c's column j is c * width + j.
         self._flat = self._fingers.ravel()
@@ -94,7 +108,7 @@ class ChordGraph(InputGraph):
         # then below 2^(b - 1022): every column j < 1022 - b aims at least
         # that far ahead.  One entry per 11-bit exponent.
         self._start = np.clip(1022 - np.arange(2048), 0, m)
-        self._d_succ = np.mod(ids[succ] - ids, 1.0)
+        self._d_succ = np.mod(np.roll(ids, -1) - ids, 1.0)
         super().__init__(ring)
 
     # -- topology -------------------------------------------------------------

@@ -111,6 +111,8 @@ class TestKernelEquivalence:
         assert np.array_equal(a.member_idx, b.member_idx)
         assert a.indptr.dtype == b.indptr.dtype
         assert a.member_idx.dtype == b.member_idx.dtype
+        for x, y in ((a.indptr, b.indptr), (a.member_idx, b.member_idx)):
+            assert x.flags.writeable == y.flags.writeable
         assert a.n_ids == b.n_ids
 
     def test_oracle_build_kernels_identical(self, ring, params, oracle_loops):
@@ -149,8 +151,8 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("solicit", [0, 1, 17])
     @pytest.mark.parametrize("n_groups", [0, BLOCK - 1, BLOCK, BLOCK + 1,
                                           3 * BLOCK + 2, 300])
-    def test_fast_build_blocks_equal_one_draw(self, monkeypatch, ring, params,
-                                              n_groups, solicit):
+    def test_fast_build_blocks_equal_one_draw(self, monkeypatch, block_threads,
+                                              ring, params, n_groups, solicit):
         monkeypatch.setattr(ring_module, "_BLOCK_POINTS",
                             self.BLOCK * max(1, solicit))
         # every block, however small, takes the bucket LUT path
@@ -164,6 +166,19 @@ class TestKernelEquivalence:
                                       solicit=solicit),
         )
         assert r1.random() == r2.random()
+
+    @pytest.mark.parametrize("policy", ["auto", "int64"])
+    @pytest.mark.parametrize("n_groups", [None, 100, 700])
+    def test_leaders_stored_at_the_ring_index_dtype(self, params, policy,
+                                                    n_groups):
+        ring = Ring(np.random.default_rng(1).random(256), index_dtype=policy)
+        gs = build_groups_fast(ring, params, np.random.default_rng(0),
+                               n_groups=n_groups)
+        ng = ring.n if n_groups is None else n_groups
+        assert gs.leaders.dtype == ring.index_dtype
+        assert np.array_equal(gs.leaders, np.arange(ng) % ring.n)
+        assert build_groups(ring, params, RandomOracle("h1", 9)
+                            ).leaders.dtype == ring.index_dtype
 
     def test_oracle_subset_leaders_kernels_identical(self, ring, params,
                                                      oracle_loops):

@@ -179,11 +179,13 @@ class TestChordFingerBlocks:
     @pytest.mark.parametrize("layout", ["uniform", "clustered"])
     @pytest.mark.parametrize("n", [1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1,
                                    3 * BLOCK + 2])
-    def test_blocks_equal_one_pass(self, monkeypatch, n, layout, dtype):
+    def test_blocks_equal_one_pass(self, monkeypatch, block_threads, n,
+                                   layout, dtype):
         u = np.random.default_rng(n).random(n)
         ids = u if layout == "uniform" else 0.3 + 1e-9 * u
-        # held until the end, so the blocked build cannot get this graph's
-        # freed (and already correct) table back as its empty buffer
+        # one block, on this thread; held until the end, so the blocked
+        # build cannot get this graph's freed (and already correct) table
+        # back as its empty buffer
         probe = make_input_graph("chord", ids, index_dtype=dtype)
         monkeypatch.setattr(ring_module, "_BLOCK_POINTS",
                             self.BLOCK * probe.finger_count)
@@ -194,6 +196,13 @@ class TestChordFingerBlocks:
         assert ft.dtype == np.dtype(dtype)
         assert np.array_equal(ft, self._reference(g))
         assert g.finger_count == probe.finger_count
+        # the same layout and flags as the one-block build, and the ring's
+        # tables stay frozen
+        for flag in ("writeable", "c_contiguous", "owndata"):
+            assert getattr(ft.flags, flag) == getattr(
+                probe.finger_table().flags, flag)
+        assert not any(a.flags.writeable for a in g.ring._bulk_tables())
+        assert not g.ring.ids.flags.writeable
 
 
 class TestChordStartColumn:

@@ -1,8 +1,17 @@
 """Unit tests: unit-ring ID space (repro.idspace.ring)."""
 
+import itertools
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import repro
 import repro.idspace.ring as ring_module
 from repro.idspace.ring import (
     Ring,
@@ -11,6 +20,7 @@ from repro.idspace.ring import (
     estimate_ln_ln_n,
     estimate_ln_n,
     in_cw_interval,
+    map_blocks,
     row_blocks,
 )
 
@@ -229,24 +239,215 @@ class TestSuccessorBulk:
             lut, np.searchsorted(ring.ids, np.arange(K + 1) / K, side="left")
         )
 
+    def test_threads_on_a_fresh_ring_build_the_lut_once(self, monkeypatch):
+        # more threads than cores, switching often, all released together
+        # on a ring whose LUT is not built yet
+        built, build = [], Ring._build_lut
 
+        def slow_build(self):
+            built.append(threading.current_thread())
+            time.sleep(0.05)  # every thread gets past the unlocked check
+            return build(self)
+
+        monkeypatch.setattr(Ring, "_build_lut", slow_build)
+        ring = Ring(np.random.default_rng(9).random(4096))
+        pts = np.random.default_rng(10).random(50_000)
+        k = (os.cpu_count() or 1) + 2
+        barrier, out = threading.Barrier(k, timeout=60), [None] * k
+
+        def lookup(i):
+            barrier.wait()
+            out[i] = ring.successor_index_bulk(pts)
+
+        threads = [threading.Thread(target=lookup, args=(i,)) for i in range(k)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 1
+        expect = ring.successor_index_many(pts)
+        assert all(np.array_equal(o, expect) for o in out)
+        lut, ids_ext = ring._bulk_tables()
+        assert not lut.flags.writeable and not ids_ext.flags.writeable
+
+
+@pytest.mark.usefixtures("block_threads")
 class TestRowBlocks:
     @pytest.mark.parametrize("rows", [0, 1, 5, 6, 7, 20])
     @pytest.mark.parametrize("width", [0, 1, 3, 17, 40])
-    def test_blocks_tile_the_rows(self, monkeypatch, rows, width):
+    def test_blocks_tile_the_rows(self, monkeypatch, block_threads, rows,
+                                  width):
         monkeypatch.setattr(ring_module, "_BLOCK_POINTS", 18)
         blocks = list(row_blocks(rows, width))
         # consecutive, covering every row once
         bounds = [0] + [b.stop for b in blocks]
         assert [b.start for b in blocks] == bounds[:-1]
         assert bounds[-1] == rows
-        # as many rows as fit the block (at least one); the last may be short
         sizes = [b.stop - b.start for b in blocks]
-        assert all(0 < s and s * width <= max(18, width) for s in sizes)
         assert all(s == sizes[0] for s in sizes[:-1])
         assert all(s >= sizes[-1] for s in sizes)
+        # rows that fit one block are one block; beyond that, the blocks a
+        # map holds at once share it: as many rows as fit a share (at
+        # least one row), the last may be short
+        one = max(1, 18 // max(1, width))
+        assert (len(blocks) <= 1) == (rows <= one)
+        share = 18 if len(blocks) <= 1 or block_threads == 1 \
+            else 18 // (2 * block_threads)
+        assert all(0 < s and (s == 1 or s * width <= share) for s in sizes)
         if width:
-            assert all((s + 1) * width > 18 for s in sizes[:-1])
+            assert all((s + 1) * width > share for s in sizes[:-1])
+
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7, 40])
+    def test_drawn_blocks_equal_one_draw(self, monkeypatch, rows):
+        # blocks drawn as the map pulls them, each turned into a frozen
+        # float32 block: the same values, in order, and the same next draw
+        # as one draw of the whole array
+        monkeypatch.setattr(ring_module, "_BLOCK_POINTS", 18)
+        r1, r2 = np.random.default_rng(4), np.random.default_rng(4)
+        blocks = (r1.random((b.stop - b.start, 3)) for b in row_blocks(rows, 3))
+        pooled = itertools.count()
+
+        def freeze(pts):
+            if threading.current_thread() is not threading.main_thread() \
+                    and next(pooled) == 0:
+                time.sleep(0.01)  # later blocks finish first
+            out = pts.astype(np.float32)
+            out.setflags(write=False)
+            return out
+
+        out = list(map_blocks(freeze, blocks))
+        assert all(b.dtype == np.float32 and not b.flags.writeable for b in out)
+        whole = np.concatenate(out) if out else np.empty((0, 3), np.float32)
+        assert np.array_equal(whole, r2.random((rows, 3)).astype(np.float32))
+        assert r1.random() == r2.random()
+
+
+@pytest.mark.usefixtures("block_threads")
+@pytest.mark.parametrize("block_threads", [2], indirect=True)
+class TestMapBlocks:
+    def test_results_keep_input_order_when_later_blocks_finish_first(self):
+        finished = []
+
+        def slow_first(i):
+            time.sleep(0.05 if i == 1 else 0.0)  # item 0 runs inline
+            finished.append(i)
+            return i * i
+
+        assert list(map_blocks(slow_first, range(8))) == [
+            i * i for i in range(8)
+        ]
+        assert finished.index(1) > finished.index(2)
+
+    def test_input_never_pulled_past_the_in_flight_bound(self):
+        bound, pulled, ahead, pullers = 4, [0], [], set()
+
+        def items():
+            for i in range(40):
+                pullers.add(threading.current_thread())
+                pulled[0] += 1
+                yield i
+
+        for done, _ in enumerate(map_blocks(lambda i: i, items()), 1):
+            ahead.append(pulled[0] - done)
+        assert max(ahead) == bound - 1  # ran ahead, but never past it
+        assert pullers == {threading.main_thread()}
+
+    def test_error_reaches_caller_and_pending_blocks_are_cancelled(self):
+        started, running = [], [0]
+        lock = threading.Lock()
+
+        def fail_on_one(i):
+            with lock:
+                started.append(i)
+                running[0] += 1
+            try:
+                if i == 1:
+                    raise ValueError("block 1")
+                time.sleep(0.02)
+                return i
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(ValueError, match="block 1"):
+            list(map_blocks(fail_on_one, range(40)))
+        assert running[0] == 0  # nothing of that map still runs
+        assert max(started) < 5  # blocks past the bound never started
+        # a caller that stops early leaves nothing running either
+        it = map_blocks(fail_on_one, range(2, 40))
+        next(it), next(it)  # the second comes from the pool
+        it.close()
+        assert running[0] == 0
+        # and the next map still works
+        assert list(map_blocks(lambda i: -i, range(10))) == [
+            -i for i in range(10)
+        ]
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_zero_or_one_block_runs_inline_without_a_pool(self, count):
+        threads = []
+
+        def where(i):
+            threads.append(threading.current_thread())
+            return i
+
+        assert list(map_blocks(where, range(count))) == list(range(count))
+        assert threads == [threading.main_thread()] * count
+        assert ring_module._pool is None
+
+    def test_one_usable_cpu_runs_every_block_inline(self, monkeypatch):
+        monkeypatch.setattr(ring_module, "_THREADS", 1)
+        threads = set()
+        list(map_blocks(lambda i: threads.add(threading.current_thread()),
+                        range(20)))
+        assert threads == {threading.main_thread()}
+        assert ring_module._pool is None
+
+    def test_epoch_step_at_4096_starts_no_thread(self):
+        from repro.serve import ServeConfig, make_simulator
+
+        sim = make_simulator(ServeConfig(n=4096, churn_rate=0.05, probes=50,
+                                         seed=1))
+        before = threading.active_count()
+        sim.step()
+        assert threading.active_count() == before
+        assert ring_module._pool is None
+
+    def test_import_leaves_concurrent_futures_out(self):
+        code = ("import sys, repro.core.groups, repro.inputgraph; "
+                "print('concurrent.futures' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    # forking with threads alive is what this test is about
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    def test_forked_child_gets_a_pool_of_its_own(self):
+        list(map_blocks(lambda i: i, range(10)))  # the parent's pool exists
+        child = multiprocessing.get_context("fork").Process(
+            target=_map_in_child)
+        child.start()
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+
+def _map_in_child():
+    # the parent's pool threads do not exist here: mapping on its pool
+    # would wait forever
+    sys.exit(0 if list(map_blocks(lambda i: i, range(10))) == list(range(10))
+             else 1)
 
 
 class TestLnEstimation:

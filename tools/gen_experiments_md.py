@@ -238,7 +238,7 @@ records `{experiment: "SCALE", n, backend, wall_s, cells, trials,
 peak_rss_mb}` rows into `benchmarks/output/BENCH_scale.json`.  Searches
 read only the finger table, and an input graph builds its neighbor CSR
 on first use, so this pipeline never builds one.  Two knobs make 2^20
-fit a ~4 GB budget (measured on a 2-vCPU host: ~0.39 GB peak, ~1.5 s
+fit a ~4 GB budget (measured on a 2-vCPU host: ~0.39 GB peak, ~1.6-2.7 s
 wall, vs ~0.59 GB for the int64 oracle): `--index-dtype auto` narrows
 every stored index array — ring successor LUTs, the finger table,
 routed paths, group member lists — to int32 whenever n fits (`int64`
@@ -250,8 +250,14 @@ probe batch through fixed-size windows
 (`measure_static_search_streamed`: integer accumulators ÷ probes, so
 bit-equal at any window size) with one `mem.peak` telemetry event per
 window.  The Chord finger table and the hashed groups are built in row
-blocks of ~2^18 points (`repro.idspace.ring.row_blocks`), so no `(n, m)`
-point or index array is ever held.  E2 accepts the same `probe_chunk=`
+blocks that hold ~2^18 points in all (`repro.idspace.ring.row_blocks`),
+so no `(n, m)` point or index array is ever held.  The blocks' lookups,
+row sorts and dedups run on up to four threads
+(`repro.idspace.ring.map_blocks`; NumPy releases the GIL inside them)
+while the calling thread draws the blocks and writes the tables in
+order, so every array, dtype and the generator's next draw are the same
+at any thread count; `taskset -c 0` runs every block on the calling
+thread.  E2 accepts the same `probe_chunk=`
 override through `build_spec`.  CI's `smoke-scale` job runs the 2^17
 and 2^20 points under `--max-rss-mb 4096` and gates `peak_rss_mb` per
 row against the previous run's artifact via
