@@ -25,13 +25,12 @@ million-node case) fit a ~4 GB budget is exactly this PR's hot-path work:
   (:func:`repro.idspace.ring.map_blocks`; ``taskset -c 0`` runs them on
   the calling thread), so no ``(n, m)`` point array is ever held.
 
-Each phase emits a ``mem.peak`` telemetry event and each point a
-``bench.row`` event, so ``repro telemetry report --mem`` summarizes the
-run and ``--check-bench`` can reconcile the stream against the JSON file.
-``ru_maxrss`` is the *process-lifetime* high-water mark, so points run in
-ascending ``n`` — a point's peak column can only be inflated by a
-*larger* earlier point, never understated (run one ``--n`` per process
-for exact per-point attribution).
+Each phase emits a ``mem.peak`` telemetry event, so ``repro telemetry
+report --mem`` summarizes the run; the rows themselves live only in the
+JSON file.  ``ru_maxrss`` is the *process-lifetime* high-water mark, so
+points run in ascending ``n`` — a point's peak column can only be
+inflated by a *larger* earlier point, never understated (run one ``--n``
+per process for exact per-point attribution).
 
 CI (``smoke-scale``) runs both points under ``--max-rss-mb 4096`` and
 gates the resulting rows' ``peak_rss_mb`` against the previous run via
@@ -67,13 +66,14 @@ def run_point(
     """One ledger row: the E2-shaped pipeline at ``n``."""
     import numpy as np
 
+    from repro.analysis.benchio import bench_row
     from repro.core.groups import build_groups_fast
     from repro.core.group_graph import GroupGraph
     from repro.core.params import SystemParams
     from repro.core.static_case import measure_static_search
     from repro.idspace.ring import index_dtype_for
     from repro.inputgraph import make_input_graph
-    from repro.telemetry import bench_row, emit_default, emit_peak, peak_rss_mb
+    from repro.telemetry import emit_peak, peak_rss_mb
 
     backend = str(index_dtype_for(n, index_dtype))
     rng = np.random.default_rng(seed)
@@ -93,7 +93,6 @@ def run_point(
         experiment="SCALE", n=n, backend=backend, wall_s=wall,
         cells=1, trials=probes, peak_rss_mb=peak_rss_mb(),
     )
-    emit_default("bench.row", **row)
     print(
         f"[scale] n={n:<8} {topology}/{backend}: wall {wall:.2f}s, "
         f"peak RSS {row.get('peak_rss_mb', float('nan')):.1f}MB, "
@@ -129,8 +128,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="fail (exit 1) if the process peak RSS exceeds "
                          "this after any point — the memory budget gate")
     ap.add_argument("--telemetry-out", default=None,
-                    help="write mem.peak/bench.row events to this jsonl "
-                         "file (default: $REPRO_TELEMETRY if set)")
+                    help="write mem.peak events to this jsonl file "
+                         "(default: $REPRO_TELEMETRY if set)")
     args = ap.parse_args(argv)
 
     from repro.analysis.benchio import record_bench_rows

@@ -15,12 +15,13 @@ Two rows per measurement point, written into ``BENCH_serve.json``:
 
 The wall-clock *ratio* offline/closed is the serving layer's efficiency
 — both sides run on the same host in the same process, so machine speed
-divides out, exactly like the kernel ledger's serial/vectorized pair.
-CI (``smoke-serve``) gates that ratio against the previous run via
-``tools/perf_ledger.py --serve-baseline/--serve-current``: if the
-asyncio/TCP layer gets relatively slower, the ratio drops and the job
-fails.  Each row is also emitted as a ``bench.row`` telemetry event, so
-``repro telemetry report --check-bench`` can reconcile stream and file.
+divides out, exactly like the cells ledger's ``cells-serial``/
+``cells-process`` pair.  CI (``smoke-serve``) gates that ratio against
+the previous run via ``tools/perf_ledger.py --serve-baseline/
+--serve-current``: if the asyncio/TCP layer gets relatively slower, the
+ratio drops and the job fails.  ``--telemetry-out`` records the run's
+``serve.request`` and ``serve.publish`` events; the rows themselves live
+only in the JSON file.
 
 With ``--verify`` every response line from the closed-loop run is
 byte-compared against the offline oracle replay before any row is
@@ -78,8 +79,9 @@ def run_point(args) -> tuple[list[dict], int]:
     """Both ledger rows for one ``n``; returns (rows, problem count)."""
     import numpy as np
 
+    from repro.analysis.benchio import bench_row
     from repro.serve import ServeConfig, replay_snapshots, verify_responses
-    from repro.telemetry import bench_row, emit_default, peak_rss_mb
+    from repro.telemetry import peak_rss_mb
 
     config = ServeConfig(
         n=args.n, epochs=args.epochs, churn_rate=args.churn,
@@ -113,8 +115,6 @@ def run_point(args) -> tuple[list[dict], int]:
             peak_rss_mb=peak_rss_mb(),
         ),
     ]
-    for row in rows:
-        emit_default("bench.row", **row)
     overhead = report.wall_s / offline_wall if offline_wall > 0 else float("inf")
     print(
         f"[serve] n={config.n:<6} offline {offline_wall:.3f}s vs closed "
@@ -148,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="byte-compare every closed-loop response against "
                          "the offline oracle; any divergence fails the run")
     ap.add_argument("--telemetry-out", default=None,
-                    help="write bench.row events to this jsonl file "
-                         "(default: $REPRO_TELEMETRY if set)")
+                    help="write serve.request/serve.publish events to this "
+                         "jsonl file (default: $REPRO_TELEMETRY if set)")
     args = ap.parse_args(argv)
 
     from contextlib import nullcontext

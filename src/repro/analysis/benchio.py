@@ -8,31 +8,28 @@ gives the repo its perf-*trajectory* format: a JSON array of rows
     {"experiment": "E2", "n": 4096, "backend": "cells-process",
      "wall_s": 1.32, "cells": 7, "trials": 700000}
 
-written next to the timings (default: ``BENCH_vectorized.json``).  Rows
-are keyed by ``(experiment, n, backend)``: re-recording a key replaces
-the old row, so repeated benchmark runs converge to one row per
-measurement point instead of appending duplicates.
+(:func:`bench_row`, the one owner of the row shape).  Rows are keyed by
+``(experiment, n, backend)``: re-recording a key replaces the old row,
+so repeated benchmark runs converge to one row per measurement point
+instead of appending duplicates.  The file is the only record of a row.
 
-The file doubles as the repo's tracked **perf ledger**.  CI runners are
+The files double as the repo's tracked **perf ledgers**.  CI runners are
 heterogeneous — the same commit's wall clock swings 2-3x between runner
-generations — so the *gating* comparison is machine-invariant: the
-**speedup ratio** of a backend pair per ``(experiment, n)`` — in-process
-against process-pool cells, or offline against served queries
-(:func:`speedup_rows`, compared across runs by
+generations — so a wall-clock gate compares a machine-invariant
+quantity: the **speedup ratio** of a backend pair per ``(experiment,
+n)`` — in-process against process-pool cells, or offline against served
+queries (:func:`speedup_rows`, compared across runs by
 :func:`diff_bench_ratios`).  Both sides run on the same host in the
 same process, so host speed divides out of their ratio; a ratio drop
-means the code itself regressed.  Absolute wall-clock drift
-(:func:`diff_bench_rows`) is still reported — it catches
-everything-got-slower problems a ratio cannot — but only as a warning,
-because across heterogeneous runners it cannot distinguish slow code
-from a slow machine.  Each run also records a
-:func:`measure_calibration` row (``experiment="CALIBRATION"``,
+means the code itself regressed.  :func:`diff_bench_rows` compares one
+column per row key: the memory ledger's ``peak_rss_mb``, which is
+largely machine-invariant for a fixed workload, and absolute wall-clock
+drift, which is only ever a warning because across heterogeneous runners
+it cannot distinguish slow code from a slow machine.  Each run also
+records a :func:`measure_calibration` row (``experiment="CALIBRATION"``,
 ``backend="host"``): a fixed NumPy workload timing that quantifies the
 host's speed, so a reader of the ledger can attribute absolute drift to
-the machine or to the code.  ``tools/perf_ledger.py`` is the CI gate;
-the row shape itself is the ``bench.row`` telemetry record
-(:mod:`repro.telemetry.records` — re-exported here because the file
-format predates the telemetry layer).
+the machine or to the code.  ``tools/perf_ledger.py`` is the CI gate.
 """
 
 from __future__ import annotations
@@ -41,8 +38,6 @@ import json
 import os
 import pathlib
 import time
-
-from ..telemetry.records import bench_row
 
 __all__ = [
     "BENCH_FILENAME",
@@ -54,7 +49,6 @@ __all__ = [
     "calibration_row",
     "diff_bench_ratios",
     "diff_bench_rows",
-    "diff_mem_rows",
     "measure_calibration",
     "read_bench_rows",
     "record_bench_rows",
@@ -64,7 +58,8 @@ __all__ = [
 BENCH_FILENAME = "BENCH_vectorized.json"
 
 # the memory-scaling ledger (``benchmarks/bench_scale.py``): same row
-# shape plus the optional ``peak_rss_mb`` column, gated by diff_mem_rows
+# shape plus the optional ``peak_rss_mb`` column, gated by
+# diff_bench_rows over that column
 SCALE_BENCH_FILENAME = "BENCH_scale.json"
 
 # the per-run host-speed measurement's ledger key (n=0, backend="host")
@@ -105,6 +100,34 @@ PROCESS_BENCH_CASES_QUICK = {
                min_ratio=None, kwargs=dict(fast=True)),
 }
 
+def bench_row(
+    experiment: str,
+    n: int,
+    backend: str,
+    wall_s: float,
+    cells: int,
+    trials: int,
+    peak_rss_mb: float | None = None,
+) -> dict:
+    """One benchmark measurement in the canonical ledger row shape.
+
+    ``peak_rss_mb`` is the optional memory column the scale and serve
+    ledgers carry; it is omitted (not null-filled) when absent so the
+    wall-clock rows keep their shape.
+    """
+    row = {
+        "experiment": str(experiment).upper(),
+        "n": int(n),
+        "backend": str(backend),
+        "wall_s": round(float(wall_s), 6),
+        "cells": int(cells),
+        "trials": int(trials),
+    }
+    if peak_rss_mb is not None:
+        row["peak_rss_mb"] = round(float(peak_rss_mb), 3)
+    return row
+
+
 def measure_calibration(repeats: int = 3) -> float:
     """Time a fixed NumPy workload on this host (best of ``repeats``).
 
@@ -129,7 +152,7 @@ def measure_calibration(repeats: int = 3) -> float:
 
 
 def calibration_row(wall_s: float | None = None) -> dict:
-    """This host's calibration measurement as a ledger/telemetry row."""
+    """This host's calibration measurement as a ledger row."""
     if wall_s is None:
         wall_s = measure_calibration()
     return bench_row(
@@ -150,86 +173,43 @@ def read_bench_rows(path: str | os.PathLike) -> list[dict]:
 def diff_bench_rows(
     baseline: list[dict],
     current: list[dict],
+    column: str,
     max_regression: float = 0.20,
-    min_wall_s: float = 0.05,
+    floor: float = 0.0,
 ) -> tuple[list[dict], list[dict]]:
-    """Diff two bench-row sets by ``(experiment, n, backend)`` key.
+    """Diff one column of two bench-row sets by ``(experiment, n,
+    backend)`` key.
 
-    Returns ``(deltas, regressions)``: one delta record per key present in
-    both sets (``ratio`` = current wall clock over baseline), and the
-    subset whose current wall clock exceeds ``(1 + max_regression) *
-    baseline`` — the perf-ledger CI gate.  Rows where *both* measurements
-    sit under ``min_wall_s`` are reported but never flagged: at that scale
-    scheduler jitter swamps any real code change.
+    Returns ``(deltas, regressions)``: one delta record per key carrying
+    a positive ``column`` value in both sets (``ratio`` = current over
+    baseline), and the subset whose current value exceeds ``(1 +
+    max_regression) *`` baseline.  Keys where *both* values sit under
+    ``floor`` are reported but never flagged: down there scheduler jitter
+    (wall clock) or the interpreter's own footprint (peak RSS) swamps any
+    code change.  Rows without the column (the calibration row in a
+    memory diff, partial rows of older writers) are skipped on either
+    side, never a crash.
     """
     base = {tuple(r.get(k) for k in _ROW_KEY): r for r in baseline}
     deltas: list[dict] = []
     regressions: list[dict] = []
     for row in current:
-        key = tuple(row.get(k) for k in _ROW_KEY)
-        ref = base.get(key)
-        # partial rows (older writers) are preserved by record_bench_rows;
-        # they are skipped here on either side, never a crash
-        if ref is None or not ref.get("wall_s") or not row.get("wall_s"):
+        ref = base.get(tuple(row.get(k) for k in _ROW_KEY))
+        if ref is None or not ref.get(column) or not row.get(column):
             continue
-        ratio = float(row["wall_s"]) / float(ref["wall_s"])
+        cur, was = float(row[column]), float(ref[column])
         delta = {
             "experiment": row["experiment"],
             "n": row["n"],
             "backend": row["backend"],
-            "baseline_wall_s": float(ref["wall_s"]),
-            "wall_s": float(row["wall_s"]),
-            "ratio": round(ratio, 4),
+            "baseline": was,
+            "current": cur,
+            "ratio": round(cur / was, 4),
         }
         deltas.append(delta)
-        noise_floor = (
-            float(row["wall_s"]) < min_wall_s and float(ref["wall_s"]) < min_wall_s
-        )
-        if ratio > 1.0 + max_regression and not noise_floor:
-            regressions.append(delta)
-    return deltas, regressions
-
-
-def diff_mem_rows(
-    baseline: list[dict],
-    current: list[dict],
-    max_regression: float = 0.20,
-    min_mb: float = 32.0,
-) -> tuple[list[dict], list[dict]]:
-    """Diff two bench-row sets' ``peak_rss_mb`` columns — the memory gate.
-
-    Returns ``(deltas, regressions)``: one delta per ``(experiment, n,
-    backend)`` key carrying a positive ``peak_rss_mb`` in both sets
-    (``ratio`` = current peak over baseline, ``kb_per_node`` from the
-    current row), and the subset whose current peak exceeds ``(1 +
-    max_regression) * baseline``.  Unlike wall clock, peak RSS is largely
-    machine-invariant for a fixed workload, so the absolute ratio *is*
-    the gate.  Keys where both peaks sit under ``min_mb`` are reported
-    but never flagged: down there the interpreter's own footprint
-    (allocator arenas, import churn) swamps any code change.
-    """
-    base = {tuple(r.get(k) for k in _ROW_KEY): r for r in baseline}
-    deltas: list[dict] = []
-    regressions: list[dict] = []
-    for row in current:
-        key = tuple(row.get(k) for k in _ROW_KEY)
-        ref = base.get(key)
-        if ref is None or not ref.get("peak_rss_mb") or not row.get("peak_rss_mb"):
-            continue
-        cur_mb = float(row["peak_rss_mb"])
-        base_mb = float(ref["peak_rss_mb"])
-        delta = {
-            "experiment": row["experiment"],
-            "n": row["n"],
-            "backend": row["backend"],
-            "baseline_peak_rss_mb": base_mb,
-            "peak_rss_mb": cur_mb,
-            "ratio": round(cur_mb / base_mb, 4),
-            "kb_per_node": round(cur_mb * 1024.0 / max(1, int(row["n"])), 3),
-        }
-        deltas.append(delta)
-        noise_floor = cur_mb < min_mb and base_mb < min_mb
-        if cur_mb > (1.0 + max_regression) * base_mb and not noise_floor:
+        if cur > (1.0 + max_regression) * was and not (
+            cur < floor and was < floor
+        ):
             regressions.append(delta)
     return deltas, regressions
 
@@ -240,10 +220,7 @@ def speedup_rows(rows: list[dict], backends: tuple[str, str]) -> list[dict]:
     Pairs each point's ``backends[0]`` (base) and ``backends[1]`` (fast)
     rows (both must be present with a positive wall clock; calibration
     rows and single-backend points are skipped) into ``{experiment, n,
-    wall_serial_s, wall_vectorized_s, speedup}`` — the field names keep
-    the ledger's first pair's spelling whatever the pair, so every
-    consumer reads one shape (``wall_serial_s`` = base wall,
-    ``wall_vectorized_s`` = fast wall).  ``("cells-serial",
+    base_wall_s, fast_wall_s, speedup}``.  ``("cells-serial",
     "cells-process")`` gates the process backend's cell-scheduling win,
     ``("offline", "closed")`` the serving layer's efficiency.  Because
     both sides ran on the same host, the host's speed divides out of
@@ -267,8 +244,8 @@ def speedup_rows(rows: list[dict], backends: tuple[str, str]) -> list[dict]:
         out.append({
             "experiment": exp,
             "n": n,
-            "wall_serial_s": walls[base_backend],
-            "wall_vectorized_s": walls[fast_backend],
+            "base_wall_s": walls[base_backend],
+            "fast_wall_s": walls[fast_backend],
             "speedup": round(walls[base_backend] / walls[fast_backend], 4),
         })
     return out
@@ -278,7 +255,7 @@ def diff_bench_ratios(
     baseline: list[dict],
     current: list[dict],
     max_regression: float = 0.20,
-    min_wall_s: float = 0.05,
+    floor: float = 0.05,
     *,
     backends: tuple[str, str],
 ) -> tuple[list[dict], list[dict]]:
@@ -289,9 +266,9 @@ def diff_bench_ratios(
     with a speedup in both sets (``ratio`` = current speedup over
     baseline), and the subset whose speedup fell below ``(1 -
     max_regression) *`` baseline.  Points where both runs' *fast-side*
-    wall clock sits under ``min_wall_s`` are reported but never flagged —
-    at that scale the ratio is scheduler jitter, not code behaviour.
-    ``backends`` picks the pair (see :func:`speedup_rows`).
+    wall clock sits under ``floor`` seconds are reported but never
+    flagged — at that scale the ratio is scheduler jitter, not code
+    behaviour.  ``backends`` picks the pair (see :func:`speedup_rows`).
     """
     base = {
         (r["experiment"], r["n"]): r for r in speedup_rows(baseline, backends)
@@ -306,15 +283,12 @@ def diff_bench_ratios(
         delta = {
             "experiment": row["experiment"],
             "n": row["n"],
-            "baseline_speedup": ref["speedup"],
-            "speedup": row["speedup"],
+            "baseline": ref["speedup"],
+            "current": row["speedup"],
             "ratio": round(ratio, 4),
         }
         deltas.append(delta)
-        noise_floor = (
-            row["wall_vectorized_s"] < min_wall_s
-            and ref["wall_vectorized_s"] < min_wall_s
-        )
+        noise_floor = row["fast_wall_s"] < floor and ref["fast_wall_s"] < floor
         if ratio < 1.0 - max_regression and not noise_floor:
             regressions.append(delta)
     return deltas, regressions

@@ -2,24 +2,16 @@
 
 One jsonl file from :mod:`repro.telemetry` can hold events from every
 layer at once — a dispatch spool's unit lifecycle, the sweep substrate's
-per-cell timings, and the benchmark ledger's rows.  This module
-turns such a stream into the operator-facing views:
+per-cell timings, the worker pool, memory peaks and served queries.
+This module turns such a stream into the operator-facing views:
 
 * :func:`summarize_events` — the structured summary (event counts, the
   dispatch funnel with lease-latency/execute percentiles, per-sweep cell
-  timing trends, the serving layer's
+  timing trends, the worker pool, memory peaks, and the serving layer's
   throughput/latency view — QPS, p50/p95/p99, per-epoch breakdown,
-  publish walls, churn clips — and bench rows + host calibration);
-* :func:`render_report` — the same as text tables;
-* :func:`bench_rows_from_events` — reconstruct the perf ledger's
-  canonical rows from ``bench.row`` events alone (last emission wins per
-  ``(experiment, n, backend)`` key, exactly like
-  :func:`repro.analysis.benchio.record_bench_rows` merging); and
-* :func:`check_bench` — verify that reconstruction against a
-  ``BENCH_vectorized.json`` file: every row derivable from the events
-  must appear byte-equal in the file.  CI runs this against the smoke
-  job's artifacts, so the event stream and the ledger can never silently
-  disagree.
+  publish walls, churn clips);
+* :func:`render_report` — the same as text tables; and
+* :func:`render_mem_report` — just the memory section.
 
 Readers are permissive by the telemetry contract: unknown event types
 count toward the totals and are otherwise ignored, never an error.
@@ -29,18 +21,11 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..telemetry.records import bench_row
-from .benchio import read_bench_rows, speedup_rows
-
 __all__ = [
-    "bench_rows_from_events",
-    "check_bench",
     "render_mem_report",
     "render_report",
     "summarize_events",
 ]
-
-_ROW_KEY = ("experiment", "n", "backend")
 
 
 def _stats(values: list[float]) -> dict | None:
@@ -70,36 +55,6 @@ def _walls(events: list[dict], field: str = "wall_s") -> list[float]:
         float(e[field]) for e in events
         if isinstance(e.get(field), (int, float))
     ]
-
-
-def bench_rows_from_events(events: list[dict]) -> list[dict]:
-    """The perf ledger's rows, reconstructed from ``bench.row`` events.
-
-    Last emission wins per ``(experiment, n, backend)`` key and the result
-    is sorted by that key — the same merge discipline
-    :func:`~repro.analysis.benchio.record_bench_rows` applies to the JSON
-    file, so a stream and the file it fed converge on identical rows.
-    """
-    merged: dict[tuple, dict] = {}
-    for event in events:
-        if event.get("type") != "bench.row":
-            continue
-        try:
-            fields = {
-                k: event[k]
-                for k in ("experiment", "n", "backend", "wall_s", "cells", "trials")
-            }
-            peak = event.get("peak_rss_mb")
-            if isinstance(peak, (int, float)) and not isinstance(peak, bool):
-                fields["peak_rss_mb"] = peak
-            row = bench_row(**fields)
-        except (KeyError, TypeError, ValueError):
-            continue  # malformed/foreign row event: skip, never crash
-        merged[tuple(row[k] for k in _ROW_KEY)] = row
-    return sorted(
-        merged.values(),
-        key=lambda r: (str(r["experiment"]), int(r["n"]), str(r["backend"])),
-    )
 
 
 def summarize_events(events: list[dict]) -> dict:
@@ -266,26 +221,6 @@ def summarize_events(events: list[dict]) -> dict:
             ]
         summary["serve"] = serve
 
-    # -- bench ledger ------------------------------------------------------
-    rows = bench_rows_from_events(events)
-    timings = by_type.get("bench.timing", [])
-    calibrations = _walls(by_type.get("bench.calibration", []))
-    if rows or timings or calibrations:
-        summary["bench"] = {
-            "rows": rows,
-            # the two pairs the perf ledger gates
-            "speedups": [
-                {**row, "pair": f"{base}/{fast}"}
-                for base, fast in (
-                    ("cells-serial", "cells-process"), ("offline", "closed"),
-                )
-                for row in speedup_rows(rows, (base, fast))
-            ],
-            "timings": len(timings),
-            "calibration_wall_s": (
-                round(min(calibrations), 6) if calibrations else None
-            ),
-        }
     return summary
 
 
@@ -396,29 +331,6 @@ def render_report(summary: dict) -> str:
                 f"-> cap={clip['cap']}"
             )
 
-    bench = summary.get("bench")
-    if bench:
-        lines.append("")
-        lines.append("bench ledger (from bench.row events):")
-        for row in bench["rows"]:
-            line = (
-                f"  {row['experiment']:>11} n={row['n']:<6} "
-                f"{row['backend']:<10} {row['wall_s']:.4f}s "
-                f"cells={row['cells']} trials={row['trials']}"
-            )
-            if row.get("peak_rss_mb") is not None:
-                line += f" peak={row['peak_rss_mb']:.1f}MB"
-            lines.append(line)
-        for s in bench["speedups"]:
-            lines.append(
-                f"  speedup {s['experiment']:>4} n={s['n']:<6} "
-                f"{s['pair']} {s['speedup']:.2f}x "
-                f"({s['wall_serial_s']:.3f}s / {s['wall_vectorized_s']:.3f}s)"
-            )
-        if bench["calibration_wall_s"] is not None:
-            lines.append(
-                f"  host calibration {bench['calibration_wall_s']:.4f}s"
-            )
     return "\n".join(lines)
 
 
@@ -449,31 +361,3 @@ def render_mem_report(summary: dict) -> str:
         return "no memory events (mem.peak) in this stream"
     return "\n".join(_mem_lines(mem))
 
-
-def check_bench(events: list[dict], bench_path) -> list[str]:
-    """Problems reconciling the event stream against a BENCH JSON file.
-
-    Every row reconstructible from the events must appear **byte-equal**
-    in the file (the file may hold more — it merges rows across runs and
-    writers).  An empty list means the stream reproduces its slice of the
-    ledger exactly.
-    """
-    stored = {
-        tuple(r.get(k) for k in _ROW_KEY): r for r in read_bench_rows(bench_path)
-    }
-    problems = []
-    rows = bench_rows_from_events(events)
-    if not rows:
-        return [f"no bench.row events to check against {bench_path}"]
-    for row in rows:
-        key = tuple(row[k] for k in _ROW_KEY)
-        ref = stored.get(key)
-        if ref is None:
-            problems.append(
-                f"row {key} is in the event stream but not in {bench_path}"
-            )
-        elif ref != row:
-            problems.append(
-                f"row {key} differs: events={row} file={ref}"
-            )
-    return problems

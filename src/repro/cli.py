@@ -40,14 +40,11 @@ Commands
     ``--keep-latest-per-experiment`` exempts each experiment's newest
     entry from eviction (alone, it evicts everything else) — the janitor
     policy for stores that accumulated entries across version bumps.
-``telemetry report --events F [--json] [--mem] [--check-bench BENCH] [--write-bench BENCH]``
+``telemetry report --events F [--json] [--mem]``
     Summarise a :mod:`repro.telemetry` jsonl stream (dispatch funnel with
-    lease-latency percentiles, per-sweep cell timing trends, bench ledger
-    rows + host calibration).  ``--check-bench``
-    verifies the stream's ``bench.row`` events against a
-    ``BENCH_vectorized.json`` file (every derivable row must match
-    byte-for-byte — the CI sanity gate); ``--write-bench`` merges the
-    reconstructed rows into such a file.
+    lease-latency percentiles, per-sweep cell timing trends, the worker
+    pool, memory peaks and the serving layer's latency view); ``--mem``
+    renders only the memory section.
 ``serve run [-n N] [--epochs E] [--churn R] [--epoch-period S] [--port P] [--telemetry F]``
 ``serve load --port P [--requests N] [--concurrency C] [--mode closed|open] [--rate R] [--out F]``
     The serving layer (ROADMAP item 4): ``run`` answers secure-routing
@@ -60,12 +57,16 @@ Commands
     (``--out``) for offline-oracle verification, and with
     ``--min-epoch``/``--stop`` guarantees epoch coverage and shuts the
     service down after the drill.
-``validate TOPOLOGY [-n N]``
+``validate TOPOLOGY [-n N] [--probes P]``
     Build an input graph and check properties P1-P4.
-``simulate [-n N] [--beta B] [--epochs E] [--churn R]``
+``simulate [-n N] [--beta B] [--epochs E] [--churn R] [--probes P]``
     Run the dynamic epoch protocol and print per-epoch stats.
 ``info``
     Print version, parameters, and the experiment registry.
+
+Out-of-range numbers (``-n`` below :class:`~repro.core.params.SystemParams`'
+minimum, ``--beta`` outside (0, 1/2), negative probe counts) are usage
+errors: exit 2 with one ``error:`` line before anything starts.
 """
 
 from __future__ import annotations
@@ -274,8 +275,6 @@ def _cmd_dispatch(args) -> int:
 
 def _cmd_telemetry(args) -> int:
     from .analysis.telemetry_report import (
-        bench_rows_from_events,
-        check_bench,
         render_mem_report,
         render_report,
         summarize_events,
@@ -298,34 +297,36 @@ def _cmd_telemetry(args) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
         print(render_report(summary))
-    if args.write_bench:
-        from .analysis.benchio import record_bench_rows
-
-        rows = bench_rows_from_events(events)
-        record_bench_rows(args.write_bench, rows)
-        print(f"merged {len(rows)} reconstructed row(s) into {args.write_bench}")
-    if args.check_bench:
-        problems = check_bench(events, args.check_bench)
-        if problems:
-            for problem in problems:
-                print(f"check-bench: {problem}", file=sys.stderr)
-            return 1
-        print(f"check-bench: event stream matches {args.check_bench}")
     return 0
+
+
+def _check_params(args) -> None:
+    """Raise ValueError on what :class:`SystemParams` rejects."""
+    from .core.params import SystemParams
+
+    SystemParams(n=args.n, beta=args.beta, seed=args.seed)
+
+
+def _serve_config(args):
+    """``serve run``'s :class:`~repro.serve.config.ServeConfig` (raises
+    ValueError on a configuration the simulator cannot run)."""
+    from .serve import ServeConfig
+
+    return ServeConfig(
+        n=args.n, beta=args.beta, seed=args.seed, topology=args.topology,
+        epochs=args.epochs, churn_rate=args.churn, probes=args.probes,
+        epoch_period_s=args.epoch_period,
+    )
 
 
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from .serve import RoutingService, ServeConfig, run_load, send_stop
+    from .serve import RoutingService, run_load, send_stop
     from .telemetry import TelemetryWriter
 
     if args.action == "run":
-        config = ServeConfig(
-            n=args.n, beta=args.beta, seed=args.seed, topology=args.topology,
-            epochs=args.epochs, churn_rate=args.churn, probes=args.probes,
-            epoch_period_s=args.epoch_period,
-        )
+        config = _serve_config(args)
         writer = TelemetryWriter(args.telemetry) if args.telemetry else None
 
         async def _run() -> None:
@@ -614,16 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mem", action="store_true",
         help="render only the memory section (mem.peak phase trends)",
     )
-    ptr.add_argument(
-        "--check-bench", default=None, metavar="BENCH",
-        help="verify the stream's bench.row events against this "
-             "BENCH_vectorized.json (exit 1 on any mismatch)",
-    )
-    ptr.add_argument(
-        "--write-bench", default=None, metavar="BENCH",
-        help="merge the rows reconstructed from bench.row events into this "
-             "BENCH JSON file",
-    )
     ptr.set_defaults(fn=_cmd_telemetry)
 
     psv = sub.add_parser(
@@ -636,12 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     psr.add_argument("-n", type=int, default=512)
     psr.add_argument("--beta", type=float, default=0.05)
-    psr.add_argument("--epochs", type=int, default=3,
+    psr.add_argument("--epochs", type=_nonnegative_int, default=3,
                      help="live epoch transitions to publish (default 3)")
     psr.add_argument("--churn", type=float, default=0.05,
                      help="UniformChurn departure rate per epoch (0 disables)")
     psr.add_argument("--topology", default="chord")
-    psr.add_argument("--probes", type=int, default=500,
+    psr.add_argument("--probes", type=_nonnegative_int, default=500,
                      help="reclassification probes per transition")
     psr.add_argument("--epoch-period", type=float, default=0.5, metavar="S",
                      help="seconds between epoch publications (default 0.5)")
@@ -652,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     psr.add_argument("--telemetry", default=None, metavar="F",
                      help="write serve.request/serve.publish events to this "
                           "jsonl file (default: $REPRO_TELEMETRY sink)")
-    psr.set_defaults(fn=_cmd_serve)
+    psr.set_defaults(fn=_cmd_serve, check=_serve_config)
 
     psl = psvsub.add_parser(
         "load", help="drive open/closed-loop query traffic at a service"
@@ -675,18 +666,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("validate", help="check P1-P4 on a topology")
     pv.add_argument("topology")
-    pv.add_argument("-n", type=int, default=1024)
-    pv.add_argument("--probes", type=int, default=10_000)
+    pv.add_argument("-n", type=_positive_int, default=1024)
+    pv.add_argument("--probes", type=_positive_int, default=10_000)
     pv.set_defaults(fn=_cmd_validate)
 
     ps = sub.add_parser("simulate", help="run the dynamic epoch protocol")
     ps.add_argument("-n", type=int, default=512)
     ps.add_argument("--beta", type=float, default=0.05)
-    ps.add_argument("--epochs", type=int, default=6)
+    ps.add_argument("--epochs", type=_nonnegative_int, default=6)
     ps.add_argument("--churn", type=float, default=0.05)
     ps.add_argument("--topology", default="chord")
-    ps.add_argument("--probes", type=int, default=2000)
-    ps.set_defaults(fn=_cmd_simulate)
+    ps.add_argument("--probes", type=_nonnegative_int, default=2000)
+    ps.set_defaults(fn=_cmd_simulate, check=_check_params)
 
     pi = sub.add_parser("info", help="version and registry info")
     pi.set_defaults(fn=_cmd_info)
@@ -698,6 +689,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is not None and args.backend != "process":
         parser.error("--workers needs --backend process")
+    check = getattr(args, "check", None)
+    if check is not None:
+        try:
+            check(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.fn(args)
 
 

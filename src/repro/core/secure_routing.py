@@ -133,43 +133,6 @@ class BatchSearchOutcome:
         )
 
 
-def _concat_outcomes(parts: list["BatchSearchOutcome"]) -> "BatchSearchOutcome":
-    """Stitch per-chunk outcomes back into one batch outcome.
-
-    Every field is per-probe, so row-wise concatenation reproduces the
-    whole-batch result exactly; path matrices are right-padded with
-    :data:`PADDING` to the widest chunk, which is precisely the width the
-    unchunked routing pass would have produced (the global max path length).
-    """
-    if len(parts) == 1:
-        return parts[0]
-    width = max(p.paths.shape[1] for p in parts)
-
-    def pad(paths: np.ndarray) -> np.ndarray:
-        if paths.shape[1] == width:
-            return paths
-        out = np.full((paths.shape[0], width), PADDING, dtype=paths.dtype)
-        out[:, : paths.shape[1]] = paths
-        return out
-
-    return BatchSearchOutcome(
-        delivered=np.concatenate([p.delivered for p in parts]),
-        corrupted=np.concatenate([p.corrupted for p in parts]),
-        hops=np.concatenate([p.hops for p in parts]),
-        messages=np.concatenate([p.messages for p in parts]),
-        first_blocked=np.concatenate([p.first_blocked for p in parts]),
-        paths=np.concatenate([pad(p.paths) for p in parts], axis=0),
-        resolved=np.concatenate([p.resolved for p in parts]),
-    )
-
-
-def _emit_chunk_peak(phase: str, chunk: int) -> None:
-    """Per-chunk peak-RSS telemetry (lazy import keeps core import-light)."""
-    from ..telemetry import emit_peak
-
-    emit_peak(phase, chunk=int(chunk))
-
-
 class SecureRouter:
     """Member-level secure-routing simulator over a group graph.
 
@@ -273,42 +236,26 @@ class SecureRouter:
         sources: np.ndarray,
         targets: np.ndarray,
         ledger: CostLedger | None = None,
-        probe_chunk: int | None = None,
     ) -> BatchSearchOutcome:
         """Vectorized :meth:`search` over probe arrays.
 
         Routes all ``sources[i] -> targets[i]`` searches at once and walks
         the resulting padded path matrix in lockstep (see
         :meth:`route_outcomes`).  Scalar-parity is pinned by the tests:
-        row ``i`` equals ``search(sources[i], targets[i])``.
-
-        ``probe_chunk`` streams the probes through fixed-size windows —
-        routing and classifying at most that many at a time — so the
-        transient ``(q, width)`` candidate tables scale with the window,
-        not the batch (the 100k-probe E2 workload at n = 10^6).  Outcomes
-        are per-probe, so the stitched result is byte-identical to the
-        unchunked pass; each window emits a ``mem.peak`` telemetry event.
+        row ``i`` equals ``search(sources[i], targets[i])``.  A workload
+        too large for one pass is windowed by its caller
+        (:func:`~repro.core.static_case.measure_static_search_streamed`).
         """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.float64)
-        q = sources.size
-        if probe_chunk is None or probe_chunk <= 0 or q <= probe_chunk:
-            return self.route_outcomes(
-                self.gg.H.route_many(sources, targets), ledger=ledger
-            )
-        parts = []
-        for ci, start in enumerate(range(0, q, probe_chunk)):
-            window = slice(start, start + probe_chunk)
-            routed = self.gg.H.route_many(sources[window], targets[window])
-            parts.append(self.route_outcomes(routed, ledger=ledger))
-            _emit_chunk_peak("search_batch", ci)
-        return _concat_outcomes(parts)
+        return self.route_outcomes(
+            self.gg.H.route_many(sources, targets), ledger=ledger
+        )
 
     def route_outcomes(
         self,
         batch: RouteBatch,
         ledger: CostLedger | None = None,
-        probe_chunk: int | None = None,
     ) -> BatchSearchOutcome:
         """Classify an already-routed batch with the member-level semantics.
 
@@ -318,24 +265,7 @@ class SecureRouter:
         final position only good-majority), so the first blocking column,
         the verdicts, and the message costs fall out of masked reductions
         with no per-probe Python work.
-
-        ``probe_chunk`` bounds the classification transients (the ``(q, L)``
-        ``blocked``/``sizes`` tables) by processing row windows; outcomes
-        are per-row, so the result is byte-identical either way.
         """
-        q_all = batch.paths.shape[0]
-        if probe_chunk is not None and 0 < probe_chunk < q_all:
-            parts = []
-            for ci, start in enumerate(range(0, q_all, probe_chunk)):
-                window = slice(start, start + probe_chunk)
-                sub = RouteBatch(
-                    paths=batch.paths[window],
-                    resolved=batch.resolved[window],
-                    responsible=batch.responsible[window],
-                )
-                parts.append(self.route_outcomes(sub, ledger=ledger))
-                _emit_chunk_peak("route_outcomes", ci)
-            return _concat_outcomes(parts)
         paths = batch.paths
         q, L = paths.shape
         valid = paths != PADDING

@@ -45,43 +45,6 @@ from ..sim.sweep import SweepSpec, run_sweep
 __all__ = ["run", "build_spec"]
 
 
-def _transition_once(
-    n: int,
-    beta: float,
-    pf0: float,
-    params: SystemParams,
-    two_graphs: bool,
-    seed: int,
-    topology: str,
-) -> float:
-    rng = np.random.default_rng(seed)
-    good = rng.random(n - int(beta * n))
-    bad_vals = rng.random(int(beta * n))
-    ids = np.sort(np.concatenate([good, bad_vals]))
-    ring = Ring(ids)
-    bad_mask = np.zeros(ring.n, dtype=bool)
-    # mark which sorted entries were adversarial
-    bad_set = set(np.round(bad_vals, 12))
-    for i, v in enumerate(ring.ids):
-        if round(float(v), 12) in bad_set:
-            bad_mask[i] = True
-    H = make_input_graph(topology, ring)
-    old = EpochPair(
-        ring=ring,
-        H=H,
-        bad_mask=bad_mask,
-        red1=rng.random(ring.n) < pf0,
-        red2=rng.random(ring.n) < pf0,
-    )
-    new_ids = rng.random(ring.n)
-    new_ring = Ring(new_ids)
-    new_H = make_input_graph(topology, new_ring)
-    rep = build_new_graph(
-        old, new_ring, new_H, 1, params, rng, two_graphs=two_graphs
-    )
-    return rep.fraction_red
-
-
 def _transition_pair(
     n: int,
     beta: float,
@@ -92,12 +55,14 @@ def _transition_pair(
 ) -> tuple[float, float]:
     """Both variants of one cell's transition, sharing one substrate build.
 
-    The dual and single runs of :func:`_transition_once` consume an
-    *identical* RNG prefix — population, old-graph colourings, new ring —
-    and only diverge inside ``build_new_graph``.  Building that prefix
-    once and forking the generator state at the divergence point halves
-    the per-cell construction cost while staying bit-identical to two
-    independent ``_transition_once`` calls (pinned by a property test).
+    Run separately, the dual and single variants consume an *identical*
+    RNG prefix — population, old-graph colourings, new ring — and only
+    diverge inside ``build_new_graph``.  Building that prefix once and
+    forking the generator state at the divergence point halves the
+    per-cell construction cost while staying bit-identical to two
+    independent transitions (``tests/oracles.py::transition_once``, pinned
+    on every topology by
+    ``tests/property/test_stacked_equivalence.py``).
     """
     rng = np.random.default_rng(seed)
     good = rng.random(n - int(beta * n))

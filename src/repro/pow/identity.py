@@ -11,9 +11,13 @@ enforced here):
 3. **the adversary holds at most ~beta n u.a.r. IDs** — Lemma 11, enforced
    by the compute budget and the two-hash composition.
 
-:class:`IdentityRegistry` is the bookkeeping layer the dynamic protocol and
-experiment E8 use: it mints per-epoch populations (honest + adversarial),
-answers verification queries, and retires expired IDs.
+:class:`IdentityRegistry` is the bookkeeping layer for those properties:
+it mints per-epoch populations (honest + adversarial), answers
+verification queries, and retires expired IDs.  Nothing in ``src/``
+drives it — the dynamic protocol draws its populations from
+``repro.adversary`` and E8 counts mints with
+:meth:`~repro.pow.puzzles.PuzzleScheme.mint_count_windows` — so the PoW
+tests are its callers.
 """
 
 from __future__ import annotations

@@ -31,6 +31,11 @@ class ServeConfig:
     :class:`~repro.churn.models.UniformChurn` (0 disables churn).
     ``probes`` is the per-epoch measurement budget — it shapes step cost
     and RNG consumption, so oracle and service must agree on it.
+
+    A configuration the simulator cannot run raises ``ValueError`` here,
+    before a service binds or answers anything: whatever
+    :class:`~repro.core.params.SystemParams` rejects, an unknown
+    topology, and negative epoch, probe, churn or period values.
     """
 
     n: int = 512
@@ -41,6 +46,21 @@ class ServeConfig:
     churn_rate: float = 0.05
     probes: int = 500
     epoch_period_s: float = 0.5
+
+    def __post_init__(self):
+        from ..inputgraph import TOPOLOGIES
+
+        self.params  # SystemParams checks n and beta
+        if self.topology not in TOPOLOGIES:
+            raise ValueError(
+                f"unknown topology {self.topology!r}; choose from "
+                f"{', '.join(sorted(TOPOLOGIES))}"
+            )
+        for name in ("epochs", "probes", "churn_rate", "epoch_period_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
 
     @property
     def params(self) -> SystemParams:

@@ -1,16 +1,14 @@
 """repro.telemetry — one structured event stream for every layer.
 
-The reproduction's auditable-evidence substrate (ROADMAP item 5): the
-dispatch spool's unit lifecycle, the sweep substrate's per-cell
-timings, and the benchmark/perf-ledger rows all emit the same versioned
-jsonl record shape instead of three incompatible logging idioms
-(free-text ``events.log``, the bespoke ``timing_sink`` lines, ad-hoc
-bench JSON).
+The reproduction's auditable-evidence substrate: the dispatch spool's
+unit lifecycle, the sweep substrate's per-cell timings, the worker
+pool, the memory high-water marks and the serving layer all emit the
+same versioned jsonl record shape.  (The perf ledgers' rows live only in
+their ``BENCH_*.json`` files: :mod:`repro.analysis.benchio`.)
 
 * :mod:`~repro.telemetry.records` — the schema: envelope
   ``{v, ts, type}`` + an open per-type field registry,
-  :func:`make_event` / :func:`check_event` / the canonical
-  :func:`bench_row` payload;
+  :func:`make_event` / :func:`check_event`;
 * :mod:`~repro.telemetry.writer` — :class:`TelemetryWriter`: each event
   is one ``write(2)`` on an ``O_APPEND`` descriptor, so any number of OS
   processes share a file without interleaving partial lines; monotonic,
@@ -23,8 +21,8 @@ bench JSON).
   emit through.
 
 ``repro telemetry report`` (:mod:`repro.analysis.telemetry_report`)
-renders trend tables, lease/retry/latency summaries, and the perf
-ledger's bench rows from any events file.
+renders trend tables and lease/retry/latency summaries from any events
+file.
 """
 
 from .config import (
@@ -40,7 +38,6 @@ from .records import (
     EVENT_TYPES,
     SCHEMA_VERSION,
     TelemetryError,
-    bench_row,
     check_event,
     make_event,
 )
@@ -52,7 +49,6 @@ __all__ = [
     "TelemetryBuffer",
     "TelemetryError",
     "TelemetryWriter",
-    "bench_row",
     "check_event",
     "default_writer",
     "emit_default",

@@ -19,11 +19,6 @@ no envelope, or a *known* type missing one of its required fields.
 Writers validate before the line hits disk, so a malformed emit fails the
 emitter loudly instead of poisoning the stream; readers stay permissive,
 so version skew between the processes sharing one file never loses data.
-
-The ``bench.row`` payload is exactly the row shape of
-``BENCH_vectorized.json`` (:func:`bench_row` — re-exported by
-:mod:`repro.analysis.benchio`, whose file format predates this module):
-the perf ledger and the event stream are the same record, stored twice.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ __all__ = [
     "EVENT_TYPES",
     "SCHEMA_VERSION",
     "TelemetryError",
-    "bench_row",
     "check_event",
     "make_event",
 ]
@@ -92,16 +86,6 @@ EVENT_TYPES: dict[str, dict[str, tuple]] = {
     # churn layer — a requested departure rate silently exceeding the
     # model's eps'/2 cap is an experiment-changing event, recorded once
     "churn.clipped": {"model": (str,), "rate": _NUMBER, "cap": _NUMBER},
-    # bench layer — the perf ledger's row, timings.txt's line, and the
-    # per-run host calibration measurement
-    "bench.row": {
-        "experiment": (str,), "n": (int,), "backend": (str,),
-        "wall_s": _NUMBER, "cells": (int,), "trials": (int,),
-    },
-    "bench.timing": {
-        "name": (str,), "backend": (str,), "workers": (int,), "wall_s": _NUMBER,
-    },
-    "bench.calibration": {"wall_s": _NUMBER},
 }
 
 
@@ -155,31 +139,3 @@ def check_event(event: object) -> list[str]:
             )
     return problems
 
-
-def bench_row(
-    experiment: str,
-    n: int,
-    backend: str,
-    wall_s: float,
-    cells: int,
-    trials: int,
-    peak_rss_mb: float | None = None,
-) -> dict:
-    """One benchmark measurement in the canonical row shape — the payload
-    of a ``bench.row`` event and a ``BENCH_vectorized.json`` row alike.
-
-    ``peak_rss_mb`` is the optional memory column the scale ledger
-    (``BENCH_scale.json``) carries; it is omitted (not null-filled) when
-    absent so the pre-existing row shape stays byte-stable.
-    """
-    row = {
-        "experiment": str(experiment).upper(),
-        "n": int(n),
-        "backend": str(backend),
-        "wall_s": round(float(wall_s), 6),
-        "cells": int(cells),
-        "trials": int(trials),
-    }
-    if peak_rss_mb is not None:
-        row["peak_rss_mb"] = round(float(peak_rss_mb), 3)
-    return row

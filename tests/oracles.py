@@ -23,8 +23,10 @@ from repro.baselines.cuckoo import CuckooSimulator
 from repro.core import dynamic, groups, membership, static_case
 from repro.core.group_graph import GroupGraph
 from repro.core.groups import GroupSet
+from repro.core.membership import EpochPair, build_new_graph
 from repro.core.secure_routing import SecureRouter
 from repro.idspace.ring import Ring
+from repro.inputgraph import make_input_graph
 from repro.inputgraph.base import InputGraph
 from repro.inputgraph.chord import ChordGraph
 from repro.inputgraph.distance_halving import DistanceHalvingGraph
@@ -180,6 +182,35 @@ def distance_halving_neighbor_sets(H: DistanceHalvingGraph):
         rows.append(row[row != i])
     indptr, indices = _csr(rows)
     return indptr, indices.astype(np.int64)
+
+
+# -- E5's transition pair ----------------------------------------------------
+
+
+def transition_once(n: int, beta: float, pf0: float, params, two_graphs: bool,
+                    seed: int, topology: str) -> float:
+    """One variant of ``e5_two_graph_ablation._transition_pair``, built from
+    its own generator: population, old-graph colourings, new ring, then
+    one ``build_new_graph``.  Two calls (dual, single) on one seed must
+    give the pair's two red fractions."""
+    rng = np.random.default_rng(seed)
+    good = rng.random(n - int(beta * n))
+    bad_vals = rng.random(int(beta * n))
+    ring = Ring(np.sort(np.concatenate([good, bad_vals])))
+    bad_set = set(np.round(bad_vals, 12))
+    bad_mask = np.array([round(float(v), 12) in bad_set for v in ring.ids])
+    old = EpochPair(
+        ring=ring,
+        H=make_input_graph(topology, ring),
+        bad_mask=bad_mask,
+        red1=rng.random(ring.n) < pf0,
+        red2=rng.random(ring.n) < pf0,
+    )
+    new_ring = Ring(rng.random(ring.n))
+    new_H = make_input_graph(topology, new_ring)
+    rep = build_new_graph(old, new_ring, new_H, 1, params, rng,
+                          two_graphs=two_graphs)
+    return rep.fraction_red
 
 
 # -- PoW windows -------------------------------------------------------------

@@ -9,16 +9,25 @@ to
 * the process backend's contiguous worker spans at 2 and 3 workers, on
   one fixed grid per experiment,
 
-so neither the batching nor the schedule can leak into a table.
+so neither the batching nor the schedule can leak into a table.  E5's
+cell builds its dual and single transitions from one shared substrate;
+that fork is pinned against two independent transitions on every
+topology.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import transition_once
+from repro.core.params import SystemParams
 
 from repro.experiments.e1_responsibility import build_spec as e1_spec
 from repro.experiments.e2_static_search import build_spec as e2_spec
 from repro.experiments.e3_group_quality import build_spec as e3_spec
+from repro.experiments.e5_two_graph_ablation import _transition_pair
 from repro.experiments.e5_two_graph_ablation import build_spec as e5_spec
+from repro.inputgraph import TOPOLOGIES
 from repro.experiments.e6_costs import build_spec as e6_spec
 from repro.sim import ExecutionConfig, run_sweep
 
@@ -107,6 +116,22 @@ def test_e6_stacked_matches_per_cell(seed, n_values, probes, oracle_loops):
     _assert_kernel_invariant(
         oracle_loops, e6_spec, seed=seed, n_values=tuple(n_values), probes=probes
     )
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_e5_transition_pair_matches_two_independent_transitions(topology):
+    """The pair forks one generator after the shared prefix (population,
+    old colourings, new ring): its dual and single red fractions must be
+    the ones two transitions from fresh generators give."""
+    for n, beta, pf0 in ((32, 0.05, 0.05), (48, 0.1, 0.02)):
+        for seed in (0, 1, 2):
+            params = SystemParams(n=n, beta=beta, seed=seed)
+            dual, single = _transition_pair(n, beta, pf0, params, seed,
+                                            topology)
+            assert dual == transition_once(n, beta, pf0, params, True,
+                                           seed, topology)
+            assert single == transition_once(n, beta, pf0, params, False,
+                                             seed, topology)
 
 
 def test_e2_probe_chunk_is_table_invisible():

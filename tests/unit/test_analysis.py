@@ -351,7 +351,8 @@ class TestBenchIOMergeEdgeCases:
 
 
 class TestBenchDiff:
-    """diff_bench_rows — the CI perf-ledger gate."""
+    """diff_bench_rows — one column per row key: the memory gate's
+    peak_rss_mb and the warn-only wall-clock drift."""
 
     def _rows(self, wall_serial, wall_vec):
         from repro.analysis import bench_row
@@ -365,7 +366,8 @@ class TestBenchDiff:
         from repro.analysis.benchio import diff_bench_rows
 
         deltas, regressions = diff_bench_rows(
-            self._rows(10.0, 1.0), self._rows(11.0, 1.1), max_regression=0.20
+            self._rows(10.0, 1.0), self._rows(11.0, 1.1), "wall_s",
+            max_regression=0.20,
         )
         assert len(deltas) == 2
         assert regressions == []
@@ -374,19 +376,23 @@ class TestBenchDiff:
         from repro.analysis.benchio import diff_bench_rows
 
         deltas, regressions = diff_bench_rows(
-            self._rows(10.0, 1.0), self._rows(10.0, 1.5), max_regression=0.20
+            self._rows(10.0, 1.0), self._rows(10.0, 1.5), "wall_s",
+            max_regression=0.20,
         )
         assert len(regressions) == 1
         assert regressions[0]["backend"] == "vectorized"
         assert regressions[0]["ratio"] == 1.5
+        assert (regressions[0]["baseline"], regressions[0]["current"]) == (
+            1.0, 1.5
+        )
 
     def test_noise_floor_rows_never_flagged(self):
         from repro.analysis.benchio import diff_bench_rows
 
         # 3x slower, but both sides are sub-noise-floor micro measurements
         deltas, regressions = diff_bench_rows(
-            self._rows(10.0, 0.004), self._rows(10.0, 0.012),
-            max_regression=0.20, min_wall_s=0.05,
+            self._rows(10.0, 0.004), self._rows(10.0, 0.012), "wall_s",
+            max_regression=0.20, floor=0.05,
         )
         assert len(deltas) == 2
         assert regressions == []
@@ -396,7 +402,7 @@ class TestBenchDiff:
 
         baseline = [bench_row("E2", 4096, "serial", 1.0, 1, 10)]
         current = [bench_row("E3", 8192, "serial", 9.0, 1, 10)]
-        deltas, regressions = diff_bench_rows(baseline, current)
+        deltas, regressions = diff_bench_rows(baseline, current, "wall_s")
         assert deltas == [] and regressions == []
 
     def test_current_rows_missing_wall_s_skipped_not_fatal(self):
@@ -404,8 +410,50 @@ class TestBenchDiff:
 
         baseline = [bench_row("E2", 4096, "serial", 1.0, 1, 10)]
         current = [{"experiment": "E2", "n": 4096, "backend": "serial"}]
-        deltas, regressions = diff_bench_rows(baseline, current)
+        deltas, regressions = diff_bench_rows(baseline, current, "wall_s")
         assert deltas == [] and regressions == []
+
+    def _peaks(self, peak_mb):
+        from repro.analysis import bench_row
+
+        return [bench_row("SCALE", 131072, "int32", 0.5, 1, 100,
+                          peak_rss_mb=peak_mb)]
+
+    def test_peak_growth_beyond_tolerance_flagged(self):
+        from repro.analysis.benchio import diff_bench_rows
+
+        deltas, regressions = diff_bench_rows(
+            self._peaks(150.0), self._peaks(181.0), "peak_rss_mb",
+            max_regression=0.20, floor=32.0,
+        )
+        assert len(deltas) == 1 and len(regressions) == 1
+        assert regressions[0]["ratio"] == round(181.0 / 150.0, 4)
+
+    def test_peak_growth_exactly_at_tolerance_passes(self):
+        from repro.analysis.benchio import diff_bench_rows
+
+        _, regressions = diff_bench_rows(
+            self._peaks(150.0), self._peaks(180.0), "peak_rss_mb",
+            max_regression=0.20, floor=32.0,
+        )
+        assert regressions == []
+
+    def test_peaks_under_the_floor_never_flagged(self):
+        from repro.analysis.benchio import diff_bench_rows
+
+        deltas, regressions = diff_bench_rows(
+            self._peaks(8.0), self._peaks(30.0), "peak_rss_mb",
+            max_regression=0.20, floor=32.0,
+        )
+        assert len(deltas) == 1 and regressions == []
+
+    def test_rows_without_the_column_skipped(self):
+        from repro.analysis import bench_row
+        from repro.analysis.benchio import diff_bench_rows
+
+        # the wall-clock rows carry no peak: nothing to compare
+        rows = [bench_row("E2", 4096, "serial", 1.0, 1, 10)]
+        assert diff_bench_rows(rows, rows, "peak_rss_mb") == ([], [])
 
 
 # the process backend's cell-scheduling pair, as the perf ledger gates it
@@ -429,6 +477,8 @@ class TestSpeedupRows:
         (row,) = speedup_rows(self._rows(), CELLS)
         assert row["experiment"] == "E2" and row["n"] == 4096
         assert row["speedup"] == 10.0
+        # fields named for the pair's roles, whatever the pair
+        assert (row["base_wall_s"], row["fast_wall_s"]) == (2.0, 0.2)
 
     def test_single_backend_points_skipped(self):
         from repro.analysis.benchio import bench_row, speedup_rows
@@ -481,8 +531,8 @@ class TestDiffBenchRatios:
         current = self._rows(2.0, 0.4)    # 5x -> ratio 0.5
         deltas, regressions = diff_bench_ratios(baseline, current, backends=CELLS)
         assert len(regressions) == 1
-        assert regressions[0]["speedup"] == 5.0
-        assert regressions[0]["baseline_speedup"] == 10.0
+        assert regressions[0]["current"] == 5.0
+        assert regressions[0]["baseline"] == 10.0
 
     def test_noise_floor_reports_but_never_flags(self):
         from repro.analysis.benchio import diff_bench_ratios

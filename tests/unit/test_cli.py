@@ -177,6 +177,55 @@ class TestParser:
         assert args.backend == "serial"
 
 
+class TestNumericUsageErrors:
+    """Out-of-range numbers on simulate, validate and serve run exit 2
+    with one ``error:`` line before any command starts."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "-n", "4"], "n must be at least 8"),
+        (["simulate", "--beta", "1.5"], "beta must be in (0, 1/2)"),
+        (["simulate", "--probes", "-3"], "--probes: must be >= 0, got -3"),
+        (["validate", "kautz", "-n", "0"], "-n: must be >= 1, got 0"),
+        (["validate", "chord", "--probes", "0"], "--probes: must be >= 1"),
+        (["validate", "chord", "--probes", "-5"], "--probes: must be >= 1"),
+        (["serve", "run", "--beta", "0.7"], "beta must be in (0, 1/2)"),
+        (["serve", "run", "-n", "64", "--probes", "-1"],
+         "--probes: must be >= 0, got -1"),
+        (["serve", "run", "--topology", "pancake"], "unknown topology"),
+    ])
+    def test_out_of_range_is_a_usage_error(self, argv, message, capsys,
+                                           monkeypatch):
+        from repro import cli
+
+        started = []
+        for name in ("_cmd_simulate", "_cmd_validate", "_cmd_serve"):
+            monkeypatch.setattr(cli, name, started.append)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert started == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "-n", "8", "--beta", "0.49", "--probes", "0"],
+        ["validate", "chord", "-n", "1", "--probes", "1"],
+        ["serve", "run", "-n", "8", "--probes", "0", "--epochs", "0",
+         "--churn", "0"],
+    ])
+    def test_boundary_values_reach_the_command(self, argv, monkeypatch):
+        from repro import cli
+
+        started = []
+        for name in ("_cmd_simulate", "_cmd_validate", "_cmd_serve"):
+            monkeypatch.setattr(cli, name, started.append)
+        main(argv)
+        assert len(started) == 1
+
+
 class TestCacheCommand:
     def _fill(self, cache_dir, experiments=("E1", "E2")):
         from repro.analysis.tables import TableResult

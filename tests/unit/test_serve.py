@@ -42,6 +42,22 @@ def _queries(count: int, n: int, seed: int = 7) -> list[tuple[int, float]]:
     ]
 
 
+class TestConfig:
+    @pytest.mark.parametrize("bad", [
+        dict(n=4), dict(beta=0.7), dict(beta=0.0), dict(topology="pancake"),
+        dict(epochs=-1), dict(probes=-1), dict(churn_rate=-0.1),
+        dict(epoch_period_s=-0.5),
+    ])
+    def test_rejects_what_the_simulator_cannot_run(self, bad):
+        with pytest.raises(ValueError):
+            ServeConfig(**bad)
+
+    def test_zero_probes_epochs_and_churn_run(self):
+        config = ServeConfig(n=64, epochs=0, churn_rate=0.0, probes=0)
+        sim = make_simulator(config)
+        assert sim.step().epoch == 1
+
+
 class TestSnapshot:
     def test_answer_is_deterministic_and_canonical(self):
         snap = build_snapshot(make_simulator(CONFIG).pair, CONFIG.params, 0)

@@ -1,8 +1,6 @@
 """Unit tests: the telemetry summariser and its CLI surface.
 
-The acceptance bar from the telemetry refactor: ``repro telemetry
-report`` must reproduce the perf ledger's rows from ``bench.row`` events
-alone, and the summary views (dispatch funnel, sweep trends, pool and
+The summary views (dispatch funnel, sweep trends, pool, memory and
 serving sections) must be derivable from any mixed stream.
 """
 
@@ -10,13 +8,7 @@ import json
 
 import pytest
 
-from repro.analysis.benchio import bench_row, record_bench_rows
-from repro.analysis.telemetry_report import (
-    bench_rows_from_events,
-    check_bench,
-    render_report,
-    summarize_events,
-)
+from repro.analysis.telemetry_report import render_report, summarize_events
 from repro.cli import main
 from repro.telemetry import TelemetryBuffer, TelemetryWriter
 
@@ -52,9 +44,8 @@ def _mixed_buffer() -> TelemetryBuffer:
     buf.emit("pool.broken", workers=4)
     buf.emit("sweep.degrade", experiment="E2", reason="unpicklable-cell",
              detail="PicklingError")
-    buf.emit("bench.calibration", wall_s=0.02)
-    buf.emit("bench.row", **bench_row("E2", 1024, "cells-serial", 2.0, 1, 1000))
-    buf.emit("bench.row", **bench_row("E2", 1024, "cells-process", 0.2, 1, 1000))
+    buf.emit("mem.peak", phase="static.search", peak_rss_mb=120.5, chunk=0)
+    buf.emit("mem.peak", phase="static.search", peak_rss_mb=130.25, chunk=1)
     return buf
 
 
@@ -81,14 +72,23 @@ class TestSummary:
         assert summary["types"]["trials.run"] == 2
         assert "trials" not in summary
 
-    def test_bench_section_with_speedups(self):
-        summary = summarize_events(_mixed_buffer().events)
-        bench = summary["bench"]
-        assert len(bench["rows"]) == 2
-        (speedup,) = bench["speedups"]
-        assert speedup["speedup"] == 10.0
-        assert speedup["pair"] == "cells-serial/cells-process"
-        assert bench["calibration_wall_s"] == 0.02
+    def test_mem_section(self):
+        mem = summarize_events(_mixed_buffer().events)["mem"]
+        assert mem["samples"] == 2 and mem["peak_rss_mb"] == 130.25
+        assert mem["phases"]["static.search"]["max"] == 130.25
+
+    def test_old_bench_events_counted_not_summarised(self):
+        # ledger rows live only in their BENCH_*.json files: a stream from
+        # before that still carries bench.* events counts them and has no
+        # bench section
+        buf = TelemetryBuffer(clock=lambda: 1.0)
+        buf.emit("bench.calibration", wall_s=0.02)
+        buf.emit("bench.row", experiment="E2", n=1024, backend="cells-serial",
+                 wall_s=2.0, cells=1, trials=1000)
+        summary = summarize_events(buf.events)
+        assert summary["types"] == {"bench.calibration": 1, "bench.row": 1}
+        assert set(summary) == {"events", "types"}
+        assert "bench ledger" not in render_report(summary)
 
     def test_old_sweep_events_with_kernel_fold_into_backend_rows(self):
         # streams written while cells still had a kernel option carry a
@@ -143,9 +143,8 @@ class TestSummary:
 
     def test_render_is_text_with_all_sections(self):
         text = render_report(summarize_events(_mixed_buffer().events))
-        for needle in ("dispatch funnel", "sweep cells", "bench ledger",
-                       "host calibration", "speedup",
-                       "worker pool:", "broken=1",
+        for needle in ("dispatch funnel", "sweep cells", "memory (mem.peak)",
+                       "phase static.search", "worker pool:", "broken=1",
                        "degrade E2:unpicklable-cell", "quorum:",
                        "suspect wLiar", "suspicion=2", "poisoned"):
             assert needle in text
@@ -239,52 +238,6 @@ class TestServeSection:
             assert needle in text
 
 
-class TestBenchReconstruction:
-    def test_rows_last_emission_wins_and_sorted(self):
-        buf = TelemetryBuffer(clock=lambda: 1.0)
-        buf.emit("bench.row", **bench_row("E3", 8192, "serial", 5.0, 12, 1))
-        buf.emit("bench.row", **bench_row("E2", 1024, "serial", 2.0, 1, 1))
-        buf.emit("bench.row", **bench_row("E2", 1024, "serial", 1.5, 1, 1))
-        rows = bench_rows_from_events(buf.events)
-        assert [(r["experiment"], r["wall_s"]) for r in rows] == [
-            ("E2", 1.5), ("E3", 5.0),
-        ]
-
-    def test_malformed_row_events_skipped(self):
-        events = [
-            {"v": 1, "ts": 1.0, "type": "bench.row", "experiment": "E2"},
-            {"v": 1, "ts": 1.0, "type": "bench.row",
-             **bench_row("E2", 1, "serial", 1.0, 1, 1)},
-        ]
-        assert len(bench_rows_from_events(events)) == 1
-
-    def test_check_bench_matches_written_file(self, tmp_path):
-        buf = _mixed_buffer()
-        path = tmp_path / "BENCH.json"
-        record_bench_rows(path, bench_rows_from_events(buf.events))
-        assert check_bench(buf.events, path) == []
-
-    def test_check_bench_flags_divergence(self, tmp_path):
-        buf = _mixed_buffer()
-        path = tmp_path / "BENCH.json"
-        rows = bench_rows_from_events(buf.events)
-        rows[0] = dict(rows[0], wall_s=999.0)  # the file lies
-        record_bench_rows(path, rows)
-        problems = check_bench(buf.events, path)
-        assert problems and "differs" in problems[0]
-
-    def test_check_bench_flags_missing_row(self, tmp_path):
-        buf = _mixed_buffer()
-        path = tmp_path / "BENCH.json"
-        record_bench_rows(path, bench_rows_from_events(buf.events)[:1])
-        assert any("not in" in p for p in check_bench(buf.events, path))
-
-    def test_check_bench_no_events(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        record_bench_rows(path, [])
-        assert check_bench([], path) != []
-
-
 class TestCli:
     def _events_file(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -301,7 +254,7 @@ class TestCli:
         path = self._events_file(tmp_path)
         assert main(["telemetry", "report", "--events", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "dispatch funnel" in out and "bench ledger" in out
+        assert "dispatch funnel" in out and "memory (mem.peak)" in out
 
     def test_report_json(self, tmp_path, capsys):
         path = self._events_file(tmp_path)
@@ -309,28 +262,21 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["dispatch"]["served_units"] == 2
 
-    def test_report_write_then_check_bench(self, tmp_path, capsys):
+    def test_report_mem_only(self, tmp_path, capsys):
         path = self._events_file(tmp_path)
-        bench = tmp_path / "BENCH.json"
-        assert main([
-            "telemetry", "report", "--events", str(path),
-            "--write-bench", str(bench),
-        ]) == 0
-        assert main([
-            "telemetry", "report", "--events", str(path),
-            "--check-bench", str(bench),
-        ]) == 0
-        assert "matches" in capsys.readouterr().out
+        assert main(["telemetry", "report", "--events", str(path), "--mem"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("memory (mem.peak):")
+        assert "dispatch funnel" not in out
 
-    def test_report_check_bench_failure_exit_code(self, tmp_path, capsys):
+    def test_ledger_flags_are_gone(self, tmp_path):
         path = self._events_file(tmp_path)
-        bench = tmp_path / "BENCH.json"
-        record_bench_rows(bench, [bench_row("E2", 1024, "serial", 123.0, 1, 1000)])
-        assert main([
-            "telemetry", "report", "--events", str(path),
-            "--check-bench", str(bench),
-        ]) == 1
-        assert "check-bench" in capsys.readouterr().err
+        for flag in ("--check-bench", "--write-bench"):
+            with pytest.raises(SystemExit) as exc:
+                main(["telemetry", "report", "--events", str(path), flag,
+                      str(tmp_path / "BENCH.json")])
+            assert exc.value.code == 2
+        assert not (tmp_path / "BENCH.json").exists()
 
     def test_report_empty_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

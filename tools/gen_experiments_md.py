@@ -294,15 +294,15 @@ fails; bootstrap is warn-only).
 
 Telemetry (TELEMETRY.md, `repro.telemetry`): every sink above — the
 dispatch spool's `events.log`, sweep runs (opt-in via
-`REPRO_TELEMETRY=/path.jsonl`), and the benchmark suite
-(`benchmarks/output/telemetry.jsonl`) — emits versioned schema-checked
-jsonl events through one writer (atomic O_APPEND lines, safe under
-concurrent OS-process workers).  `python -m repro telemetry
-report --events run.jsonl` renders the dispatch funnel (lease/verdict/
-requeue counts, latency percentiles), sweep cell-timing stats, and the
-bench ledger with derived speedups; `--check-bench`
-proves `BENCH_vectorized.json` is byte-reproducible from `bench.row`
-events alone (CI runs both against the smoke artifacts).
+`REPRO_TELEMETRY=/path.jsonl`), the worker pool, the memory probes and
+the serving layer — emits versioned schema-checked jsonl events through
+one writer (atomic O_APPEND lines, safe under concurrent OS-process
+workers).  `python -m repro telemetry report --events run.jsonl`
+renders the dispatch funnel (lease/verdict/requeue counts, latency
+percentiles), sweep cell-timing stats, the pool, memory peaks and the
+serving latencies.  A benchmark row is stored once, in its
+`BENCH_*.json` ledger, and `tools/perf_ledger.py` gates the three
+ledgers through one loop.
 
 `--cache` / `--no-cache` / `--force` drive the on-disk result cache
 (`benchmarks/output/cache/`, keyed by experiment/seed/fast/overrides/

@@ -16,11 +16,12 @@ contiguous spans (``cells-process``).  Then it
    ``--process-margin``) — the ROADMAP item-3 acceptance.  On smaller
    hosts the ratio is recorded warn-only (a pool cannot beat one core).
 
-Every measurement is also emitted as telemetry (``bench.row`` /
-``bench.calibration`` events, default ``<out dir>/telemetry.jsonl``),
-along with a per-run host-calibration row — a fixed NumPy workload timing
-that tells a ledger reader whether absolute drift was the machine or the
-code (the ratio gate in ``tools/perf_ledger.py`` needs neither).
+The ledger also gets a per-run host-calibration row — a fixed NumPy
+workload timing that tells a ledger reader whether absolute drift was
+the machine or the code (the ratio gate in ``tools/perf_ledger.py``
+needs neither).  The runtime's own telemetry (``sweep.run``,
+``pool.spawn``/``pool.reuse``, ``sweep.degrade``) goes to
+``--telemetry-out`` (default ``<out dir>/telemetry.jsonl``).
 
 The file keeps its historical name so CI's artifact baseline chain
 holds.  Exercised by the ``smoke-vectorized`` job in
@@ -87,7 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         BENCH_FILENAME,
         PROCESS_BENCH_CASES,
         PROCESS_BENCH_CASES_QUICK,
-        bench_row,
         calibration_row,
         measure_calibration,
         record_bench_rows,
@@ -121,13 +121,11 @@ def main(argv: list[str] | None = None) -> int:
         }
 
     telemetry = TelemetryWriter(telemetry_path)
-    # install as the process-default sink too, so the runtime's own events
-    # (sweep.run, pool.spawn/reuse, sweep.degrade) land in the same
-    # artifact as the bench rows — the report CLI's pool section reads
-    # them back
+    # the process-default sink: the runtime's own events (sweep.run,
+    # pool.spawn/reuse, sweep.degrade) land in the uploaded artifact,
+    # where the report CLI's pool section reads them back
     previous_writer = set_default_writer(telemetry)
     cal_wall = measure_calibration()
-    telemetry.emit("bench.calibration", wall_s=round(cal_wall, 6))
     print(f"host calibration: {cal_wall:.4f}s (fixed NumPy workload)")
 
     rows, failures = [calibration_row(cal_wall)], []
@@ -176,10 +174,6 @@ def main(argv: list[str] | None = None) -> int:
             )
     shutdown_pool()
 
-    for row in rows:
-        # normalize exactly as record_bench_rows will: the event stream and
-        # the ledger file must hold byte-equal rows
-        telemetry.emit("bench.row", **bench_row(**row))
     set_default_writer(previous_writer)
     telemetry.close()
     record_bench_rows(out_path, rows)
