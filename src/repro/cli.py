@@ -425,11 +425,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
+
+
+def _topology(text: str) -> str:
+    from .inputgraph import TOPOLOGIES
+
+    if text not in TOPOLOGIES:
+        raise argparse.ArgumentTypeError(
+            f"unknown topology {text!r}; choose from "
+            f"{', '.join(sorted(TOPOLOGIES))}"
+        )
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -631,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="live epoch transitions to publish (default 3)")
     psr.add_argument("--churn", type=float, default=0.05,
                      help="UniformChurn departure rate per epoch (0 disables)")
-    psr.add_argument("--topology", default="chord")
+    psr.add_argument("--topology", type=_topology, default="chord")
     psr.add_argument("--probes", type=_nonnegative_int, default=500,
                      help="reclassification probes per transition")
     psr.add_argument("--epoch-period", type=float, default=0.5, metavar="S",
@@ -665,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     psl.set_defaults(fn=_cmd_serve)
 
     pv = sub.add_parser("validate", help="check P1-P4 on a topology")
-    pv.add_argument("topology")
+    pv.add_argument("topology", type=_topology)
     pv.add_argument("-n", type=_positive_int, default=1024)
     pv.add_argument("--probes", type=_positive_int, default=10_000)
     pv.set_defaults(fn=_cmd_validate)
@@ -674,8 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("-n", type=int, default=512)
     ps.add_argument("--beta", type=float, default=0.05)
     ps.add_argument("--epochs", type=_nonnegative_int, default=6)
-    ps.add_argument("--churn", type=float, default=0.05)
-    ps.add_argument("--topology", default="chord")
+    ps.add_argument("--churn", type=_nonnegative_float, default=0.05)
+    ps.add_argument("--topology", type=_topology, default="chord")
     ps.add_argument("--probes", type=_nonnegative_int, default=2000)
     ps.set_defaults(fn=_cmd_simulate, check=_check_params)
 

@@ -34,7 +34,8 @@ corrupt or drop it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -101,8 +102,8 @@ class BatchSearchOutcome:
     delivered, corrupted:
         ``(q,)`` bool — per-probe verdicts, same semantics as the scalar
         :class:`SecureSearchOutcome`.
-    hops, messages:
-        ``(q,)`` int — traversed edges and all-to-all message cost per probe.
+    hops:
+        ``(q,)`` int — traversed edges per probe.
     first_blocked:
         ``(q,)`` int — column of the first blocking group, or the path
         length if the value survived end to end.
@@ -110,15 +111,30 @@ class BatchSearchOutcome:
         ``(q, L)`` padded path matrix (shared with the routing layer).
     resolved:
         ``(q,)`` bool — the underlying search reached the responsible ID.
+    group_sizes:
+        ``(n,)`` int — members per group, which :attr:`messages` reads.
+    messages:
+        ``(q,)`` int — all-to-all message cost per probe, the sum of
+        ``|G_i| * |G_{i+1}|`` along its path.  Computed from ``paths``
+        and ``group_sizes`` on first read and kept: a caller that never
+        reads it (the static pass) never pays for its ``(q, L)`` gather.
     """
 
     delivered: np.ndarray
     corrupted: np.ndarray
     hops: np.ndarray
-    messages: np.ndarray
     first_blocked: np.ndarray
     paths: np.ndarray
     resolved: np.ndarray
+    group_sizes: np.ndarray = field(repr=False)
+
+    @cached_property
+    def messages(self) -> np.ndarray:
+        valid = self.paths != PADDING
+        sizes = np.where(
+            valid, self.group_sizes[np.where(valid, self.paths, 0)], 0
+        )
+        return (sizes[:, :-1] * sizes[:, 1:]).sum(axis=1)
 
     @property
     def failure_rate(self) -> float:
@@ -144,17 +160,22 @@ class SecureRouter:
     The constructor precomputes the two per-group boolean tests every
     search needs — *has a good majority* and *a vote among its members
     keeps the payload* — so the batched kernel touches no Python-level
-    state per probe.
+    state per probe.  Without a bad mask a red group is all bad and any
+    other all good, so both tests are "not red": that router builds the
+    one ``~red`` table and shares it between them.
     """
 
     def __init__(self, gg: GroupGraph, bad_mask: np.ndarray | None = None):
         self.gg = gg
-        if gg.groups is not None and bad_mask is not None:
-            counts = gg.groups.bad_counts(bad_mask)
-            sizes = np.maximum(gg.groups.sizes(), 1)
-            self._bad_frac = counts / sizes
-        else:
+        if gg.groups is None or bad_mask is None:
+            # bad_frac is 1 on red groups and 0 elsewhere: the general
+            # tests below reduce to ~red (a zero-bad vote always passes)
             self._bad_frac = np.where(gg.red, 1.0, 0.0)
+            self._good_majority = self._transmit_ok = ~gg.red
+            return
+        counts = gg.groups.bad_counts(bad_mask)
+        sizes = np.maximum(gg.groups.sizes(), 1)
+        self._bad_frac = counts / sizes
         # good majority: composition below 1/2 bad and not marked red
         self._good_majority = (self._bad_frac < 0.5) & ~gg.red
         # vote survival: the scalar path materializes size-many votes and
@@ -262,15 +283,15 @@ class SecureRouter:
         All probes advance column-by-column in lockstep over the padded
         path matrix; per-group outcomes are two precomputed boolean gathers
         (sending positions must pass good-majority *and* the vote, the
-        final position only good-majority), so the first blocking column,
-        the verdicts, and the message costs fall out of masked reductions
-        with no per-probe Python work.
+        final position only good-majority), so the first blocking column
+        and the verdicts fall out of masked reductions with no per-probe
+        Python work.  The message costs are computed here only to charge
+        ``ledger``; otherwise on the outcome's first read of them.
         """
         paths = batch.paths
         q, L = paths.shape
         valid = paths != PADDING
         lengths = valid.sum(axis=1)
-        safe = np.where(valid, paths, 0)
         cols = np.arange(L)
         is_last = cols[None, :] == (lengths - 1)[:, None]
         # blocked[i, j]: the group at position j stops the payload there
@@ -283,19 +304,18 @@ class SecureRouter:
         first_blocked = np.where(has_block, blocked.argmax(axis=1), lengths)
         corrupted = has_block
         delivered = batch.resolved & ~corrupted
-        sizes = np.where(valid, self.gg.group_sizes[safe], 0)
-        messages = (sizes[:, :-1] * sizes[:, 1:]).sum(axis=1)
-        if ledger is not None:
-            ledger.add_messages("routing", int(messages.sum()))
-        return BatchSearchOutcome(
+        out = BatchSearchOutcome(
             delivered=delivered,
             corrupted=corrupted,
             hops=lengths - 1,
-            messages=messages,
             first_blocked=first_blocked,
             paths=paths,
             resolved=batch.resolved,
+            group_sizes=self.gg.group_sizes,
         )
+        if ledger is not None:
+            ledger.add_messages("routing", int(out.messages.sum()))
+        return out
 
     def search_cost_batch(
         self, probes: int, rng: np.random.Generator, ledger: CostLedger | None = None

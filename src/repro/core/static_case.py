@@ -162,8 +162,13 @@ def measure_static_search_streamed(
     Every statistic reduces across windows through *integer* accumulators
     (delivered count, search-path cell count, per-node visit counts) and
     divides by ``probes`` once at the end, so the stats are bit-equal at
-    any window size.  Each window of a chunked pass emits a ``mem.peak``
-    telemetry event (phase ``static.search``).
+    any window size.  A window adds its search-path cells to the visit
+    counts in place (``np.add.at``), with no n-long count of its own.
+    The maximum responsibility is ``counts.max() / probes``: dividing by
+    a positive constant keeps the order of the rounded quotients, so it
+    equals the maximum of the per-node responsibilities bit for bit.
+    Each window of a chunked pass emits a ``mem.peak`` telemetry event
+    (phase ``static.search``).
     """
     from ..telemetry import emit_peak
 
@@ -182,15 +187,14 @@ def measure_static_search_streamed(
         mask = out.search_path_mask()
         delivered_total += int(out.delivered.sum())
         path_cells_total += int(mask.sum())
-        counts += np.bincount(routed.paths[mask], minlength=n)
+        np.add.at(counts, routed.paths[mask], 1)
         if chunk < probes:
             emit_peak("static.search", chunk=ci)
     failure_rate = 1.0 - delivered_total / probes
     mean_path_len = path_cells_total / probes
-    resp = counts.astype(np.float64) / probes
     return _finish_stats(
         gg, probes, resp_constant, failure_rate, mean_path_len,
-        float(resp.max()),
+        float(counts.max() / probes),
     )
 
 

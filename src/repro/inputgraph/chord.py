@@ -108,7 +108,11 @@ class ChordGraph(InputGraph):
         # then below 2^(b - 1022): every column j < 1022 - b aims at least
         # that far ahead.  One entry per 11-bit exponent.
         self._start = np.clip(1022 - np.arange(2048), 0, m)
-        self._d_succ = np.mod(np.roll(ids, -1) - ids, 1.0)
+        # clockwise gap to the successor: np.mod(d, 1.0) bit for bit, d
+        # lying in (-1, 1) (a one-ID ring's 0 stays 0)
+        d = np.roll(ids, -1) - ids
+        d += d < 0
+        self._d_succ = d
         super().__init__(ring)
 
     # -- topology -------------------------------------------------------------

@@ -21,9 +21,14 @@ class TestParser:
         assert main(["validate", "chord", "-n", "128", "--probes", "1000"]) == 0
         assert "P1" in capsys.readouterr().out
 
-    def test_validate_unknown_topology(self):
-        with pytest.raises(ValueError):
+    def test_validate_unknown_topology(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["validate", "pancake", "-n", "128"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown topology 'pancake'" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_simulate(self, capsys):
         assert main([
@@ -185,6 +190,9 @@ class TestNumericUsageErrors:
         (["simulate", "-n", "4"], "n must be at least 8"),
         (["simulate", "--beta", "1.5"], "beta must be in (0, 1/2)"),
         (["simulate", "--probes", "-3"], "--probes: must be >= 0, got -3"),
+        (["simulate", "--churn", "-0.5"], "--churn: must be >= 0, got -0.5"),
+        (["simulate", "--topology", "pancake"], "unknown topology 'pancake'"),
+        (["validate", "pancake", "-n", "64"], "unknown topology 'pancake'"),
         (["validate", "kautz", "-n", "0"], "-n: must be >= 1, got 0"),
         (["validate", "chord", "--probes", "0"], "--probes: must be >= 1"),
         (["validate", "chord", "--probes", "-5"], "--probes: must be >= 1"),
@@ -211,7 +219,8 @@ class TestNumericUsageErrors:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "-n", "8", "--beta", "0.49", "--probes", "0"],
+        ["simulate", "-n", "8", "--beta", "0.49", "--probes", "0",
+         "--churn", "0", "--topology", "kautz"],
         ["validate", "chord", "-n", "1", "--probes", "1"],
         ["serve", "run", "-n", "8", "--probes", "0", "--epochs", "0",
          "--churn", "0"],

@@ -148,6 +148,12 @@ class TestRing:
             small_ring.ids[0] = 0.0
 
 
+def _assert_bulk_exact(ring, pts):
+    bulk = ring.successor_index_bulk(pts)
+    assert bulk.dtype == ring.index_dtype
+    assert np.array_equal(bulk, ring.successor_index_many(pts))
+
+
 class TestSuccessorBulk:
     """The LUT-accelerated bulk path must equal the binary search exactly."""
 
@@ -158,28 +164,26 @@ class TestSuccessorBulk:
             small_ring.successor_index_many(pts),
         )
 
+    @pytest.mark.parametrize("index_dtype", ["auto", "int64"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_large_batch_matches_binary_search(self, seed):
+    def test_large_batch_matches_binary_search(self, seed, index_dtype):
         rng = np.random.default_rng(seed)
-        ring = Ring(rng.random(2048))
+        ring = Ring(rng.random(2048), index_dtype=index_dtype)
         pts = rng.random(50_000)
-        assert np.array_equal(
-            ring.successor_index_bulk(pts), ring.successor_index_many(pts)
-        )
+        _assert_bulk_exact(ring, pts)
 
-    def test_adversarially_clustered_ring(self):
+    @pytest.mark.parametrize("index_dtype", ["auto", "int64"])
+    def test_adversarially_clustered_ring(self, index_dtype):
         # all IDs inside one LUT bucket: forces the advance loop into its
         # binary-search fallback, which must stay exact
         rng = np.random.default_rng(7)
         ids = 0.5 + 1e-7 * np.sort(rng.random(512))
-        ring = Ring(ids)
+        ring = Ring(ids, index_dtype=index_dtype)
         pts = np.concatenate([
             rng.random(30_000),
             0.5 + 1e-7 * rng.random(30_000),  # hammer the crowded bucket
         ])
-        assert np.array_equal(
-            ring.successor_index_bulk(pts), ring.successor_index_many(pts)
-        )
+        _assert_bulk_exact(ring, pts)
 
     def test_boundary_points(self):
         ring = Ring(np.random.default_rng(3).random(1024))
@@ -206,38 +210,49 @@ class TestSuccessorBulk:
         assert ring.successor_index(x) == 1
         assert (ring.successor_index_bulk(np.full(4096, x)) == 1).all()
 
+    @pytest.mark.parametrize("index_dtype", ["auto", "int64"])
+    @pytest.mark.parametrize("clustered", [False, True])
     @pytest.mark.parametrize("n", range(3, 41))
-    def test_ids_at_and_below_bucket_edges(self, n):
+    def test_ids_at_and_below_bucket_edges(self, n, clustered, index_dtype):
         # IDs on, and one ulp below, the edges b/K of both 4n buckets and
-        # the power-of-two count; each queried on, just below and just above
+        # the power-of-two count; each queried on, just below and just
+        # above.  The clustered ring adds the 40 floats below 0.5, an edge
+        # of every power-of-two count: their bucket is marked, and a query
+        # at its top is more than 32 IDs past the bucket's first one, so
+        # the binary-search fallback resolves it
         edges = []
         for K in (4 * n, 1 << ((4 * n).bit_length() - 1)):
             e = np.arange(1, K) / K
             edges += [e, np.nextafter(e, 0)]
         edges = np.unique(np.concatenate(edges))
+        # floats below 0.5 are 2^-54 apart
+        crowd = 0.5 - 2.0**-54 * np.arange(1, 41 if clustered else 1)
         for seed in range(4):
-            ring = Ring(np.random.default_rng(seed).choice(edges, n, replace=False))
+            ids = np.random.default_rng(seed).choice(edges, n, replace=False)
+            ring = Ring(np.union1d(ids, crowd), index_dtype=index_dtype)
             ids = ring.ids
             pts = np.concatenate(
                 [ids, np.nextafter(ids, 0), np.nextafter(ids, 1)]
             )
             pts = np.resize(pts, Ring._BULK_THRESHOLD)  # take the LUT path
-            assert np.array_equal(
-                ring.successor_index_bulk(pts), ring.successor_index_many(pts)
-            )
+            _assert_bulk_exact(ring, pts)
 
-    @pytest.mark.parametrize("n", [3, 1000, 4096])
-    def test_lut_counts_ids_per_bucket(self, n):
-        # K is the largest power of two <= 4n, and each slot the first ID
-        # at or past its bucket edge
-        ring = Ring(np.random.default_rng(n).random(n))
+    @pytest.mark.parametrize("index_dtype", ["auto", "int64"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 4096])
+    def test_lut_counts_ids_per_bucket(self, n, index_dtype):
+        # K is the largest power of two <= 4n; each slot, decoded, is the
+        # first ID at or past its bucket edge, and the sign marks exactly
+        # the buckets that hold an ID
+        ring = Ring(np.random.default_rng(n).random(n), index_dtype=index_dtype)
         lut, _ = ring._bulk_tables()
         K = lut.size - 1
         assert K & (K - 1) == 0 and 2 * n < K <= 4 * n
         assert lut.dtype == ring.index_dtype
-        assert np.array_equal(
-            lut, np.searchsorted(ring.ids, np.arange(K + 1) / K, side="left")
-        )
+        first = np.searchsorted(ring.ids, np.arange(K + 1) / K, side="left")
+        assert np.array_equal(np.where(lut < 0, ~lut, lut), first)
+        holds = np.zeros(K + 1, dtype=bool)
+        holds[:K] = first[1:] > first[:-1]
+        assert np.array_equal(lut < 0, holds)
 
     def test_threads_on_a_fresh_ring_build_the_lut_once(self, monkeypatch):
         # more threads than cores, switching often, all released together

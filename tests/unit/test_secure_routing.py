@@ -187,6 +187,31 @@ class TestSearchBatch:
         )
         assert led.messages["routing"] == int(out.messages.sum())
 
+    def test_messages_read_twice_are_equal(self, H, params):
+        gg = GroupGraph(H, params, red=np.zeros(H.n, dtype=bool))
+        out = SecureRouter(gg).search_batch(
+            np.arange(20), np.linspace(0.0, 0.95, 20)
+        )
+        first = out.messages
+        assert np.array_equal(out.messages, first)
+        assert out.messages is first  # computed once, on the first read
+
+    @pytest.mark.parametrize("pf", [0.0, 0.3, 1.0])
+    def test_no_bad_mask_tables_equal_the_all_good_formula(self, H, params,
+                                                           pf):
+        # without a bad mask the router builds ~red; over the same groups
+        # with an all-good bad mask the general formula must agree
+        from repro.core.groups import build_groups_fast
+
+        rng = np.random.default_rng(5)
+        gs = build_groups_fast(H.ring, params, rng)
+        gg = GroupGraph(H, params, red=rng.random(H.n) < pf, groups=gs)
+        plain = SecureRouter(gg)
+        general = SecureRouter(gg, np.zeros(H.n, dtype=bool))
+        assert np.array_equal(plain._good_majority, general._good_majority)
+        assert np.array_equal(plain._transmit_ok, general._transmit_ok)
+        assert np.array_equal(plain._bad_frac > 0, gg.red)
+
     def test_search_path_mask_prefix(self, H, params):
         """The mask covers exactly the prefix through the first red group."""
         path, _ = H.route(3, 0.7)
