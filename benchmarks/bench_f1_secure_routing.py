@@ -14,7 +14,6 @@ from repro.adversary import UniformAdversary
 from repro.analysis.tables import TableResult
 from repro.baselines.logn_groups import build_logn_static
 from repro.core.params import SystemParams
-from repro.core.secure_routing import SecureRouter
 from repro.core.static_case import constructive_static_graph
 from repro.inputgraph import make_input_graph
 
@@ -30,22 +29,23 @@ def setup():
     H = make_input_graph("chord", ids)
     gg, gs, _ = constructive_static_graph(H, params, bad, rng=rng)
     bl = build_logn_static(H, params, bad, rng)
-    return params, gg, bl, bad, rng
+    return gg, bl
 
 
 @pytest.mark.benchmark(group="F1")
 def test_bench_f1_tiny_search_eval(benchmark, setup, table_sink):
-    params, gg, bl, bad, rng = setup
+    gg, bl = setup
 
     def probe_batch():
-        rate, ev, batch = gg.sample_failure_rate(PROBES, np.random.default_rng(1))
-        return rate, batch
+        batch = gg.H.random_route_batch(PROBES, np.random.default_rng(1))
+        return gg.evaluate(batch).failure_rate, batch
+
+    def cost(g):
+        batch = g.H.random_route_batch(4000, np.random.default_rng(2))
+        return g.evaluate(batch).messages.mean()
 
     rate, batch = benchmark(probe_batch)
-    router_tiny = SecureRouter(gg, bad)
-    tiny_cost, _ = router_tiny.search_cost_batch(4000, np.random.default_rng(2))
-    router_logn = SecureRouter(bl.group_graph, bad)
-    logn_cost, _ = router_logn.search_cost_batch(4000, np.random.default_rng(2))
+    tiny_cost, logn_cost = cost(gg), cost(bl.group_graph)
 
     table = TableResult(
         experiment="F1",

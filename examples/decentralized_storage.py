@@ -25,7 +25,7 @@ from repro.adversary import UniformAdversary
 from repro.analysis.tables import TableResult
 from repro.baselines.logn_groups import build_logn_static
 from repro.baselines.single_id import measure_single_id
-from repro.core import SecureRouter, SystemParams, constructive_static_graph
+from repro.core import SystemParams, constructive_static_graph
 from repro.inputgraph import make_input_graph
 
 N = 2048
@@ -62,24 +62,24 @@ def main() -> None:
 
     # --- tiny groups -------------------------------------------------------------
     gg, groups, _ = constructive_static_graph(H, params, bad, rng=rng)
-    router = SecureRouter(gg, bad)
     src = rng.integers(0, N, size=N_OBJECTS)
-    batch = H.route_many(src, keys)
-    ev = gg.evaluate(batch)
-    tiny_cost, _ = router.search_cost_batch(2000, rng)
+    ev = gg.evaluate(H.route_many(src, keys))
+    tiny_cost = gg.evaluate(H.random_route_batch(2000, rng)).messages.mean()
     table.add_row(
         "tiny groups (this paper)", f"{groups.sizes().mean():.0f}",
-        f"{ev.success.mean():.1%}", f"{1 - ev.success.mean():.1%}",
+        f"{ev.delivered.mean():.1%}", f"{1 - ev.delivered.mean():.1%}",
         f"{tiny_cost:.0f}",
     )
 
     # --- classic log-n groups -----------------------------------------------------
     bl = build_logn_static(H, params, bad, rng)
     ev_l = bl.group_graph.evaluate(H.route_many(src, keys))
-    logn_cost, _ = SecureRouter(bl.group_graph, bad).search_cost_batch(2000, rng)
+    logn_cost = bl.group_graph.evaluate(
+        H.random_route_batch(2000, rng)
+    ).messages.mean()
     table.add_row(
-        "classic groups", bl.group_size, f"{ev_l.success.mean():.1%}",
-        f"{1 - ev_l.success.mean():.1%}", f"{logn_cost:.0f}",
+        "classic groups", bl.group_size, f"{ev_l.delivered.mean():.1%}",
+        f"{1 - ev_l.delivered.mean():.1%}", f"{logn_cost:.0f}",
     )
 
     table.add_note(

@@ -53,7 +53,7 @@ def main() -> None:
           f"{gg.fraction_red:.2%} red")
 
     # --- Figure 1: a secure search ------------------------------------------
-    router = SecureRouter(gg, bad_mask)
+    router = SecureRouter(gg)
     w = int(rng.integers(gg.n))
     key = float(rng.random())
     out = router.search(w, key, payload="SONG.mp3")
@@ -69,7 +69,7 @@ def main() -> None:
         from repro.core import GroupGraph
 
         gg_attacked = GroupGraph(H, params, red=red2, groups=groups)
-        out2 = SecureRouter(gg_attacked, bad_mask).search(w, key, payload="SONG.mp3")
+        out2 = SecureRouter(gg_attacked).search(w, key, payload="SONG.mp3")
         print(f"  after marking group {int(out.path[1])} red ('B' in Fig. 1): "
               f"delivered={out2.delivered}, corrupted={out2.corrupted}")
 

@@ -13,11 +13,10 @@ The package builds the paper's full stack from scratch:
 * ``repro.pow`` — the proof-of-work identity layer (§IV) and the global
   random-string propagation protocol (App. VIII);
 * ``repro.adversary`` / ``repro.churn`` — threat and churn models;
-* ``repro.agreement`` — in-group Byzantine agreement (phase king) and
-  majority-filtered channels;
+* ``repro.agreement`` — in-group Byzantine agreement (phase king);
 * ``repro.baselines`` — ``Theta(log n)`` groups, the cuckoo rule, single-ID;
 * ``repro.analysis`` / ``repro.experiments`` — theory predictions and the
-  per-claim experiment harness (E1-E12).
+  per-claim experiment harness (E1-E15, one ``build_spec`` each).
 
 Quickstart::
 

@@ -61,10 +61,7 @@ def build_logn_static(
         min_size=max(2, solicit // 2),
         threshold=params.bad_member_threshold,
     )
-    gg = GroupGraph(
-        H, params, red=quality.is_bad.copy(), groups=gs,
-        group_sizes=gs.sizes(),
-    )
+    gg = GroupGraph(H, params, red=quality.is_bad.copy(), groups=gs)
     return LogNBaseline(
         group_graph=gg, groups=gs, quality=quality, group_size=solicit
     )

@@ -397,9 +397,9 @@ def _cmd_info(args) -> int:
 
 def _experiment_ids() -> list[str]:
     """The registry's experiment IDs in numeric order (E1 .. E15)."""
-    from .experiments import EXPERIMENTS
+    from .experiments import SPEC_BUILDERS
 
-    return sorted(EXPERIMENTS, key=lambda k: int(k[1:]))
+    return sorted(SPEC_BUILDERS, key=lambda k: int(k[1:]))
 
 
 def _experiment_id(text: str) -> str:

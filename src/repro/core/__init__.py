@@ -1,6 +1,10 @@
 """Core: the paper's contribution — tiny-group ε-robust overlays.
 
-Public API re-exports.
+Public API re-exports.  One rule decides which groups are bad
+(:func:`~repro.core.groups.composition_bad`), and one classifier decides
+every search (:meth:`GroupGraph.evaluate`, whose
+:class:`BatchSearchOutcome` the :class:`SecureRouter` batch paths return
+too).
 """
 
 from .bootstrap import (
@@ -11,7 +15,7 @@ from .bootstrap import (
 )
 from .costs import CostLedger, CostPrediction, corollary1_predictions
 from .dynamic import EpochReport, EpochSimulator
-from .group_graph import GroupGraph, SearchEvaluation
+from .group_graph import BatchSearchOutcome, GroupGraph
 from .initialization import InitReport, elect_representative_cluster, heavyweight_init
 from .quarantine import QuarantinePolicy, QuarantineState, SpamRoundReport
 from .storage import GroupStore, StoreStats
@@ -25,12 +29,7 @@ from .groups import (
 from .membership import BuildReport, EpochPair, GraphSide, build_new_graph, measure_qf
 from .params import DEFAULTS, SystemParams
 from .robustness import RobustnessReport, evaluate_robustness
-from .secure_routing import (
-    BatchSearchOutcome,
-    SecureRouter,
-    SecureSearchOutcome,
-    majority_filter,
-)
+from .secure_routing import SecureRouter, SecureSearchOutcome
 from .static_case import (
     StaticSearchStats,
     constructive_static_graph,
@@ -48,7 +47,7 @@ __all__ = [
     "build_groups_fast",
     "classify_groups",
     "GroupGraph",
-    "SearchEvaluation",
+    "BatchSearchOutcome",
     "StaticSearchStats",
     "synthetic_static_graph",
     "constructive_static_graph",
@@ -56,8 +55,6 @@ __all__ = [
     "measure_responsibility_bound",
     "SecureRouter",
     "SecureSearchOutcome",
-    "BatchSearchOutcome",
-    "majority_filter",
     "RobustnessReport",
     "evaluate_robustness",
     "CostLedger",

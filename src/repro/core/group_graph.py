@@ -1,4 +1,4 @@
-"""The group graph ``G`` (paper §II-A).
+"""The group graph ``G`` (paper §II-A), and the one search classifier.
 
 Given an input graph ``H``, the group graph has one vertex per ID — the
 group ``G_w`` led by ``w`` (property S1) — and inherits ``H``'s edges as
@@ -13,18 +13,26 @@ ending at the first red group (or the whole path on success) — the object
 over which *responsibility* ``rho(G_v)`` is defined, because beyond the
 first red group the adversary can redirect traffic arbitrarily.
 
-The evaluation routines here classify Monte-Carlo probe batches (the
-responsibility and failure estimates of E1/E2 and every epoch's ``q_f``):
-given a padded path matrix from ``InputGraph.route_many`` and the red flags,
-one boolean gather + cumulative reduction answers "which searches fail and
-where" for 10^5 probes at once.  The §III-A construction searches need only
-the fail bit and the hop count, so they go through
-``InputGraph.search_fail`` instead and never build a path matrix on Chord.
+A blue group is never outvoted on the way: its bad members are at most a
+``(1 + delta) beta < 1/2`` fraction of it (``SystemParams`` refuses any
+other threshold), so the majority filter of every receiver keeps the true
+value, and a group whose bad members are not a strict minority is red by
+the good-group rule (:func:`~repro.core.groups.composition_bad`).  Hence
+the red mask alone decides every search, and :meth:`GroupGraph.evaluate`
+is the one classifier: the Monte-Carlo probes of E1/E2, every epoch's
+``q_f``, the storage layer and the secure router
+(:mod:`repro.core.secure_routing`) all read their verdicts from it.  Given
+a padded path matrix from ``InputGraph.route_many``, one gather of the red
+mask plus row reductions answer "which searches fail and where" for 10^5
+probes at once.  The §III-A construction searches need only the fail bit
+and the hop count, so they go through ``InputGraph.search_fail`` instead
+and never build a path matrix on Chord.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,31 +40,67 @@ from ..inputgraph.base import PADDING, InputGraph, RouteBatch
 from .groups import GroupSet
 from .params import SystemParams
 
-__all__ = ["GroupGraph", "SearchEvaluation"]
+__all__ = ["BatchSearchOutcome", "GroupGraph"]
 
 
 @dataclass(frozen=True)
-class SearchEvaluation:
-    """Vectorized outcome of a batch of group-graph searches.
+class BatchSearchOutcome:
+    """Outcome of a batch of group-graph searches.
 
     Attributes
     ----------
-    success:
-        ``(q,)`` bool — search traversed only blue groups and resolved.
-    search_path_mask:
-        ``(q, L)`` bool — True at the positions belonging to the *search
-        path* (prefix through the first red group inclusive).
-    first_red_col:
-        ``(q,)`` int — column of the first red group, or ``L`` if none.
+    delivered:
+        ``(q,)`` bool — the search resolved and crossed no red group.
+    corrupted:
+        ``(q,)`` bool — a red group on the path dropped or replaced the
+        value.  A search that is neither delivered nor corrupted did not
+        resolve.
+    hops:
+        ``(q,)`` int — traversed edges per probe.
+    first_blocked:
+        ``(q,)`` int — column of the first red group, or the path length
+        if the search met none.
+    paths:
+        ``(q, L)`` padded path matrix (shared with the routing layer).
+    resolved:
+        ``(q,)`` bool — the underlying search reached the responsible ID.
+    group_sizes:
+        ``(n,)`` int — members per group, which :attr:`messages` reads.
+    messages:
+        ``(q,)`` int — all-to-all message cost per probe, the sum of
+        ``|G_i| * |G_{i+1}|`` along its path (Corollary 1).  Computed from
+        ``paths`` and ``group_sizes`` on first read and kept: a caller that
+        never reads it (the static pass) never pays for its ``(q, L)``
+        gather.
     """
 
-    success: np.ndarray
-    search_path_mask: np.ndarray
-    first_red_col: np.ndarray
+    delivered: np.ndarray
+    corrupted: np.ndarray
+    hops: np.ndarray
+    first_blocked: np.ndarray
+    paths: np.ndarray
+    resolved: np.ndarray
+    group_sizes: np.ndarray = field(repr=False)
+
+    @cached_property
+    def messages(self) -> np.ndarray:
+        valid = self.paths != PADDING
+        sizes = np.where(
+            valid, self.group_sizes[np.where(valid, self.paths, 0)], 0
+        )
+        return (sizes[:, :-1] * sizes[:, 1:]).sum(axis=1)
 
     @property
     def failure_rate(self) -> float:
-        return float(1.0 - self.success.mean()) if self.success.size else 0.0
+        return float(1.0 - self.delivered.mean()) if self.delivered.size else 0.0
+
+    def search_path_mask(self) -> np.ndarray:
+        """``(q, L)`` bool — positions on the §II-A *search path* (the
+        prefix through the first red group inclusive)."""
+        cols = np.arange(self.paths.shape[1])
+        return (self.paths != PADDING) & (
+            cols[None, :] <= self.first_blocked[:, None]
+        )
 
 
 class GroupGraph:
@@ -103,8 +147,10 @@ class GroupGraph:
 
     # -- search evaluation --------------------------------------------------------
 
-    def evaluate(self, batch: RouteBatch, include_source: bool = True) -> SearchEvaluation:
-        """Classify each routed search as success/failure per §II-A.
+    def evaluate(
+        self, batch: RouteBatch, include_source: bool = True
+    ) -> BatchSearchOutcome:
+        """Classify each routed search per §II-A.
 
         A search fails iff any group on its ``H`` path — including the
         initiating and responsible groups — is red.  Protocol-internal
@@ -115,35 +161,30 @@ class GroupGraph:
         traversed forwarding groups can derail the search.
         """
         paths = batch.paths
-        q, L = paths.shape
         valid = paths != PADDING
-        red_m = np.zeros((q, L), dtype=bool)
-        red_m[valid] = self.red[paths[valid]]
+        # one gather for every cell; a padding cell (-1) reads the last
+        # group's flag, which the validity mask then clears
+        red_m = self.red[paths]
+        red_m &= valid
         if not include_source:
             red_m[:, 0] = False
-        has_red = red_m.any(axis=1)
-        first_red = np.where(has_red, red_m.argmax(axis=1), L)
-        cols = np.arange(L)
-        mask = valid & (cols[None, :] <= first_red[:, None])
-        success = (~has_red) & batch.resolved
-        return SearchEvaluation(
-            success=success, search_path_mask=mask, first_red_col=first_red
+        lengths = valid.sum(axis=1)
+        corrupted = red_m.any(axis=1)
+        return BatchSearchOutcome(
+            delivered=batch.resolved & ~corrupted,
+            corrupted=corrupted,
+            hops=lengths - 1,
+            first_blocked=np.where(corrupted, red_m.argmax(axis=1), lengths),
+            paths=paths,
+            resolved=batch.resolved,
+            group_sizes=self.group_sizes,
         )
 
     def search_success(
         self, sources: np.ndarray, targets: np.ndarray
     ) -> np.ndarray:
         """Route one batch and report, per query, whether it succeeded."""
-        return self.evaluate(self.H.route_many(sources, targets)).success
-
-    def sample_failure_rate(
-        self, probes: int, rng: np.random.Generator
-    ) -> tuple[float, SearchEvaluation, RouteBatch]:
-        """Estimate ``X`` — the probability that a search from a random group
-        for a random key fails (the random variable of Lemmas 2-3)."""
-        batch = self.H.random_route_batch(probes, rng)
-        ev = self.evaluate(batch)
-        return ev.failure_rate, ev, batch
+        return self.evaluate(self.H.route_many(sources, targets)).delivered
 
     def responsibility(
         self, probes: int, rng: np.random.Generator
@@ -161,8 +202,7 @@ class GroupGraph:
             # prefix mask reduce to the validity mask exactly
             visited = batch.paths[batch.paths != PADDING]
         else:
-            ev = self.evaluate(batch)
-            visited = batch.paths[ev.search_path_mask]
+            visited = batch.paths[self.evaluate(batch).search_path_mask()]
         counts = np.bincount(visited, minlength=self.n).astype(np.float64)
         return counts / probes
 

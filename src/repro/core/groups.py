@@ -45,6 +45,7 @@ __all__ = [
     "build_groups",
     "build_groups_fast",
     "classify_groups",
+    "composition_bad",
     "GroupQuality",
 ]
 
@@ -233,6 +234,26 @@ def build_groups_fast(
     return GroupSet(leaders, indptr, member_idx, ring.n)
 
 
+def composition_bad(
+    sizes: np.ndarray, n_bad: np.ndarray, min_size: int, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The good-group rule of §I-C, over per-group member counts.
+
+    A group is bad iff it has fewer than ``min_size`` members or its bad
+    fraction exceeds ``threshold`` (an empty group's fraction reads 1).
+    Returns ``(is_bad, bad_fraction)``.  Every red mask built from group
+    composition — the static build, the epoch construction and the
+    re-classification after departures — comes from this rule.  With
+    ``threshold < 1/2``, as ``SystemParams`` demands, a group whose bad
+    members are not a strict minority is always bad, so a good group's
+    majority filter can never be outvoted (the premise of
+    :meth:`~repro.core.group_graph.GroupGraph.evaluate`).
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(sizes > 0, n_bad / np.maximum(sizes, 1), 1.0)
+    return (sizes < min_size) | (frac > threshold), frac
+
+
 def classify_groups(
     groups: GroupSet,
     bad_mask: np.ndarray,
@@ -251,11 +272,10 @@ def classify_groups(
     the ``Theta(log n)``-group baseline, which shares this machinery.
     """
     sizes = groups.sizes()
-    n_bad = groups.bad_counts(bad_mask)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(sizes > 0, n_bad / np.maximum(sizes, 1), 1.0)
-    too_small = sizes < (params.group_min_size if min_size is None else int(min_size))
-    too_corrupt = frac > (
-        params.bad_member_threshold if threshold is None else float(threshold)
+    is_bad, frac = composition_bad(
+        sizes,
+        groups.bad_counts(bad_mask),
+        params.group_min_size if min_size is None else int(min_size),
+        params.bad_member_threshold if threshold is None else float(threshold),
     )
-    return GroupQuality(is_bad=too_small | too_corrupt, bad_fraction=frac, sizes=sizes)
+    return GroupQuality(is_bad=is_bad, bad_fraction=frac, sizes=sizes)

@@ -62,6 +62,7 @@ from ..idspace.ring import Ring
 from ..inputgraph.base import InputGraph
 from .costs import CostLedger
 from .group_graph import GroupGraph
+from .groups import composition_bad
 from .params import SystemParams
 
 __all__ = [
@@ -103,12 +104,9 @@ class GraphSide:
 
     def classify(self, params: SystemParams) -> np.ndarray:
         """Current red mask: composition-bad OR confused."""
-        good = self.good_remaining()
-        size_now = good + self.n_bad
-        with np.errstate(invalid="ignore"):
-            frac = np.where(size_now > 0, self.n_bad / np.maximum(size_now, 1), 1.0)
-        is_bad = (size_now < params.group_min_size) | (
-            frac > params.bad_member_threshold
+        is_bad, _ = composition_bad(
+            self.good_remaining() + self.n_bad, self.n_bad,
+            params.group_min_size, params.bad_member_threshold,
         )
         return is_bad | self.confused
 
@@ -369,9 +367,9 @@ def build_new_graph(
         )
     )
 
-    with np.errstate(invalid="ignore"):
-        bad_frac = np.where(sizes > 0, n_bad / np.maximum(sizes, 1), 1.0)
-    is_bad = (sizes < params.group_min_size) | (bad_frac > params.bad_member_threshold)
+    is_bad, _ = composition_bad(
+        sizes, n_bad, params.group_min_size, params.bad_member_threshold
+    )
 
     # --- neighbor requests -> confusion (Lemma 8) ----------------------------------
     indptr, _ = new_H.neighbor_lists()

@@ -24,15 +24,14 @@ with and without repair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable
 
 import numpy as np
 
-from ..inputgraph.base import InputGraph
+from ..inputgraph.base import RouteBatch
 from .costs import CostLedger
 from .group_graph import GroupGraph
-from .params import SystemParams
 
 __all__ = ["GroupStore", "StoreStats"]
 
@@ -87,6 +86,17 @@ class GroupStore:
 
     # -- operations -----------------------------------------------------------
 
+    def _route(self, batch: RouteBatch) -> bool:
+        """Classify one routed search and charge its routing messages.
+
+        The search is the store's own (a good party initiates it), so the
+        source group's colour is ignored; every search pays the
+        ``|G_i| * |G_{i+1}|`` all-to-all cost of each hop (Corollary 1).
+        """
+        ev = self.gg.evaluate(batch, include_source=False)
+        self.ledger.add_messages("routing", int(ev.messages[0]))
+        return bool(ev.delivered[0])
+
     def put(self, key: float, value: Hashable, source: int,
             rng: np.random.Generator) -> bool:
         """Store ``value`` under ``key`` from group ``source``.
@@ -95,12 +105,7 @@ class GroupStore:
         — the adversary then controls where the object "went".
         """
         batch = self.gg.H.route_many(np.array([source]), np.array([key]))
-        ev = self.gg.evaluate(batch, include_source=False)
-        sizes = self.gg.group_sizes
-        path = batch.paths[0]
-        hops = int((path != -1).sum()) - 1
-        self.ledger.add_messages("routing", hops * int(sizes.mean()) ** 2)
-        if not ev.success[0]:
+        if not self._route(batch):
             return False
         g = int(batch.responsible[0])
         members = self.gg.groups.members_of(g)
@@ -121,12 +126,7 @@ class GroupStore:
         if rec is None:
             return False, None, "missing"
         batch = self.gg.H.route_many(np.array([source]), np.array([key]))
-        ev = self.gg.evaluate(batch, include_source=False)
-        sizes = self.gg.group_sizes
-        path = batch.paths[0]
-        hops = int((path != -1).sum()) - 1
-        self.ledger.add_messages("routing", hops * int(sizes.mean()) ** 2)
-        if not ev.success[0]:
+        if not self._route(batch):
             return False, None, "routing"
         holders = rec.holders[~self.departed[rec.holders]]
         self.ledger.add_messages("storage", int(holders.size))

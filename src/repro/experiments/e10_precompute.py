@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.tables import TableResult
 from ..idspace.hashing import OracleSuite
 from ..pow.precompute import simulate_precompute_attack
 from ..pow.puzzles import PuzzleScheme
-from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import CellOut, SweepSpec, run_sweep
+from ..sim.sweep import CellOut, SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _cell(
@@ -76,17 +74,4 @@ def build_spec(
             horizons=tuple(horizons), seed=seed,
         ),
         seed=seed,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..adversary import UniformAdversary
-from ..analysis.tables import TableResult
 from ..analysis.theory import (
     bad_group_probability,
     group_size_for_target,
@@ -32,10 +31,9 @@ from ..core.params import SystemParams
 from ..core.static_case import constructive_static_graph, measure_static_search
 from ..idspace.ring import Ring
 from ..inputgraph import make_input_graph
-from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import CellOut, SweepSpec, run_sweep
+from ..sim.sweep import CellOut, SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _cell(
@@ -106,17 +104,4 @@ def build_spec(
             sizes=tuple(sizes), probes=probes, seed=seed,
         ),
         seed=seed,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

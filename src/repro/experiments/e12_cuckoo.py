@@ -26,15 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..adversary import UniformAdversary
-from ..analysis.tables import TableResult
 from ..analysis.theory import bad_group_probability
 from ..baselines.cuckoo import CuckooResult, CuckooSimulator
 from ..core.params import SystemParams
 from ..sim.montecarlo import ExecutionConfig, spawn_map
-from ..sim.sweep import CellOut, SweepSpec, run_sweep
+from ..sim.sweep import CellOut, SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _churn_case(
@@ -126,17 +124,4 @@ def build_spec(
         ),
         seed=seed,
         pass_exec_config=True,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.tables import TableResult
 from ..core.params import SystemParams
 from ..core.quarantine import QuarantinePolicy, QuarantineState
-from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import CellOut, SweepSpec, run_sweep
+from ..sim.sweep import CellOut, SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _cell(
@@ -96,17 +94,4 @@ def build_spec(
             strikes=strikes, seed=seed,
         ),
         seed=seed,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

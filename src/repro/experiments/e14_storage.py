@@ -17,15 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..adversary import UniformAdversary
-from ..analysis.tables import TableResult
 from ..core.params import SystemParams
 from ..core.static_case import constructive_static_graph
 from ..core.storage import GroupStore
 from ..inputgraph import make_input_graph
-from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import CellOut, SweepSpec, run_sweep
+from ..sim.sweep import CellOut, SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _fresh_store(params, beta, rng, topology):
@@ -110,17 +108,4 @@ def build_spec(
             departure_rate=departure_rate, topology=topology, seed=seed,
         ),
         seed=seed,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.tables import TableResult
 from ..core.params import SystemParams
 from ..core.static_case import measure_responsibility_bound
 from ..inputgraph import make_input_graph
-from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import SweepSpec, run_sweep
+from ..sim.sweep import SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _cell(rng: np.random.Generator, *, topology: str, n: int, probes: int, seed: int):
@@ -59,17 +57,4 @@ def build_spec(
             "all-blue graph: search paths equal full H paths, so this doubles "
             "as the P4 congestion check at group granularity",
         ),
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

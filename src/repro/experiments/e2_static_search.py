@@ -25,10 +25,9 @@ from ..analysis.tables import TableResult
 from ..core.params import SystemParams
 from ..core.static_case import measure_static_search, synthetic_static_graph
 from ..inputgraph import make_input_graph
-from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import CellOut, SweepSpec, run_sweep
+from ..sim.sweep import CellOut, SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _cell_out(pf: float, stats) -> CellOut:
@@ -97,17 +96,4 @@ def build_spec(
         ),
         seed=seed,
         finalize=_finalize,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

@@ -25,10 +25,9 @@ from ..analysis.theory import bad_group_probability, chernoff_upper, group_size_
 from ..core.groups import build_groups_fast, classify_groups
 from ..core.params import SystemParams
 from ..idspace.ring import Ring
-from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import SweepSpec, run_sweep
+from ..sim.sweep import SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _cell(
@@ -85,17 +84,4 @@ def build_spec(
         context=dict(n=n, seed=seed),
         seed=seed,
         finalize=_finalize,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

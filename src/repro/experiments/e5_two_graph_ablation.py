@@ -39,10 +39,9 @@ from ..core.membership import EpochPair, build_new_graph
 from ..core.params import SystemParams
 from ..idspace.ring import Ring
 from ..inputgraph import make_input_graph
-from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import SweepSpec, run_sweep
+from ..sim.sweep import SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _transition_pair(
@@ -173,17 +172,4 @@ def build_spec(
         ),
         seed=seed,
         finalize=_finalize,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

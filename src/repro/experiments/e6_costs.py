@@ -19,17 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..adversary import UniformAdversary
-from ..analysis.tables import TableResult
 from ..analysis.theory import group_size_for_target
 from ..baselines.logn_groups import build_logn_static
 from ..core.params import SystemParams
-from ..core.secure_routing import SecureRouter
 from ..core.static_case import constructive_static_graph
 from ..inputgraph import make_input_graph
-from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import CellOut, SweepSpec, run_sweep
+from ..sim.sweep import CellOut, SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _cell(
@@ -50,8 +47,9 @@ def _cell(
     gg_tiny, gs_tiny, _ = constructive_static_graph(
         H, params.with_(d2=max(1.0, m_tiny / params.ln_ln_n)), bad, rng=rng,
     )
-    router_tiny = SecureRouter(gg_tiny, bad)
-    tiny_route, _ = router_tiny.search_cost_batch(probes, rng)
+    tiny_route = gg_tiny.evaluate(
+        H.random_route_batch(probes, rng)
+    ).messages.mean()
     s_tiny = float(np.maximum(gs_tiny.sizes(), 1).mean())
     tiny_comm = s_tiny * (s_tiny - 1)
     tiny_state = float(
@@ -63,8 +61,9 @@ def _cell(
         H, params, bad, rng,
         size_multiplier=m_classic / max(1, params.logn_group_size),
     )
-    router_logn = SecureRouter(bl.group_graph, bad)
-    logn_route, _ = router_logn.search_cost_batch(probes, rng)
+    logn_route = bl.group_graph.evaluate(
+        H.random_route_batch(probes, rng)
+    ).messages.mean()
     s_logn = float(np.maximum(bl.groups.sizes(), 1).mean())
     logn_comm = s_logn * (s_logn - 1)
     logn_state = float(
@@ -107,17 +106,4 @@ def build_spec(
         axes=(("n", ns),),
         context=dict(beta=beta, topology=topology, probes=probes, seed=seed),
         seed=seed,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

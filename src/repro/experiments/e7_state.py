@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.tables import TableResult
 from ..churn import UniformChurn
 from ..core.dynamic import EpochSimulator
 from ..core.group_graph import GroupGraph
 from ..core.params import SystemParams
-from ..sim.montecarlo import ExecutionConfig
-from ..sim.sweep import CellOut, SweepSpec, run_sweep
+from ..sim.sweep import CellOut, SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _cell(
@@ -58,7 +56,7 @@ def _cell(
     ev1 = gg1.evaluate(pair.H.route_many(src, pts))
     ev2 = gg2.evaluate(pair.H.route_many(src, pts))
     # erroneously accepted iff both verification searches failed
-    accepted = (~ev1.success) & (~ev2.success)
+    accepted = (~ev1.delivered) & (~ev2.delivered)
     per_good = accepted.sum() / max(1, (~pair.bad_mask).sum())
 
     rows = []
@@ -112,17 +110,4 @@ def build_spec(
             spam_per_good_id=spam_per_good_id, seed=seed,
         ),
         seed=seed,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

@@ -26,13 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.stats import ks_uniform
-from ..analysis.tables import TableResult
 from ..idspace.hashing import OracleSuite
 from ..pow.puzzles import PuzzleScheme
-from ..sim.montecarlo import ExecutionConfig, aggregate_trials
-from ..sim.sweep import CellOut, SweepSpec, run_sweep
+from ..sim.montecarlo import aggregate_trials
+from ..sim.sweep import CellOut, SweepSpec
 
-__all__ = ["run", "build_spec"]
+__all__ = ["build_spec"]
 
 
 def _cell(
@@ -114,17 +113,4 @@ def build_spec(
             arc=tuple(arc), seed=seed,
         ),
         seed=seed,
-    )
-
-
-def run(
-    seed: int = 0,
-    fast: bool = True,
-    exec_config: ExecutionConfig | None = None,
-    **overrides,
-) -> TableResult:
-    """Execute the sweep; ``build_spec`` is the single source of truth
-    for the experiment's knobs and defaults."""
-    return run_sweep(
-        build_spec(seed=seed, fast=fast, **overrides), exec_config=exec_config
     )

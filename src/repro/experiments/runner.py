@@ -2,11 +2,10 @@
 
 ``run_experiment("E4")`` runs one experiment; ``run_all()`` runs the full
 suite (used to regenerate EXPERIMENTS.md).  Each experiment module exposes
-
-* ``build_spec(seed=..., fast=..., **overrides) -> SweepSpec`` — the
-  declarative grid (axes + per-cell function) the sweep substrate executes;
-* ``run(seed=..., fast=..., exec_config=..., **overrides) -> TableResult``
-  — a thin convenience wrapper over ``run_sweep(build_spec(...))``.
+one entry point, ``build_spec(seed=..., fast=..., **overrides) ->
+SweepSpec`` — the declarative grid (axes + per-cell function) the sweep
+substrate executes — and :data:`SPEC_BUILDERS` maps each experiment ID to
+it.
 
 Dispatch goes through the spec: the runner validates overrides against the
 target experiment's ``build_spec`` signature up front (so a typo'd
@@ -57,7 +56,6 @@ from . import (
 )
 
 __all__ = [
-    "EXPERIMENTS",
     "SPEC_BUILDERS",
     "run_all",
     "run_experiment",
@@ -82,13 +80,9 @@ _MODULES = {
     "E15": e15_size_drift,
 }
 
-# spec builders are the dispatch surface; EXPERIMENTS keeps the historical
-# name -> run-callable registry for direct use and for the CLI listing
+# the one registry: every dispatch surface and the CLI listing read it
 SPEC_BUILDERS: Dict[str, Callable[..., SweepSpec]] = {
     name: mod.build_spec for name, mod in _MODULES.items()
-}
-EXPERIMENTS: Dict[str, Callable[..., TableResult]] = {
-    name: mod.run for name, mod in _MODULES.items()
 }
 
 

@@ -12,8 +12,8 @@ every request lands in the telemetry stream as a ``serve.request`` event
 Correctness story — snapshot consistency by copy-on-publish
 (:mod:`~repro.serve.snapshot`): each epoch transition is stepped in a
 worker thread, an immutable :class:`~repro.serve.snapshot.EpochSnapshot`
-is built from the freshly minted pair (red mask copied, router state
-precomputed), and publication is a single reference assignment on the
+is built from the freshly minted pair (red mask copied; nothing per group
+is precomputed), and publication is a single reference assignment on the
 event loop.  A query therefore always sees a complete epoch — never a
 half-built one — and because queries draw nothing from the simulator's
 RNG, an offline replay (:mod:`~repro.serve.oracle`) of the same

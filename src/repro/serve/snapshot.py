@@ -4,12 +4,14 @@ A query hitting epoch ``N`` must be answered from a *consistent* view of
 epoch ``N``'s pair.  The simulator mutates its pair in place during the
 next transition (churn flips ``ring_departed`` flags; ``reclassify``
 swaps the red masks), so :func:`build_snapshot` copies the red mask at
-publication time and precomputes the :class:`~repro.core.secure_routing.
-SecureRouter` over it — after that the snapshot shares only immutable
-state with the simulator (the input graph ``H`` is never mutated; the
-router freezes its red copy).  Publication is then a single reference
-assignment on the event loop: readers see the old epoch or the new one,
-never a half-built one.
+publication time and wraps a :class:`~repro.core.secure_routing.
+SecureRouter` around a group graph over that copy — after that the
+snapshot shares only immutable state with the simulator (the input graph
+``H`` is never mutated; the graph freezes its red copy).  The router
+precomputes nothing: each query is classified from the red copy when it
+is answered.  Publication is then a single reference assignment on the
+event loop: readers see the old epoch or the new one, never a half-built
+one.
 
 :func:`canonical_response` fixes the response wire format —
 ``json.dumps(answer, sort_keys=True, separators=(",", ":"))`` — so the
@@ -40,7 +42,13 @@ def canonical_response(answer: dict) -> str:
 
 @dataclass(frozen=True)
 class EpochSnapshot:
-    """One epoch's immutable query surface: a frozen router + metadata."""
+    """One epoch's immutable query surface: a router over a frozen red
+    mask, plus metadata.
+
+    An answer's ``first_blocked`` is the position of the first red group
+    on the path, or the path length when the search met none; an answer
+    that is neither delivered nor corrupted did not resolve.
+    """
 
     epoch: int
     n: int
@@ -98,8 +106,8 @@ def build_snapshot(
 
     Copy-on-publish: the red mask is copied (the simulator's next
     ``reclassify`` replaces its own arrays, and churn mutates departure
-    flags in place — neither may leak into a published epoch), and the
-    router precomputes its per-group majority/vote tables from the copy.
+    flags in place — neither may leak into a published epoch).  The
+    router keeps no table of its own: each answer reads the copy.
     """
     gg = GroupGraph(pair.H, params, red=pair.red(1).copy())
     return EpochSnapshot(epoch=int(epoch), n=int(pair.n), router=SecureRouter(gg))

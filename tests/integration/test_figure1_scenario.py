@@ -59,10 +59,10 @@ class TestFigure1:
         gg = GroupGraph(H, params, red=red)
         batch = H.route_many(np.array([w]), np.array([key]))
         ev = gg.evaluate(batch)
-        assert ev.first_red_col[0] == 2
+        assert ev.first_blocked[0] == 2
         # the search-path mask covers w, u, and the red group — nothing past
-        assert ev.search_path_mask[0, : 3].all()
-        assert not ev.search_path_mask[0, 3:].any()
+        assert ev.search_path_mask()[0, : 3].all()
+        assert not ev.search_path_mask()[0, 3:].any()
 
     def test_red_group_off_path_is_harmless(self, scenario):
         H, params, w, key, path = scenario

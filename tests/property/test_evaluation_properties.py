@@ -38,7 +38,7 @@ def test_more_red_never_helps(red, qs):
     gg_none = GroupGraph(_H, _PARAMS, red=np.zeros(128, dtype=bool))
     ev_some = gg_some.evaluate(batch)
     ev_none = gg_none.evaluate(batch)
-    assert not (ev_some.success & ~ev_none.success).any()
+    assert not (ev_some.delivered & ~ev_none.delivered).any()
 
 
 @given(red=red_masks, qs=queries)
@@ -52,16 +52,16 @@ def test_search_path_prefix_of_route(red, qs):
     batch = _H.route_many(src, tgt)
     gg = GroupGraph(_H, _PARAMS, red=red_arr)
     ev = gg.evaluate(batch)
+    path_mask = ev.search_path_mask()
     for i in range(len(qs)):
-        mask = ev.search_path_mask[i]
+        mask = path_mask[i]
         on = np.flatnonzero(mask)
         assert on.size > 0
         assert np.array_equal(on, np.arange(on.size))  # contiguous prefix
-        if not ev.success[i]:
-            first = ev.first_red_col[i]
-            if first < mask.size:
-                assert mask[first]
-                assert red_arr[batch.paths[i, first]]
+        if ev.corrupted[i]:
+            first = ev.first_blocked[i]
+            assert mask[first]
+            assert red_arr[batch.paths[i, first]]
 
 
 @given(red=red_masks, qs=queries)
@@ -75,7 +75,7 @@ def test_include_source_only_relaxes(red, qs):
     gg = GroupGraph(_H, _PARAMS, red=red_arr)
     strict = gg.evaluate(batch, include_source=True)
     relaxed = gg.evaluate(batch, include_source=False)
-    assert not (strict.success & ~relaxed.success).any()
+    assert not (strict.delivered & ~relaxed.delivered).any()
 
 
 @given(

@@ -100,9 +100,7 @@ def test_search_batch_matches_scalar_member_level(seed, beta):
     bad = rng.random(n) < beta
     gs = build_groups_fast(H.ring, params, rng)
     q = classify_groups(gs, bad, params)
-    router = SecureRouter(
-        GroupGraph(H, params, red=q.is_bad.copy(), groups=gs), bad
-    )
+    router = SecureRouter(GroupGraph(H, params, red=q.is_bad.copy(), groups=gs))
     src = rng.integers(0, n, size=30)
     tgt = rng.random(30)
     out = router.search_batch(src, tgt)

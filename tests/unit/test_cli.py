@@ -74,10 +74,10 @@ class TestParser:
         assert "Traceback" not in captured.err
 
     def test_every_registered_id_parses_in_either_case(self):
-        from repro.experiments import EXPERIMENTS
+        from repro.experiments import SPEC_BUILDERS
 
         parser = build_parser()
-        for exp_id in EXPERIMENTS:
+        for exp_id in SPEC_BUILDERS:
             args = parser.parse_args(["experiments", exp_id.lower(), exp_id])
             assert args.ids == [exp_id, exp_id]
 

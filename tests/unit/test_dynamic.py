@@ -104,7 +104,7 @@ class TestStep:
         assert rep.qf == pytest.approx(0.5 * (rep.qf_1 + rep.qf_2))
 
     def test_zero_probes_measures_empty_batch(self):
-        # an empty probe batch has failure rate 0.0 (SearchEvaluation's
+        # an empty probe batch has failure rate 0.0 (BatchSearchOutcome's
         # value for no searches), not an error from the router
         rep = EpochSimulator(SystemParams(n=64, seed=1), probes=0).step()
         assert rep.qf_1 == rep.qf_2 == 0.0

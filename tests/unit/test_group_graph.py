@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.adversary import UniformAdversary
 from repro.core.group_graph import GroupGraph
 from repro.core.params import SystemParams
+from repro.core.static_case import constructive_static_graph
 from repro.inputgraph import make_input_graph
+from repro.inputgraph.base import PADDING, RouteBatch
 
 
 @pytest.fixture
@@ -53,14 +56,14 @@ class TestConstruction:
 class TestEvaluate:
     def test_all_blue_all_succeed(self, H, params):
         gg = GroupGraph(H, params, red=np.zeros(H.n, dtype=bool))
-        rate, ev, _ = gg.sample_failure_rate(500, np.random.default_rng(1))
-        assert rate == 0.0
-        assert ev.success.all()
+        ev = gg.evaluate(H.random_route_batch(500, np.random.default_rng(1)))
+        assert ev.failure_rate == 0.0
+        assert ev.delivered.all()
 
     def test_all_red_all_fail(self, H, params):
         gg = GroupGraph(H, params, red=np.ones(H.n, dtype=bool))
-        rate, _, _ = gg.sample_failure_rate(200, np.random.default_rng(1))
-        assert rate == 1.0
+        ev = gg.evaluate(H.random_route_batch(200, np.random.default_rng(1)))
+        assert ev.failure_rate == 1.0
 
     def test_red_source_fails_search(self, H, params):
         red = np.zeros(H.n, dtype=bool)
@@ -68,7 +71,7 @@ class TestEvaluate:
         gg = GroupGraph(H, params, red=red)
         batch = H.route_many(np.array([5]), np.array([0.5]))
         ev = gg.evaluate(batch)
-        assert not ev.success[0]
+        assert not ev.delivered[0]
 
     def test_include_source_false_ignores_red_source(self, H, params):
         red = np.zeros(H.n, dtype=bool)
@@ -80,7 +83,7 @@ class TestEvaluate:
         path = batch.paths[0]
         inner = path[path != -1][1:]
         if not red[inner].any():
-            assert ev.success[0]
+            assert ev.delivered[0]
 
     def test_search_path_stops_at_first_red(self, H, params):
         rng = np.random.default_rng(2)
@@ -93,19 +96,70 @@ class TestEvaluate:
             red[nodes[1]] = True
             gg = GroupGraph(H, params, red=red)
             ev = gg.evaluate(batch)
-            assert not ev.success[0]
-            assert ev.first_red_col[0] == 1
+            assert not ev.delivered[0]
+            assert ev.first_blocked[0] == 1
             # search-path mask covers exactly positions 0..1
-            assert ev.search_path_mask[0, :2].all()
-            assert not ev.search_path_mask[0, 2:].any()
+            assert ev.search_path_mask()[0, :2].all()
+            assert not ev.search_path_mask()[0, 2:].any()
 
     def test_failure_rate_close_to_union_estimate(self, H, params):
         rng = np.random.default_rng(4)
         gg = GroupGraph.with_synthetic_red(H, params, 0.02, rng)
-        rate, ev, batch = gg.sample_failure_rate(4000, rng)
+        batch = H.random_route_batch(4000, rng)
         mean_len = float((batch.paths != -1).sum(axis=1).mean())
         upper = gg.fraction_red * mean_len
-        assert rate <= upper * 1.5 + 0.02
+        assert gg.evaluate(batch).failure_rate <= upper * 1.5 + 0.02
+
+
+class TestOneClassifier:
+    """The red mask alone decides a search: every group that could be
+    outvoted is red, and evaluate reports every outcome the router and
+    the serving layer need."""
+
+    @pytest.mark.parametrize("beta", [0.05, 0.2, 0.3])
+    def test_constructive_red_holds_every_non_minority_group(self, beta):
+        rng = np.random.default_rng(21)
+        params = SystemParams(n=512, beta=beta, seed=0)
+        ids, bad = UniformAdversary(beta).population(params.n, rng)
+        H = make_input_graph("chord", ids)
+        gg, gs, _ = constructive_static_graph(H, params, bad, rng=rng)
+        non_minority = 2 * gs.bad_counts(bad) >= gs.sizes()
+        assert gg.red[non_minority].all()
+        if beta == 0.3:
+            assert non_minority.any()
+
+    def test_unresolved_search_is_neither_delivered_nor_corrupted(
+        self, H, params
+    ):
+        # serve's "unresolved" outcome: no red group, but no resolution
+        gg = GroupGraph(H, params, red=np.zeros(H.n, dtype=bool))
+        batch = RouteBatch(
+            paths=np.array([[4, 9, 17, PADDING, PADDING]], dtype=np.int32),
+            resolved=np.array([False]),
+            responsible=np.array([30], dtype=np.int32),
+        )
+        ev = gg.evaluate(batch)
+        assert not ev.delivered[0] and not ev.corrupted[0]
+        assert ev.first_blocked[0] == 3  # the path length
+        assert ev.hops[0] == 2
+        assert ev.search_path_mask()[0].tolist() == [True] * 3 + [False] * 2
+
+    def test_ignored_source_is_not_the_first_blocked(self, H, params):
+        red = np.zeros(H.n, dtype=bool)
+        red[[4, 17]] = True
+        gg = GroupGraph(H, params, red=red)
+        batch = RouteBatch(
+            paths=np.array([[4, 9, PADDING, PADDING],
+                            [4, 9, 17, PADDING]], dtype=np.int32),
+            resolved=np.array([True, True]),
+            responsible=np.array([9, 17], dtype=np.int32),
+        )
+        ev = gg.evaluate(batch, include_source=False)
+        assert ev.delivered.tolist() == [True, False]
+        assert ev.corrupted.tolist() == [False, True]
+        assert ev.first_blocked.tolist() == [2, 2]
+        strict = gg.evaluate(batch)
+        assert strict.first_blocked.tolist() == [0, 0]
 
 
 class TestResponsibility:

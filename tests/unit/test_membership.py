@@ -126,6 +126,20 @@ class TestBuildRedOlds:
         assert rep.slot_capture_rate == 0.0
 
 
+    @pytest.mark.parametrize("beta,pf", [(0.05, 0.3), (0.3, 0.1), (0.45, 0.0)])
+    def test_non_minority_groups_are_red(self, params, beta, pf):
+        """The construction colours from the shared good-group rule: a new
+        group whose bad members are not a strict minority is red."""
+        pair, rng = make_pair(beta=beta, pf=pf, seed=6)
+        new_ring = Ring(rng.random(128))
+        new_H = make_input_graph("chord", new_ring)
+        rep = build_new_graph(pair, new_ring, new_H, 1, params, rng)
+        non_minority = 2 * rep.side.n_bad >= rep.sizes
+        assert rep.red[non_minority].all()
+        if beta >= 0.3:
+            assert non_minority.any()
+
+
 class TestDistinctPerGroup:
     """The row-sort composition equals the serial path's np.unique loop."""
 

@@ -1,4 +1,6 @@
-"""Unit tests: secure routing + majority filtering (repro.core.secure_routing)."""
+"""Unit tests: secure routing (repro.core.secure_routing)."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from repro.core.costs import CostLedger
 from repro.core.group_graph import GroupGraph
 from repro.core.params import SystemParams
-from repro.core.secure_routing import SecureRouter, majority_filter
+from repro.core.secure_routing import SecureRouter
 from repro.inputgraph import make_input_graph
 
 
@@ -18,59 +20,6 @@ def H():
 @pytest.fixture
 def params():
     return SystemParams(n=128, seed=0)
-
-
-class TestMajorityFilter:
-    def test_empty(self):
-        assert majority_filter([]) is None
-
-    def test_unanimous(self):
-        assert majority_filter(["v"] * 5) == "v"
-
-    def test_strict_majority_needed(self):
-        assert majority_filter(["a", "a", "b", "b"]) is None
-
-    def test_majority_wins(self):
-        assert majority_filter(["a", "a", "a", "b", "b"]) == "a"
-
-    def test_adversary_split_votes_cannot_win(self):
-        # 3 good same value vs 2 bad split: good value still majority
-        assert majority_filter(["v", "v", "v", "x", "y"]) == "v"
-
-    def test_exactly_half_is_dropped(self):
-        assert majority_filter(["v", "x"]) is None
-
-    # -- the pinned edge-case contract (empty / exact ties) -------------------
-
-    def test_single_sender_wins(self):
-        assert majority_filter(["v"]) == "v"
-
-    def test_exact_tie_two_values_even_count(self):
-        # most frequent value reaches exactly half: dropped, regardless of
-        # insertion order
-        assert majority_filter(["a", "a", "b", "b"]) is None
-        assert majority_filter(["b", "b", "a", "a"]) is None
-
-    def test_plurality_without_majority_dropped(self):
-        # 2-2-1 split: 'a' is the unique plurality but not a strict majority
-        assert majority_filter(["a", "a", "b", "b", "c"]) is None
-
-    def test_accepts_any_iterable(self):
-        assert majority_filter(iter(["v", "v", "x"])) == "v"
-        assert majority_filter(()) is None
-
-    def test_matches_vectorized_keep_rule(self):
-        """For (good, bad) vote splits the scalar filter must agree with the
-        kernel's precomputed ``2 * bad < size`` survival test everywhere —
-        including the rounding ties."""
-        for size in range(1, 12):
-            for bad in range(0, size + 1):
-                votes = ["v"] * (size - bad) + ["ADV"] * bad
-                kept = majority_filter(votes)
-                if 2 * bad < size:
-                    assert kept == "v", (size, bad)
-                else:
-                    assert kept != "v", (size, bad)
 
 
 class TestSecureRouter:
@@ -108,7 +57,7 @@ class TestSecureRouter:
         gs = build_groups_fast(H.ring, params, rng)
         q = classify_groups(gs, bad, params)
         gg = GroupGraph(H, params, red=q.is_bad.copy(), groups=gs)
-        router = SecureRouter(gg, bad)
+        router = SecureRouter(gg)
         delivered = sum(
             router.search(int(rng.integers(H.n)), float(rng.random())).delivered
             for _ in range(30)
@@ -121,21 +70,38 @@ class TestSecureRouter:
         out = SecureRouter(gg).search(3, 0.7, ledger=led)
         assert led.messages.get("routing", 0) == out.messages
 
+    def test_red_last_group_blocks_at_the_last_position(self, H, params):
+        path, _ = H.route(3, 0.7)
+        assert len(path) >= 2
+        red = np.zeros(H.n, dtype=bool)
+        red[path[-1]] = True
+        gg = GroupGraph(H, params, red=red)
+        led = CostLedger()
+        out = SecureRouter(gg).search(3, 0.7, ledger=led)
+        assert out.corrupted and not out.delivered
+        assert out.first_blocked == len(path) - 1
+        assert np.array_equal(out.path, path)
+        # every hop is still charged, the blocked one included
+        s = params.group_solicit_size
+        assert out.messages == led.messages["routing"] == (len(path) - 1) * s * s
+
     def test_message_count_is_size_product_sum(self, H, params):
         sizes = np.full(H.n, 4, dtype=np.int64)
         gg = GroupGraph(H, params, red=np.zeros(H.n, dtype=bool), group_sizes=sizes)
         out = SecureRouter(gg).search(3, 0.7)
         assert out.messages == out.hops * 16
 
-    def test_search_cost_batch(self, H, params):
+    def test_batch_cost_is_size_product_sum(self, H, params):
         gg = GroupGraph(H, params, red=np.zeros(H.n, dtype=bool))
-        per_search, led = SecureRouter(gg).search_cost_batch(
-            200, np.random.default_rng(1)
+        led = CostLedger()
+        out = SecureRouter(gg).route_outcomes(
+            H.random_route_batch(200, np.random.default_rng(1)), ledger=led
         )
         s = params.group_solicit_size
-        # per-search cost ~ hops * |G|^2
-        assert per_search > s * s  # at least one hop
-        assert led.messages["routing"] == pytest.approx(per_search * 200)
+        # per-search cost = hops * |G|^2 with every group at the solicit size
+        assert np.array_equal(out.messages, out.hops * s * s)
+        assert out.messages.mean() > s * s  # at least one hop
+        assert led.messages["routing"] == int(out.messages.sum())
 
 
 class TestSearchBatch:
@@ -150,7 +116,7 @@ class TestSearchBatch:
             gs = build_groups_fast(H.ring, params, rng)
             q = classify_groups(gs, bad, params)
             gg = GroupGraph(H, params, red=q.is_bad.copy(), groups=gs)
-            return SecureRouter(gg, bad)
+            return SecureRouter(gg)
         red = rng.random(H.n) < pf
         return SecureRouter(GroupGraph(H, params, red=red))
 
@@ -197,20 +163,17 @@ class TestSearchBatch:
         assert out.messages is first  # computed once, on the first read
 
     @pytest.mark.parametrize("pf", [0.0, 0.3, 1.0])
-    def test_no_bad_mask_tables_equal_the_all_good_formula(self, H, params,
-                                                           pf):
-        # without a bad mask the router builds ~red; over the same groups
-        # with an all-good bad mask the general formula must agree
-        from repro.core.groups import build_groups_fast
-
+    def test_route_outcomes_is_evaluate(self, H, params, pf):
         rng = np.random.default_rng(5)
-        gs = build_groups_fast(H.ring, params, rng)
-        gg = GroupGraph(H, params, red=rng.random(H.n) < pf, groups=gs)
-        plain = SecureRouter(gg)
-        general = SecureRouter(gg, np.zeros(H.n, dtype=bool))
-        assert np.array_equal(plain._good_majority, general._good_majority)
-        assert np.array_equal(plain._transmit_ok, general._transmit_ok)
-        assert np.array_equal(plain._bad_frac > 0, gg.red)
+        gg = GroupGraph(H, params, red=rng.random(H.n) < pf)
+        batch = H.random_route_batch(300, rng)
+        led = CostLedger()
+        out = SecureRouter(gg).route_outcomes(batch, ledger=led)
+        ev = gg.evaluate(batch)
+        for f in fields(ev):
+            assert np.array_equal(getattr(out, f.name), getattr(ev, f.name)), f
+        assert np.array_equal(out.messages, ev.messages)
+        assert led.messages["routing"] == int(ev.messages.sum())
 
     def test_search_path_mask_prefix(self, H, params):
         """The mask covers exactly the prefix through the first red group."""

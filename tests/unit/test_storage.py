@@ -22,6 +22,13 @@ def setup():
     return store, bad, departed, rng
 
 
+def _size_products(store, source, key):
+    """``sum |G_i| * |G_{i+1}|`` along the search's path (Corollary 1)."""
+    path, _ = store.gg.H.route(source, key)
+    sizes = store.gg.group_sizes
+    return int((sizes[path[:-1]] * sizes[path[1:]]).sum())
+
+
 class TestPutGet:
     def test_roundtrip(self, setup):
         store, bad, departed, rng = setup
@@ -54,6 +61,19 @@ class TestPutGet:
         assert store.ledger.messages.get("storage", 0) > 0
         assert store.ledger.messages.get("routing", 0) > 0
 
+    def test_put_charges_the_search_size_products(self, setup):
+        store, bad, departed, rng = setup
+        assert store.put(0.42, "payload", 3, rng)
+        assert store.ledger.messages["routing"] == _size_products(store, 3, 0.42)
+
+    def test_get_charges_the_search_size_products(self, setup):
+        store, bad, departed, rng = setup
+        assert store.put(0.42, "payload", 3, rng)
+        before = store.ledger.messages["routing"]
+        assert store.get(0.42, 7, rng)[0]
+        charged = store.ledger.messages["routing"] - before
+        assert charged == _size_products(store, 7, 0.42)
+
     def test_requires_explicit_members(self, setup):
         from repro.core.group_graph import GroupGraph
 
@@ -82,6 +102,17 @@ class TestFailureModes:
         if bad[rec.holders].any():
             ok, _, reason = store.get(0.5, 0, rng)
             assert not ok and reason == "replicas"
+
+    def test_red_route_blocks_put_after_charging(self, setup):
+        store, bad, departed, rng = setup
+        batch = store.gg.H.route_many(np.array([3]), np.array([0.5]))
+        assert batch.hop_counts[0] >= 1
+        store.gg.red.setflags(write=True)
+        store.gg.red[:] = True
+        assert not store.put(0.5, "x", 3, rng)
+        assert len(store) == 0
+        assert store.ledger.messages["routing"] == _size_products(store, 3, 0.5)
+        assert "storage" not in store.ledger.messages
 
     def test_red_route_blocks_get(self, setup):
         store, bad, departed, rng = setup

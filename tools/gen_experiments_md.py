@@ -207,8 +207,9 @@ Both the static-case pipeline and the sequential-trajectory experiments
 run on batched kernels: group construction is a one-pass CSR kernel (flat
 `(leader, member)` edge array, single sort + segment dedup — no per-group
 `np.unique`), E2-style secure searches evaluate every probe in one
-lockstep batch over the group graph (`SecureRouter.search_batch`,
-good-majority tests precomputed as boolean arrays), and the dynamic case
+lockstep batch over the group graph (`GroupGraph.evaluate`, one gather
+of the red mask: a blue group's bad members are a strict minority, so
+the red mask alone decides each search), and the dynamic case
 (E4 epochs, E8 PoW windows, E12 churn) keeps each epoch/window/event
 *step* sequential while batching the step's inner work — batched
 construction searches + row-sorted group composition per epoch, whole
