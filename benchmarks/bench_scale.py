@@ -2,10 +2,11 @@
 """Bench scale — the million-node static pipeline inside a memory budget.
 
 The memory-scaling ledger (ROADMAP item 4's acceptance evidence): run the
-E2-shaped static pipeline — ring build, input-graph construction (its
-routing tables only: searches never read the neighbor CSR, so it is
-never built), hashed group construction, one 100k-probe batched secure
-search — at growing ``n`` and record ``{experiment, n, backend, wall_s, cells,
+E2-shaped static pipeline — ring build, input-graph construction (no
+table: the searches compute the few Chord finger cells they read, and
+never read the neighbor CSR, so neither is built), hashed group
+construction, one 100k-probe batched secure search — at growing ``n``
+and record ``{experiment, n, backend, wall_s, cells,
 trials, peak_rss_mb}`` rows into ``BENCH_scale.json``
 (:data:`repro.analysis.benchio.SCALE_BENCH_FILENAME`).
 
@@ -20,8 +21,9 @@ million-node case) fit a ~4 GB budget is exactly this PR's hot-path work:
   (:func:`repro.core.static_case.measure_static_search_streamed`), so the
   transient ``(q, hops)`` route/outcome tables are window-bounded instead
   of scaling with the whole workload;
-* the Chord fingers and the hashed groups are built in row blocks that
-  hold ~2^18 points in all, run on up to four threads
+* the hashed groups (and a Chord finger table, where one is built) are
+  built in row blocks that hold ~2^18 points in all, run on up to four
+  threads
   (:func:`repro.idspace.ring.map_blocks`; ``taskset -c 0`` runs them on
   the calling thread), so no ``(n, m)`` point array is ever held.
 

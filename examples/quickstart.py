@@ -56,7 +56,7 @@ def main() -> None:
     router = SecureRouter(gg)
     w = int(rng.integers(gg.n))
     key = float(rng.random())
-    out = router.search(w, key, payload="SONG.mp3")
+    out = router.search(w, key)
     print(f"\nFigure 1 walk-through: search from group {w} for key {key:.4f}")
     print(f"  path (groups): {list(out.path)}")
     print(f"  delivered={out.delivered}, hops={out.hops}, "
@@ -69,7 +69,7 @@ def main() -> None:
         from repro.core import GroupGraph
 
         gg_attacked = GroupGraph(H, params, red=red2, groups=groups)
-        out2 = SecureRouter(gg_attacked).search(w, key, payload="SONG.mp3")
+        out2 = SecureRouter(gg_attacked).search(w, key)
         print(f"  after marking group {int(out.path[1])} red ('B' in Fig. 1): "
               f"delivered={out2.delivered}, corrupted={out2.corrupted}")
 

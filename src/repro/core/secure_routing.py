@@ -29,7 +29,6 @@ Two execution paths share those semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
 
 import numpy as np
 
@@ -72,29 +71,33 @@ class SecureRouter:
         self,
         source: int,
         target: float,
-        payload: Hashable = "PAYLOAD",
         ledger: CostLedger | None = None,
     ) -> SecureSearchOutcome:
-        """Route ``payload`` from group ``source`` toward key ``target``.
+        """Route a value from group ``source`` toward key ``target``.
 
         Per hop: every member of the current group sends its stored value to
         every member of the next group, and good receivers majority-filter.
         The first red group on the path owns the value outright (perfect
-        collusion) and may replace or drop ``payload`` — the moment the
-        paper's analysis calls "traversing a red group".  Every hop is
-        charged to ``ledger``, those past the first red group included.
+        collusion) and may replace or drop it — the moment the paper's
+        analysis calls "traversing a red group".  The outcome's
+        ``messages`` is this search's own ``sum |G_i| |G_{i+1}|``, every
+        hop counted, those past the first red group included; each hop is
+        also charged to ``ledger``.
 
         This is the scalar reference path, one probe at a time;
         :meth:`search_batch` evaluates whole probe batches against the same
         semantics in one vectorized pass.
         """
-        ledger = ledger if ledger is not None else CostLedger()
         path, resolved = self.gg.H.route(source, target)
         sizes = self.gg.group_sizes
+        messages = 0
         first_blocked = len(path)
         for col, g in enumerate(path):
             if col:
-                ledger.inter_group_hop(int(sizes[path[col - 1]]), int(sizes[g]))
+                a, b = int(sizes[path[col - 1]]), int(sizes[g])
+                messages += a * b
+                if ledger is not None:
+                    ledger.inter_group_hop(a, b)
             if first_blocked == len(path) and self.gg.red[g]:
                 first_blocked = col
         corrupted = first_blocked < len(path)
@@ -102,7 +105,7 @@ class SecureRouter:
             delivered=resolved and not corrupted,
             corrupted=corrupted,
             hops=len(path) - 1,
-            messages=ledger.messages.get("routing", 0),
+            messages=messages,
             path=np.asarray(path, dtype=np.int64),
             first_blocked=first_blocked,
         )

@@ -281,9 +281,12 @@ class Ring:
         idx[idx == self.n] = 0
         return idx.astype(self.index_dtype, copy=False)
 
-    # bulk-successor tuning: below this many queries the binary search wins
-    # (LUT construction + the extra gathers don't amortize)
+    # bulk-successor tuning: a batch of this many queries takes the bucket
+    # LUT even if it must build it first; once the LUT is built, a batch
+    # of _LUT_MIN queries or more takes it (below that the binary search
+    # wins: the LUT path's extra NumPy passes don't amortize)
     _BULK_THRESHOLD = 4096
+    _LUT_MIN = 256
     # advance-loop bound: uniform-ish rings finish in <= 3 steps; an
     # adversarially clustered ring falls back to the exact binary search
     _BULK_MAX_ADVANCE = 32
@@ -343,10 +346,16 @@ class Ring:
         adversarially clustered ring) are resolved by the exact binary
         search, so for points in ``[0, 1]`` the result equals
         :meth:`successor_index_many` element-for-element on *any* ring.
-        This is the hot path of the group and finger builds.
+        This is the hot path of the group and finger builds, and of the
+        finger reads a Chord walk computes before its table is built.
+
+        A batch under ``_BULK_THRESHOLD`` points never builds the LUT: it
+        takes the binary search until the LUT exists, and the LUT from
+        ``_LUT_MIN`` points up once it does.
         """
         pts = np.asarray(points, dtype=np.float64)
-        if pts.size < self._BULK_THRESHOLD:
+        if pts.size < self._BULK_THRESHOLD and (
+                self._succ_lut is None or pts.size < self._LUT_MIN):
             return self.successor_index_many(pts)
         lut, ids_ext = self._bulk_tables()
         K = lut.size - 1

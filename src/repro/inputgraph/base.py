@@ -17,10 +17,12 @@ distance halving, D2B, Kautz, Viceroy) implement ``_neighbor_sets`` and
 ``route_many``; everything downstream (group graphs, secure routing,
 congestion measurement) is topology-agnostic.
 
-Routing (P1) reads only a topology's own routing tables, never the
-neighbor sets (P3), so the neighbor CSR is built on first use: the static
-pipeline, which only searches, never builds it, while an epoch transition
-builds it once per new graph for its neighbor requests (§III-A).
+Routing (P1) never reads the neighbor sets (P3), so the neighbor CSR is
+built on first use: the static pipeline, which only searches, never
+builds it, while an epoch transition builds it once per new graph for its
+neighbor requests (§III-A).  A topology may defer its own routing tables
+the same way: Chord computes the finger cells a search reads until its
+table pays for itself (:mod:`repro.inputgraph.chord`).
 
 Routing results are returned as *padded path matrices* — ``(q, max_hops)``
 int32 arrays with ``-1`` padding — so the group-graph layer can vectorize

@@ -39,7 +39,7 @@ class TestFigure1:
     def test_blue_path_delivers(self, scenario):
         H, params, w, key, path = scenario
         gg = GroupGraph(H, params, red=np.zeros(H.n, dtype=bool))
-        out = SecureRouter(gg).search(w, key, payload="SONG.mp3")
+        out = SecureRouter(gg).search(w, key)
         assert out.delivered
         assert np.array_equal(out.path, path)
 
@@ -49,7 +49,7 @@ class TestFigure1:
         red = np.zeros(H.n, dtype=bool)
         red[path[position]] = True  # G_u or G_v turns red ("B" in Fig. 1)
         gg = GroupGraph(H, params, red=red)
-        out = SecureRouter(gg).search(w, key, payload="SONG.mp3")
+        out = SecureRouter(gg).search(w, key)
         assert out.corrupted and not out.delivered
 
     def test_search_path_truncated_at_first_red(self, scenario):
@@ -70,7 +70,7 @@ class TestFigure1:
         off = [g for g in range(H.n) if g not in set(path)]
         red[off[:10]] = True
         gg = GroupGraph(H, params, red=red)
-        out = SecureRouter(gg).search(w, key, payload="SONG.mp3")
+        out = SecureRouter(gg).search(w, key)
         assert out.delivered
 
     def test_all_to_all_message_cost(self, scenario):

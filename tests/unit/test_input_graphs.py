@@ -1,5 +1,10 @@
 """Unit tests: input-graph topologies and P1-P4 (repro.inputgraph)."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -187,6 +192,7 @@ class TestChordFingerBlocks:
         # build cannot get this graph's freed (and already correct) table
         # back as its empty buffer
         probe = make_input_graph("chord", ids, index_dtype=dtype)
+        probe.finger_table()
         monkeypatch.setattr(ring_module, "_BLOCK_POINTS",
                             self.BLOCK * probe.finger_count)
         # every block, however small, takes the bucket LUT path
@@ -203,6 +209,134 @@ class TestChordFingerBlocks:
                 probe.finger_table().flags, flag)
         assert not any(a.flags.writeable for a in g.ring._bulk_tables())
         assert not g.ring.ids.flags.writeable
+
+
+def _chord_ids(n: int, layout: str) -> np.ndarray:
+    u = np.random.default_rng(n).random(n)
+    return u if layout == "uniform" else 0.3 + 1e-9 * u
+
+
+class TestChordComputedFingers:
+    """Until a graph's finger table is built, a walk computes the cells it
+    reads; every result equals the table's, and the table is built once."""
+
+    @staticmethod
+    def _built(g) -> bool:
+        return g._flat is not None
+
+    @pytest.mark.parametrize("dtype", ["int32", "int64"])
+    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 4097])
+    def test_every_computed_cell_equals_the_table(self, n, layout, dtype):
+        # tiny rings have self-fingers, and 4097 rows are enough points
+        # to take the bucket LUT; the walk reads columns 0..m
+        fresh = make_input_graph("chord", _chord_ids(n, layout),
+                                 index_dtype=dtype)
+        table = make_input_graph("chord", _chord_ids(n, layout),
+                                 index_dtype=dtype).finger_table()
+        m = fresh.finger_count
+        rows, cols = np.divmod(np.arange(n * (m + 1)), m + 1)
+        cells = fresh._computed_fingers(rows * (m + 2) + cols,
+                                        fresh.ring.ids[rows])
+        assert cells.dtype == np.int64
+        assert np.array_equal(cells, table[rows, cols])
+        assert not self._built(fresh)
+
+    @pytest.mark.parametrize("dtype", ["int32", "int64"])
+    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 4097])
+    def test_fresh_graph_routes_as_the_table_does(self, n, layout, dtype):
+        ids = _chord_ids(n, layout)
+        fresh = make_input_graph("chord", ids, index_dtype=dtype)
+        built = make_input_graph("chord", ids, index_dtype=dtype)
+        built.finger_table()
+        rng = np.random.default_rng(n + 1)
+        q = 16
+        src = rng.integers(0, n, size=q)
+        # keys anywhere, inside the cluster, and on the IDs themselves
+        tgt = np.concatenate([
+            rng.random(q // 2), 0.3 + 1e-9 * rng.random(q // 4),
+            rng.choice(fresh.ring.ids, q - q // 2 - q // 4),
+        ])
+        red = rng.random(n) < 0.3
+        got = fresh.route_many(src, tgt)
+        want = built.route_many(src, tgt)
+        for field in ("paths", "resolved", "responsible"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        fail, hops = fresh.search_fail(src, tgt, red)
+        want_fail, want_hops = built.search_fail(src, tgt, red)
+        assert np.array_equal(fail, want_fail) and hops == want_hops
+        # two small batches cost the uniform 4097-ID graph a third of its
+        # table.  On the tiny rings one read's charge reaches it; on the
+        # clustered one the walks run out their hop budget (every finger
+        # laps the cluster), and their reads reach it too.  A one-ID ring
+        # takes no hop, so it reads nothing.
+        assert self._built(fresh) == (
+            n > 1 and (n < 4097 or layout == "clustered"))
+
+    def test_one_query_batches_build_the_table_within_ten_calls(self):
+        g = make_input_graph("chord", _chord_ids(4096, "uniform"))
+        rng = np.random.default_rng(5)
+        calls = 0
+        while not self._built(g):
+            calls += 1
+            g.route_many(rng.integers(0, g.n, size=1), rng.random(1))
+            assert calls <= 10
+        assert calls > 1
+
+    def test_static_probe_pass_never_builds_the_table(self):
+        # the static pass's routing at 2^18: 100k probes in 16,384-probe
+        # windows read a few percent of the table's cells
+        n = 1 << 18
+        g = make_input_graph("chord", _chord_ids(n, "uniform"))
+        rng = np.random.default_rng(6)
+        src, tgt = rng.integers(0, n, size=100_000), rng.random(100_000)
+        for lo in range(0, src.size, 16384):
+            assert g.route_many(src[lo:lo + 16384],
+                                tgt[lo:lo + 16384]).resolved.all()
+        assert not self._built(g)
+        assert 0 < g._charged < g._cells // 2
+
+    def test_threads_on_a_fresh_graph_build_the_table_once(self, monkeypatch):
+        # more threads than cores, switching often, all released together
+        # on a graph whose table is not built yet; their reads' charges
+        # together pass the table's size
+        built, build = [], ChordGraph._build_table
+
+        def slow_build(self):
+            built.append(threading.current_thread())
+            time.sleep(0.05)  # every thread gets past the unlocked check
+            return build(self)
+
+        ids = _chord_ids(4096, "uniform")
+        rng = np.random.default_rng(7)
+        src, tgt = rng.integers(0, 4096, size=3000), rng.random(3000)
+        expect = make_input_graph("chord", ids).route_many(src, tgt)
+        monkeypatch.setattr(ChordGraph, "_build_table", slow_build)
+        g = make_input_graph("chord", ids)
+        k = (os.cpu_count() or 1) + 2
+        barrier, out = threading.Barrier(k, timeout=60), [None] * k
+
+        def route(i):
+            barrier.wait()
+            out[i] = g.route_many(src, tgt)
+
+        threads = [threading.Thread(target=route, args=(i,)) for i in range(k)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 1 and self._built(g)
+        assert all(np.array_equal(o.paths, expect.paths) for o in out)
+        assert np.array_equal(g.finger_table(),
+                              make_input_graph("chord", ids).finger_table())
 
 
 class TestChordStartColumn:
@@ -321,7 +455,7 @@ class TestNeighborSetsOnFirstUse:
         assert not indptr.flags.writeable and not indices.flags.writeable
 
     def test_static_pass_never_builds(self, csr_builds):
-        # the E2 cell's pipeline: routing reads the finger table only
+        # the E2 cell's pipeline: routing never reads the neighbor sets
         from repro.core.group_graph import GroupGraph
         from repro.core.groups import build_groups_fast
         from repro.core.params import SystemParams

@@ -165,6 +165,36 @@ class TestSuccessorBulk:
         )
 
     @pytest.mark.parametrize("index_dtype", ["auto", "int64"])
+    @pytest.mark.parametrize("clustered", [False, True])
+    @pytest.mark.parametrize("built", [False, True])
+    @pytest.mark.parametrize("size", [1, 255, 256, 4095, 4096])
+    def test_every_batch_size_is_exact(self, monkeypatch, size, built,
+                                       clustered, index_dtype):
+        # a built LUT serves every batch of _LUT_MIN points or more; an
+        # unbuilt one is built only by a batch of _BULK_THRESHOLD points,
+        # so a smaller batch on a fresh ring leaves it unbuilt
+        rng = np.random.default_rng(size)
+        u = rng.random(1000)
+        ring = Ring(0.3 + 1e-9 * u if clustered else u,
+                    index_dtype=index_dtype)
+        if built:
+            ring._bulk_tables()
+        pts = rng.random(size)
+        if clustered:  # half the points inside the cluster
+            pts[::2] = 0.3 + 1e-9 * rng.random(pts[::2].size)
+        expect = ring.successor_index_many(pts)
+        searched, search = [], Ring.successor_index_many
+        monkeypatch.setattr(
+            Ring, "successor_index_many",
+            lambda self, p: searched.append(p) or search(self, p))
+        bulk = ring.successor_index_bulk(pts)
+        assert bulk.dtype == ring.index_dtype
+        assert np.array_equal(bulk, expect)
+        lut_path = size >= (Ring._LUT_MIN if built else Ring._BULK_THRESHOLD)
+        assert len(searched) == (not lut_path)
+        assert (ring._succ_lut is None) == (not built and not lut_path)
+
+    @pytest.mark.parametrize("index_dtype", ["auto", "int64"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_large_batch_matches_binary_search(self, seed, index_dtype):
         rng = np.random.default_rng(seed)

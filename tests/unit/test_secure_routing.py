@@ -26,7 +26,7 @@ class TestSecureRouter:
     def test_all_blue_delivers(self, H, params):
         gg = GroupGraph(H, params, red=np.zeros(H.n, dtype=bool))
         router = SecureRouter(gg)
-        out = router.search(3, 0.7, payload="DATA")
+        out = router.search(3, 0.7)
         assert out.delivered and not out.corrupted
         assert out.hops >= 0
         assert out.messages > 0
@@ -65,10 +65,15 @@ class TestSecureRouter:
         assert delivered >= 25
 
     def test_messages_charged_to_ledger(self, H, params):
+        # each outcome reports its own cost; a shared ledger keeps the total
         gg = GroupGraph(H, params, red=np.zeros(H.n, dtype=bool))
         led = CostLedger()
-        out = SecureRouter(gg).search(3, 0.7, ledger=led)
-        assert led.messages.get("routing", 0) == out.messages
+        router = SecureRouter(gg)
+        first = router.search(3, 0.7, ledger=led)
+        second = router.search(3, 0.7, ledger=led)
+        assert first.messages > 0
+        assert second.messages == first.messages
+        assert led.messages["routing"] == 2 * first.messages
 
     def test_red_last_group_blocks_at_the_last_position(self, H, params):
         path, _ = H.route(3, 0.7)

@@ -233,14 +233,16 @@ generations can't flap the gate (warn-only on the bootstrap run).
 
 **Scale bench — the million-node memory budget.**
 `benchmarks/bench_scale.py` runs the E2-shaped static pipeline (ring
-build → Chord finger table → hashed group construction → one 100k-probe
+build → Chord input graph → hashed group construction → one 100k-probe
 batched secure search) at n = 2^17 and 2^20 (the million-node case) and
 records `{experiment: "SCALE", n, backend, wall_s, cells, trials,
 peak_rss_mb}` rows into `benchmarks/output/BENCH_scale.json`.  Searches
-read only the finger table, and an input graph builds its neighbor CSR
-on first use, so this pipeline never builds one.  Two knobs make 2^20
-fit a ~4 GB budget (measured on a 2-vCPU host: ~0.39 GB peak, ~1.6-2.7 s
-wall, vs ~0.59 GB for the int64 oracle): `--index-dtype auto` narrows
+never read the neighbor CSR, which an input graph builds on first use,
+and a Chord walk computes the finger cells it reads until they have cost
+about as much as the whole table; the 100k probes read ~5% of the 2^20
+table's 24 M cells, so this pipeline builds neither.  Two knobs make 2^20
+fit a ~4 GB budget (measured on a 2-vCPU host: ~0.28 GB peak, ~0.8-1.1 s
+wall, vs ~0.38 GB for the int64 oracle): `--index-dtype auto` narrows
 every stored index array — ring successor LUTs, the finger table,
 routed paths, group member lists — to int32 whenever n fits (`int64`
 stays the byte-identity oracle at double width; RNG draws and
@@ -250,8 +252,9 @@ value-identical — property-tested in
 probe batch through fixed-size windows
 (`measure_static_search_streamed`: integer accumulators ÷ probes, so
 bit-equal at any window size) with one `mem.peak` telemetry event per
-window.  The Chord finger table and the hashed groups are built in row
-blocks that hold ~2^18 points in all (`repro.idspace.ring.row_blocks`),
+window.  The hashed groups (and a Chord finger table, where one is
+built) are built in row blocks that hold ~2^18 points in all
+(`repro.idspace.ring.row_blocks`),
 so no `(n, m)` point or index array is ever held.  The blocks' lookups,
 row sorts and dedups run on up to four threads
 (`repro.idspace.ring.map_blocks`; NumPy releases the GIL inside them)
