@@ -108,8 +108,8 @@ class EpochSimulator:
     params:
         System constants; ``params.n`` is the per-epoch population size.
     topology:
-        Input-graph family for every epoch's ``H`` ("chord" is fastest —
-        fully vectorized routing).
+        Input-graph family for every epoch's ``H``.  Every topology
+        routes in lockstep, one NumPy pass per hop; "chord" is fastest.
     adversary:
         ID-placement strategy; defaults to the PoW-constrained
         :class:`~repro.adversary.strategies.UniformAdversary` at

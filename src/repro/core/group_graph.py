@@ -26,7 +26,7 @@ a padded path matrix from ``InputGraph.route_many``, one gather of the red
 mask plus row reductions answer "which searches fail and where" for 10^5
 probes at once.  The §III-A construction searches need only the fail bit
 and the hop count, so they go through ``InputGraph.search_fail`` instead
-and never build a path matrix on Chord.
+and never build a path matrix.
 """
 
 from __future__ import annotations

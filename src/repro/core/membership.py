@@ -196,7 +196,7 @@ def _search_fail_mask(
     The initiating position is not counted against the search (§III-A: the
     bootstrap group is assumed good, and verification searches are run by
     good candidates over their own links).  ``H.search_fail`` returns the
-    fail bits and the hop total (Chord's never builds the paths).  Charges
+    fail bits and the hop total without building paths.  Charges
     routing messages: each hop between groups of solicited size ``s``
     costs ``s^2`` messages (Cor. 1 accounting).
     """
@@ -317,19 +317,21 @@ def build_new_graph(
     flat_pts = pts.ravel()
     q = flat_pts.size
 
+    reds = (old.red1, old.red2) if two_graphs else (old.red1,)
+
+    def dual_fail(points: np.ndarray, sources: np.ndarray | None = None):
+        """Search ``points`` on each consulted old graph; a search fails
+        only when it fails on every one (§III-A).  Without ``sources``,
+        each graph's are drawn from its blue groups, graph 1's first."""
+        fail = np.ones(points.size, dtype=bool)
+        for red in reds:
+            src = (_good_sources(red, points.size, rng) if sources is None
+                   else sources)
+            fail &= _search_fail_mask(old.H, red, src, points, params, ledger)
+        return fail
+
     # --- bootstrap dual searches ------------------------------------------------
-    boot_src_1 = _good_sources(old.red1, q, rng)
-    fail_a = _search_fail_mask(
-        old.H, old.red1, boot_src_1, flat_pts, params, ledger
-    )
-    if two_graphs:
-        boot_src_2 = _good_sources(old.red2, q, rng)
-        fail_b = _search_fail_mask(
-            old.H, old.red2, boot_src_2, flat_pts, params, ledger
-        )
-        captured = fail_a & fail_b
-    else:
-        captured = fail_a
+    captured = dual_fail(flat_pts)
 
     # --- candidate successors among the member pool ------------------------------
     cand = old.ring.successor_index_bulk(flat_pts)
@@ -341,17 +343,7 @@ def build_new_graph(
     vfail = np.zeros(q, dtype=bool)
     gi = np.flatnonzero(good_cand)
     if gi.size:
-        vsrc = cand[gi]
-        vf1 = _search_fail_mask(
-            old.H, old.red1, vsrc, flat_pts[gi], params, ledger
-        )
-        if two_graphs:
-            vf2 = _search_fail_mask(
-                old.H, old.red2, vsrc, flat_pts[gi], params, ledger
-            )
-            vfail[gi] = vf1 & vf2
-        else:
-            vfail[gi] = vf1
+        vfail[gi] = dual_fail(flat_pts[gi], cand[gi])
 
     # --- per-group composition ----------------------------------------------------
     # Slot outcomes: captured -> distinct bad member (adversary's choice);
@@ -375,30 +367,8 @@ def build_new_graph(
     indptr, _ = new_H.neighbor_lists()
     total_slots = int(indptr[-1])
     find_pts = rng.random(total_slots)
-    f1 = _search_fail_mask(
-        old.H, old.red1, _good_sources(old.red1, total_slots, rng), find_pts,
-        params, ledger,
-    )
-    if two_graphs:
-        f2 = _search_fail_mask(
-            old.H, old.red2, _good_sources(old.red2, total_slots, rng), find_pts,
-            params, ledger,
-        )
-        find_fail = f1 & f2
-    else:
-        find_fail = f1
-    v1 = _search_fail_mask(
-        old.H, old.red1, _good_sources(old.red1, total_slots, rng), find_pts,
-        params, ledger,
-    )
-    if two_graphs:
-        v2 = _search_fail_mask(
-            old.H, old.red2, _good_sources(old.red2, total_slots, rng), find_pts,
-            params, ledger,
-        )
-        verify_fail = v1 & v2
-    else:
-        verify_fail = v1
+    find_fail = dual_fail(find_pts)
+    verify_fail = dual_fail(find_pts)
     is_confused = _any_per_row(indptr, find_fail | verify_fail)
 
     red = is_bad | is_confused

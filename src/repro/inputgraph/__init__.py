@@ -44,7 +44,6 @@ def make_input_graph(
     name: str,
     ids: np.ndarray | Ring,
     index_dtype: str | np.dtype | None = None,
-    **kwargs,
 ) -> InputGraph:
     """Build the named topology over ``ids`` (array of ID values or a Ring).
 
@@ -64,4 +63,4 @@ def make_input_graph(
             ring = Ring(ring.ids, index_dtype=index_dtype)
     else:
         ring = Ring(ids, index_dtype=index_dtype)
-    return cls(ring, **kwargs)
+    return cls(ring)

@@ -14,8 +14,8 @@ unit ring that provides:
 
 :class:`InputGraph` encodes that contract.  Concrete topologies (Chord,
 distance halving, D2B, Kautz, Viceroy) implement ``_neighbor_sets`` and
-``route_many``; everything downstream (group graphs, secure routing,
-congestion measurement) is topology-agnostic.
+one routing walk, ``_walk``; everything downstream (group graphs, secure
+routing, congestion measurement) is topology-agnostic.
 
 Routing (P1) never reads the neighbor sets (P3), so the neighbor CSR is
 built on first use: the static pipeline, which only searches, never
@@ -24,12 +24,14 @@ neighbor requests (§III-A).  A topology may defer its own routing tables
 the same way: Chord computes the finger cells a search reads until its
 table pays for itself (:mod:`repro.inputgraph.chord`).
 
-Routing results are returned as *padded path matrices* — ``(q, max_hops)``
-int32 arrays with ``-1`` padding — so the group-graph layer can vectorize
-"does this search traverse a red group?" checks with one fancy-indexing pass.
+A walk moves every query still in flight one hop per NumPy pass and
+reports each pass's hops to a visitor.  :meth:`InputGraph.route_many`
+writes them into *padded path matrices* — ``(q, max_hops)`` int32 arrays
+with ``-1`` padding — so the group-graph layer can vectorize "does this
+search traverse a red group?" checks with one fancy-indexing pass.
 Searches that need only that answer and a hop count (the §III-A
-construction searches) go through :meth:`InputGraph.search_fail`, which a
-topology may answer without building paths at all.
+construction searches) go through :meth:`InputGraph.search_fail`, whose
+visitor marks red hops as they happen: no topology builds paths for it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -84,7 +86,8 @@ class InputGraph(abc.ABC):
     """Abstract overlay topology over a :class:`~repro.idspace.ring.Ring`.
 
     Subclasses must set :attr:`name`, build neighbor sets in CSR form, and
-    implement :meth:`route_many`.  The CSR layout (``indptr``/``indices``)
+    implement the routing walk :meth:`_walk`, which :meth:`route_many` and
+    :meth:`search_fail` both run.  The CSR layout (``indptr``/``indices``)
     keeps every neighbor set in two flat arrays: ``neighbors(i)`` is
     ``indices[indptr[i]:indptr[i+1]]``.  Construction does not build it;
     the first call of a neighbor accessor (:meth:`neighbors`,
@@ -164,6 +167,24 @@ class InputGraph(abc.ABC):
     # -- routing -------------------------------------------------------------------
 
     @abc.abstractmethod
+    def _walk(
+        self,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        visit: Callable[[np.ndarray, np.ndarray, int | np.ndarray], None],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Route every query, calling ``visit(live, nxt, at)`` once per pass.
+
+        ``sources`` are int64 ring indices and ``targets`` float64 keys in
+        ``[0, 1)``.  Each pass moves the queries ``live`` one hop, to the
+        IDs ``nxt``; ``at`` is the path column of those hops (the source
+        is column 0): one int when every query in flight takes every
+        pass, else one column per query.  A pass never has an empty
+        ``live``.  Returns ``(responsible, unresolved)``: ``suc(target)``
+        per query at the ring's index dtype, and the queries that did not
+        reach it within the hop budget.
+        """
+
     def route_many(self, sources: np.ndarray, targets: np.ndarray) -> RouteBatch:
         """Route searches ``sources[i] -> targets[i]`` (P1).
 
@@ -174,6 +195,23 @@ class InputGraph(abc.ABC):
         targets:
             ``(q,)`` key points in ``[0, 1)``.
         """
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.float64)
+        hops: list[tuple[np.ndarray, np.ndarray, int | np.ndarray]] = []
+        resp, unresolved = self._walk(
+            sources, targets, lambda live, nxt, at: hops.append((live, nxt, at))
+        )
+        # an int ``at`` (Chord's hop number) needs no NumPy reduction, which
+        # every one-query route (each served request) would pay per hop
+        width = 1 + max((at if isinstance(at, int) else int(at.max())
+                         for _, _, at in hops), default=0)
+        paths = np.full((sources.size, width), PADDING, dtype=np.int32)
+        paths[:, 0] = sources
+        for live, nxt, at in hops:
+            paths[live, at] = nxt
+        resolved = np.ones(sources.size, dtype=bool)
+        resolved[unresolved] = False
+        return RouteBatch(paths=paths, resolved=resolved, responsible=resp)
 
     def search_fail(
         self, sources: np.ndarray, targets: np.ndarray, red: np.ndarray
@@ -183,15 +221,22 @@ class InputGraph(abc.ABC):
         Query ``i`` fails when it does not resolve or when an ID it
         traverses *after* its source is red (the source's own flag does not
         count).  Returns ``(fail, hops)``: the ``(q,)`` bool fail mask and
-        the total number of hops the batch took.  This default routes the
-        paths and scans them; a topology may override it with a walk that
-        never materializes paths, provided both results are identical.
+        the total number of hops the batch took.  The walk's visitor marks
+        the red hops as they happen, so no path is built.
         """
-        batch = self.route_many(sources, targets)
-        after = batch.paths[:, 1:]
-        visited = after != PADDING
-        hit = (red[after] & visited).any(axis=1)
-        return hit | ~batch.resolved, int(visited.sum())
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.float64)
+        fail = np.zeros(sources.size, dtype=bool)
+        hops = 0
+
+        def visit(live: np.ndarray, nxt: np.ndarray, at) -> None:
+            nonlocal hops
+            fail[live[red[nxt]]] = True
+            hops += live.size
+
+        _, unresolved = self._walk(sources, targets, visit)
+        fail[unresolved] = True
+        return fail, hops
 
     def route(self, source: int, target: float) -> tuple[np.ndarray, bool]:
         """Single-query convenience wrapper around :meth:`route_many`."""
@@ -216,14 +261,31 @@ class InputGraph(abc.ABC):
         return lo, ids
 
     @staticmethod
-    def _pack_paths(rows: Sequence[np.ndarray]) -> np.ndarray:
-        """Pack variable-length index paths into a padded matrix."""
-        q = len(rows)
-        width = max((len(r) for r in rows), default=1)
-        out = np.full((q, width), PADDING, dtype=np.int32)
-        for i, r in enumerate(rows):
-            out[i, : len(r)] = r
-        return out
+    def _hop(visit, cur: np.ndarray, col: np.ndarray, live: np.ndarray,
+             nxt: np.ndarray) -> None:
+        """Move the queries ``live`` to the IDs ``nxt``, in a walk whose
+        queries may skip a pass: each keeps its own ID in ``cur`` and its
+        path column in ``col``.  A pass that moves no query visits
+        nothing."""
+        if live.size:
+            cur[live] = nxt
+            col[live] += 1
+            visit(live, nxt, col[live])
+
+    @staticmethod
+    def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR of each row's distinct entries, ascending, less the
+        row's own index: per row exactly ``np.unique(row[row != i])``, from
+        one row sort and a mask of repeats and self entries."""
+        n = rows.shape[0]
+        f = np.sort(rows, axis=1)
+        keep = np.empty(f.shape, dtype=bool)
+        keep[:, 0] = True
+        np.not_equal(f[:, 1:], f[:, :-1], out=keep[:, 1:])
+        keep &= f != np.arange(n, dtype=f.dtype)[:, None]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return indptr, f[keep]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n={self.n})"

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from ..idspace.ring import Ring, map_blocks, row_blocks
-from .base import PADDING, InputGraph, RouteBatch
+from .base import InputGraph
 
 __all__ = ["ChordGraph"]
 
@@ -173,20 +173,10 @@ class ChordGraph(InputGraph):
     # -- topology -------------------------------------------------------------
 
     def _neighbor_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        # One-pass vectorized build: row-sort the finger matrix, mask
-        # duplicate-adjacent and self entries, and gather the survivors.
-        # Per row that is exactly ``np.unique(row[row != i])`` — a sorted,
-        # unique, self-free neighbor list — without n Python iterations
-        # (the wall-time blocker at n = 10^6).
-        n = self.n
-        f = np.sort(self.finger_table(), axis=1)
-        keep = np.empty(f.shape, dtype=bool)
-        keep[:, 0] = True
-        np.not_equal(f[:, 1:], f[:, :-1], out=keep[:, 1:])
-        keep &= f != np.arange(n, dtype=f.dtype)[:, None]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return indptr, f[keep]
+        # each node's distinct fingers, successor and predecessor, itself
+        # excluded, in one vectorized pass (no per-node Python loop, the
+        # wall-time blocker at n = 10^6)
+        return self._sorted_rows(self.finger_table())
 
     @property
     def finger_count(self) -> int:
@@ -289,66 +279,36 @@ class ChordGraph(InputGraph):
         self,
         sources: np.ndarray,
         targets: np.ndarray,
-        visit: Callable[[np.ndarray, np.ndarray], None],
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Route every query, calling ``visit(live, nxt)`` once per hop.
+        visit: Callable[[np.ndarray, np.ndarray, int], None],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Route every query (:meth:`InputGraph._walk`): every query in
+        flight takes every pass, so ``at`` is the hop number.
 
-        ``live`` lists the queries that take the hop and ``nxt`` the IDs
-        they reach; queries leave the batch on reaching their responsible
-        ID.  Returns ``(responsible, unresolved, hops)``: the queries
-        still in flight after the hop budget, and the hops taken in all.
-        Keys lie in ``[0, 1)`` like the IDs (the :meth:`route_many`
-        contract), so every difference :func:`_cw` sees is in (-1, 1).
-
-        The queries that leave are exactly the arrived ones.  A computed
+        Queries leave the batch on reaching their responsible ID, and the
+        queries that leave are exactly the arrived ones.  A computed
         clockwise distance never decreases as the true one grows, so a
         finger whose distance is below the key's lies short of the key
-        and is never its responsible ID.
+        and is never its responsible ID.  Keys lie in ``[0, 1)`` like the
+        IDs, so every difference :func:`_cw` sees is in (-1, 1).
         """
         resp = self.ring.successor_index_bulk(targets)
         live = np.flatnonzero(sources != resp)
         cur, key = sources[live], targets[live]
-        hops = 0
-        for _ in range(4 * self._m + 8):
+        for hop in range(1, 4 * self._m + 9):
             if not live.size:
                 break
             nxt, arrive = self._next_hop(cur, key)
             done = np.flatnonzero(arrive)
             nxt[done] = resp[live[done]]
-            visit(live, nxt)
-            hops += live.size
+            visit(live, nxt, hop)
             if done.size:
                 moving = np.flatnonzero(~arrive)
                 live, cur, key = live[moving], nxt[moving], key[moving]
             else:
                 cur = nxt
-        return resp, live, hops
+        return resp, live
 
-    def route_many(self, sources: np.ndarray, targets: np.ndarray) -> RouteBatch:
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.float64)
-        columns: list[tuple[np.ndarray, np.ndarray]] = []
-        resp, unresolved, _ = self._walk(
-            sources, targets, lambda live, nxt: columns.append((live, nxt))
-        )
-        paths = np.full((sources.size, len(columns) + 1), PADDING, dtype=np.int32)
-        paths[:, 0] = sources
-        for col, (live, nxt) in enumerate(columns, 1):
-            paths[live, col] = nxt
-        resolved = np.ones(sources.size, dtype=bool)
-        resolved[unresolved] = False
-        return RouteBatch(paths=paths, resolved=resolved, responsible=resp)
-
-    def search_fail(
-        self, sources: np.ndarray, targets: np.ndarray, red: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.float64)
-        fail = np.zeros(sources.size, dtype=bool)
-
-        def visit(live: np.ndarray, nxt: np.ndarray) -> None:
-            fail[live[red[nxt]]] = True
-
-        _, unresolved, hops = self._walk(sources, targets, visit)
-        fail[unresolved] = True
-        return fail, hops
+    # Defined on the class itself, not inherited: benchmarks/e2e traces
+    # ``ChordGraph.route_many``, and its tracer wraps only an attribute the
+    # class defines.
+    route_many = InputGraph.route_many

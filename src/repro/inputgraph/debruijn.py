@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..idspace.ring import Ring
-from .base import RouteBatch
 from .distance_halving import DistanceHalvingGraph
 
 __all__ = ["DeBruijnGraph"]
@@ -40,47 +38,18 @@ class DeBruijnGraph(DistanceHalvingGraph):
     name = "debruijn-d2b"
     congestion_exponent = 2.0
 
-    def __init__(self, ring: Ring, pad_steps: int = 2, max_tail: int = 64):
-        super().__init__(ring, base=2, pad_steps=pad_steps, max_tail=max_tail)
-
-    def route_many(self, sources: np.ndarray, targets: np.ndarray) -> RouteBatch:
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.float64)
-        q = sources.size
-        resp = self.ring.successor_index_many(targets)
-        # Contraction walk from the *target key point* steered toward the
-        # source ID, then reversed: q_i = pts[:, L-i].
-        pts = self.walk_points(targets, self.ring.ids[sources])
-        rev = pts[:, ::-1]
-        nodes = self.ring.successor_index_many(rev.ravel()).reshape(rev.shape)
-        n = self.n
-        succ_of = (np.arange(n) + 1) % n
-        rows: list[np.ndarray] = []
-        resolved = np.ones(q, dtype=bool)
-        for i in range(q):
-            # ring walk from the true source to the landing point suc(q_0)
-            head: list[int] = [int(sources[i])]
-            cur = int(sources[i])
-            first = int(nodes[i, 0])
-            hops = 0
-            while cur != first and hops < self._max_tail:
-                fwd = int(succ_of[cur])
-                bwd = (cur - 1) % n
-                d_fwd = (self.ring.ids[first] - self.ring.ids[cur]) % 1.0
-                d_bwd = (self.ring.ids[cur] - self.ring.ids[first]) % 1.0
-                cur = fwd if d_fwd <= d_bwd else bwd
-                head.append(cur)
-                hops += 1
-            if cur != first:
-                resolved[i] = False
-            seq = np.concatenate([np.asarray(head, dtype=np.int64), nodes[i, 1:]])
-            # the de Bruijn walk ends at the key point; owner == responsible
-            if seq[-1] != resp[i]:
-                seq = np.append(seq, resp[i])
-            keep = np.ones(seq.size, dtype=bool)
-            keep[1:] = seq[1:] != seq[:-1]
-            rows.append(seq[keep])
-        return RouteBatch(
-            paths=self._pack_paths(rows), resolved=resolved,
-            responsible=resp,
-        )
+    def _walk(self, sources, targets, visit):
+        """The ring head to ``suc(q_0)``, then the layer owners
+        ``suc(q_1) .. suc(q_L)`` (:meth:`InputGraph._walk`).  The last of
+        them is ``suc(t)`` itself, so the walk ends at the responsible
+        ID even when the head ran out of hops: that query is unresolved.
+        """
+        resp = self.ring.successor_index_bulk(targets)
+        cur, col = sources.copy(), np.zeros(sources.size, dtype=np.int64)
+        # the contraction walk from the key steered toward the source,
+        # reversed: q_i = pts[:, L - i]
+        pts = self.walk_points(targets, self.ring.ids[sources])[:, ::-1]
+        head = self.ring.successor_index_bulk(pts[:, 0])
+        unresolved = self._ring_leg(head, cur, col, visit)
+        self._layers(pts[:, 1:], cur, col, visit)
+        return resp, unresolved

@@ -20,9 +20,12 @@ in the target's digits*, landing within ``b^{-L} <= 1/(b^2 n)`` of ``t``; a
 final ``O(1)``-expected ring walk reaches ``suc(t)``.  Every step of the walk
 follows an edge present under the arc-image rule.
 
-The class is parameterized by the contraction base ``b`` so the de Bruijn
-(b=2) and Kautz-style (b=3) variants share the verified machinery; see
+The contraction base ``b`` is a class attribute, so the de Bruijn (b=2)
+and Kautz-style (b=3) variants share the verified machinery; see
 ``debruijn.py`` / ``kautz.py``.
+
+Routing runs in lockstep (:meth:`InputGraph._walk`): one NumPy pass per
+walk layer, then one per hop of the ring walk.
 
 Congestion: each of the ``L = O(log n)`` walk layers lands uniformly over
 the ring, but with raw u.a.r. arcs the maximum-arc ID (arc ``Theta(log n /
@@ -38,9 +41,12 @@ import math
 import numpy as np
 
 from ..idspace.ring import Ring
-from .base import PADDING, InputGraph, RouteBatch
+from .base import InputGraph
 
 __all__ = ["DistanceHalvingGraph"]
+
+# Hop cap of a ring leg, whose expected length is O(1).
+_MAX_TAIL = 64
 
 
 class DistanceHalvingGraph(InputGraph):
@@ -48,20 +54,14 @@ class DistanceHalvingGraph(InputGraph):
 
     name = "distance-halving"
     congestion_exponent = 2.0
+    #: contraction base b
+    base = 2
 
-    def __init__(self, ring: Ring, base: int = 2, pad_steps: int = 2,
-                 max_tail: int = 64):
-        if base < 2:
-            raise ValueError("contraction base must be >= 2")
-        self._base = int(base)
-        self._pad = int(pad_steps)
-        self._max_tail = int(max_tail)
-        self._steps = max(1, math.ceil(math.log(max(2, ring.n), base))) + self._pad
+    def __init__(self, ring: Ring):
+        # L = ceil(log_b n) digits, plus two so the walk lands within
+        # b^-L <= 1 / (b^2 n) of the key
+        self._steps = max(1, math.ceil(math.log(max(2, ring.n), self.base))) + 2
         super().__init__(ring)
-
-    @property
-    def base(self) -> int:
-        return self._base
 
     @property
     def walk_steps(self) -> int:
@@ -87,15 +87,17 @@ class DistanceHalvingGraph(InputGraph):
         — property-tested byte-identical to a per-node loop.
         """
         n = self.n
-        b = self._base
+        b = self.base
         lo, hi = self._arc_bounds()
         nodes_idx = np.arange(n)
         wrapped = hi < lo  # wrapped arc (only node 0 after roll): split in two
         w = nodes_idx[wrapped]
         s_node = np.concatenate([nodes_idx[~wrapped], w, w])
         s_lo = np.concatenate([lo[~wrapped], lo[wrapped], np.zeros(w.size)])
+        # the first piece ends at the largest float below 1.0, which no ID
+        # exceeds, so it never inverts
         s_hi = np.concatenate(
-            [hi[~wrapped], np.full(w.size, 1.0 - 1e-15), hi[wrapped]]
+            [hi[~wrapped], np.full(w.size, np.nextafter(1.0, 0.0)), hi[wrapped]]
         )
         # per span: b contraction images + 1 expansion image
         s = s_node.size
@@ -148,9 +150,9 @@ class DistanceHalvingGraph(InputGraph):
         digs = np.empty((q, L), dtype=np.int64)
         frac = targets.astype(np.float64).copy()
         for j in range(L):
-            frac = frac * self._base
+            frac = frac * self.base
             d = np.floor(frac).astype(np.int64)
-            d = np.clip(d, 0, self._base - 1)
+            d = np.clip(d, 0, self.base - 1)
             digs[:, j] = d
             frac -= d
         return digs
@@ -170,52 +172,42 @@ class DistanceHalvingGraph(InputGraph):
         z = sources_id.astype(np.float64).copy()
         for i in range(1, L + 1):
             c = digs[:, L - i]  # c_i = t_{L+1-i}
-            z = (z + c) / self._base
+            z = (z + c) / self.base
             pts[:, i] = z
         return pts
 
-    def route_many(self, sources: np.ndarray, targets: np.ndarray) -> RouteBatch:
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.float64)
-        resp = self.ring.successor_index_many(targets)
+    def _walk(self, sources, targets, visit):
+        """The digit walk's layer owners ``suc(z_1) .. suc(z_L)``, then
+        the ring leg to ``suc(t)`` (:meth:`InputGraph._walk`)."""
+        resp = self.ring.successor_index_bulk(targets)
+        cur, col = sources.copy(), np.zeros(sources.size, dtype=np.int64)
         pts = self.walk_points(self.ring.ids[sources], targets)
-        # Node visited at each layer = owner (successor) of the walk point.
-        nodes = self.ring.successor_index_many(pts.ravel()).reshape(pts.shape)
-        nodes[:, 0] = sources  # z_0 is the source's own ID
-        return self._finish_with_ring_tail(nodes, resp)
+        self._layers(pts[:, 1:], cur, col, visit)
+        return resp, self._ring_leg(resp, cur, col, visit)
 
-    def _finish_with_ring_tail(self, nodes: np.ndarray, resp: np.ndarray) -> RouteBatch:
-        """Append the O(1)-expected ring walk from the last walk node to
-        ``suc(t)``, dedupe consecutive repeats, and pack paths."""
-        q = nodes.shape[0]
-        n = self.n
-        succ_of = (np.arange(n) + 1) % n
-        rows: list[np.ndarray] = []
-        resolved = np.ones(q, dtype=bool)
-        for i in range(q):
-            seq = nodes[i]
-            # collapse consecutive duplicates (walk points often share owners)
-            keep = np.ones(seq.size, dtype=bool)
-            keep[1:] = seq[1:] != seq[:-1]
-            path = list(seq[keep])
-            cur = path[-1]
-            hops = 0
-            target = int(resp[i])
-            # The walk can land just past the target (z_L slightly above t);
-            # step back via predecessor or forward via successor, whichever
-            # the ring orientation requires — both are ring edges in S_w.
-            while cur != target and hops < self._max_tail:
-                fwd = int(succ_of[cur])
-                bwd = (cur - 1) % n
-                d_fwd = (self.ring.ids[target] - self.ring.ids[cur]) % 1.0
-                d_bwd = (self.ring.ids[cur] - self.ring.ids[target]) % 1.0
-                cur = fwd if d_fwd <= d_bwd else bwd
-                path.append(cur)
-                hops += 1
-            if cur != target:
-                resolved[i] = False
-            rows.append(np.asarray(path, dtype=np.int64))
-        return RouteBatch(
-            paths=self._pack_paths(rows), resolved=resolved,
-            responsible=resp,
-        )
+    def _layers(self, points: np.ndarray, cur: np.ndarray, col: np.ndarray,
+                visit) -> None:
+        """One pass per column of the ``(q, k)`` ``points``: each query
+        hops to the point's owner unless it is already there (walk points
+        often share owners)."""
+        for layer in points.T:
+            owner = self.ring.successor_index_bulk(layer)
+            live = np.flatnonzero(owner != cur)
+            self._hop(visit, cur, col, live, owner[live])
+
+    def _ring_leg(self, goal: np.ndarray, cur: np.ndarray, col: np.ndarray,
+                  visit) -> np.ndarray:
+        """Ring hops from ``cur`` to ``goal``, each to the successor or
+        the predecessor, whichever side ``goal`` is nearer (both are ring
+        edges in ``S_w``; a walk can land just past its goal).  Returns
+        the queries still short of ``goal`` after ``_MAX_TAIL`` hops."""
+        ids, n = self.ring.ids, self.n
+        live = np.flatnonzero(cur != goal)
+        for _ in range(_MAX_TAIL):
+            if not live.size:
+                break
+            c, g = cur[live], goal[live]
+            fwd = np.mod(ids[g] - ids[c], 1.0) <= np.mod(ids[c] - ids[g], 1.0)
+            self._hop(visit, cur, col, live, np.where(fwd, (c + 1) % n, (c - 1) % n))
+            live = live[cur[live] != g]
+        return live

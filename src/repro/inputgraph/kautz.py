@@ -19,7 +19,6 @@ walk exercises the identical code paths downstream.
 
 from __future__ import annotations
 
-from ..idspace.ring import Ring
 from .distance_halving import DistanceHalvingGraph
 
 __all__ = ["KautzGraph"]
@@ -30,6 +29,4 @@ class KautzGraph(DistanceHalvingGraph):
 
     name = "kautz-fissione"
     congestion_exponent = 2.0
-
-    def __init__(self, ring: Ring, pad_steps: int = 2, max_tail: int = 64):
-        super().__init__(ring, base=3, pad_steps=pad_steps, max_tail=max_tail)
+    base = 3

@@ -29,6 +29,14 @@ from .base import InputGraph
 
 __all__ = ["PropertyReport", "validate_properties"]
 
+# Hidden constants of the P2-P4 bounds (P1's is the topology's own
+# ``hop_constant``: multi-phase routers like Viceroy have larger ones).
+# Generous enough that a *correct* construction passes at every n we test,
+# while a broken one (e.g. linear-path routing) fails loudly.
+_ARC_CONSTANT = 6.0
+_DEGREE_CONSTANT = 8.0
+_CONGESTION_CONSTANT = 8.0
+
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -77,47 +85,34 @@ def validate_properties(
     graph: InputGraph,
     probes: int = 20_000,
     rng: np.random.Generator | None = None,
-    hop_constant: float | None = None,
-    arc_constant: float = 6.0,
-    degree_constant: float = 8.0,
-    congestion_constant: float = 8.0,
 ) -> PropertyReport:
-    """Measure P1-P4 on ``graph`` with ``probes`` random searches.
-
-    The ``*_constant`` knobs are the hidden constants of the O(.) bounds;
-    defaults are generous enough that a *correct* construction passes at every
-    n we test while a broken one (e.g. linear-path routing) fails loudly.
-    ``hop_constant`` defaults to the topology's own declared constant
-    (multi-phase routers like Viceroy have honestly larger ones).
-    """
+    """Measure P1-P4 on ``graph`` with ``probes`` random searches."""
     rng = rng or np.random.default_rng(0)
     n = graph.n
     log2n = math.log2(max(2, n))
     ln_n = math.log(max(2, n))
-    if hop_constant is None:
-        hop_constant = graph.hop_constant
 
     batch = graph.random_route_batch(probes, rng)
     hops = batch.hop_counts
     mean_hops = float(hops.mean())
     max_hops = int(hops.max())
-    hop_bound = max(8, math.ceil(hop_constant * log2n))
+    hop_bound = max(8, math.ceil(graph.hop_constant * log2n))
 
     arcs = graph.ring.arc_lengths()
     max_arc = float(arcs.max())
-    arc_bound = arc_constant * ln_n / n
+    arc_bound = _ARC_CONSTANT * ln_n / n
 
     degs = graph.degrees()
     mean_degree = float(degs.mean())
     max_degree = int(degs.max())
     # P3 allows |S_w| = O(log^gamma n); gamma = 1 covers Chord, and the
     # constant-degree graphs sit far below the bound.
-    degree_bound = max(8, math.ceil(degree_constant * ln_n))
+    degree_bound = max(8, math.ceil(_DEGREE_CONSTANT * ln_n))
 
     traversals = batch.traversal_counts(n)
     max_congestion = float(traversals.max()) / probes
     congestion_bound = (
-        congestion_constant * (ln_n ** graph.congestion_exponent) / n
+        _CONGESTION_CONSTANT * (ln_n ** graph.congestion_exponent) / n
     )
 
     sample = rng.integers(0, n, size=min(64, n))

@@ -26,10 +26,12 @@ from repro.core.groups import GroupSet
 from repro.core.membership import EpochPair, build_new_graph
 from repro.core.secure_routing import SecureRouter
 from repro.idspace.ring import Ring
-from repro.inputgraph import make_input_graph
+from repro.inputgraph import distance_halving, make_input_graph, viceroy
 from repro.inputgraph.base import InputGraph
 from repro.inputgraph.chord import ChordGraph
+from repro.inputgraph.debruijn import DeBruijnGraph
 from repro.inputgraph.distance_halving import DistanceHalvingGraph
+from repro.inputgraph.viceroy import ViceroyGraph
 from repro.pow.puzzles import PuzzleScheme
 
 
@@ -85,6 +87,150 @@ def static_search(gg: GroupGraph, sources, targets, probes: int,
         gg, probes, resp_constant, 1.0 - delivered / probes,
         path_cells / probes, float(resp.max()),
     )
+
+
+# -- input-graph routes ------------------------------------------------------
+
+
+def _replay(rows, resolved, resp, visit):
+    """Hand per-query paths to a walk's ``visit``: pass ``c`` moves every
+    query whose path has a column ``c``.  Returns what a walk returns."""
+    width = max((len(r) for r in rows), default=1)
+    for c in range(1, width):
+        live = np.asarray([i for i, r in enumerate(rows) if len(r) > c],
+                          dtype=np.int64)
+        visit(live, np.asarray([rows[i][c] for i in live], dtype=np.int64), c)
+    return resp, np.flatnonzero(~resolved)
+
+
+def _dedup(seq: np.ndarray) -> np.ndarray:
+    """``seq`` with consecutive repeats collapsed."""
+    keep = np.ones(seq.size, dtype=bool)
+    keep[1:] = seq[1:] != seq[:-1]
+    return seq[keep]
+
+
+def _ring_walk(H: InputGraph, path: list, target: int) -> bool:
+    """Extend ``path`` along the ring to ``target``, each hop to the
+    successor or the predecessor, whichever side the target is nearer, for
+    at most ``distance_halving._MAX_TAIL`` hops.  True when it arrives."""
+    ids, n = H.ring.ids, H.n
+    cur, hops = int(path[-1]), 0
+    while cur != target and hops < distance_halving._MAX_TAIL:
+        d_fwd = (ids[target] - ids[cur]) % 1.0
+        d_bwd = (ids[cur] - ids[target]) % 1.0
+        cur = (cur + 1) % n if d_fwd <= d_bwd else (cur - 1) % n
+        path.append(cur)
+        hops += 1
+    return cur == target
+
+
+def distance_halving_walk(H: DistanceHalvingGraph, sources, targets, visit):
+    """``DistanceHalvingGraph._walk`` (distance halving and Kautz), one
+    query at a time: its layer owners with consecutive repeats collapsed,
+    then the ring tail to the responsible ID."""
+    resp = H.ring.successor_index_many(targets)
+    pts = H.walk_points(H.ring.ids[sources], targets)
+    nodes = H.ring.successor_index_many(pts.ravel()).reshape(pts.shape)
+    nodes[:, 0] = sources  # z_0 is the source's own ID
+    rows, resolved = [], np.ones(len(sources), dtype=bool)
+    for i in range(len(sources)):
+        path = list(_dedup(nodes[i]))
+        resolved[i] = _ring_walk(H, path, int(resp[i]))
+        rows.append(path)
+    return _replay(rows, resolved, resp, visit)
+
+
+def debruijn_walk(H: DeBruijnGraph, sources, targets, visit):
+    """``DeBruijnGraph._walk``, one query at a time: the ring head from the
+    source to the owner of ``q_0``, then the owners of the reversed
+    contraction walk; a query is resolved when its head arrives."""
+    resp = H.ring.successor_index_many(targets)
+    rev = H.walk_points(targets, H.ring.ids[sources])[:, ::-1]
+    nodes = H.ring.successor_index_many(rev.ravel()).reshape(rev.shape)
+    rows, resolved = [], np.ones(len(sources), dtype=bool)
+    for i in range(len(sources)):
+        head = [int(sources[i])]
+        resolved[i] = _ring_walk(H, head, int(nodes[i, 0]))
+        seq = np.concatenate([np.asarray(head, dtype=np.int64), nodes[i, 1:]])
+        if seq[-1] != resp[i]:
+            seq = np.append(seq, resp[i])
+        rows.append(_dedup(seq))
+    return _replay(rows, resolved, resp, visit)
+
+
+def _nearest_at_level(H: ViceroyGraph, lvl: int, point: float) -> int:
+    """Ring index of the first level-``lvl`` node clockwise of ``point``."""
+    nodes = H._level_nodes[lvl]
+    i = int(np.searchsorted(H.ring.ids[nodes], point, side="left"))
+    return int(nodes[0 if i == nodes.size else i])
+
+
+def _level_ring(H: ViceroyGraph, i: int) -> tuple[int, int]:
+    """The level-ring successor and predecessor of node ``i``."""
+    nodes = H._level_nodes[int(H.levels[i])]
+    j = int(np.searchsorted(H.ring.ids[nodes], H.ring.ids[i], side="right"))
+    return int(nodes[j % nodes.size]), int(nodes[(j - 2) % nodes.size])
+
+
+def viceroy_route_one(H: ViceroyGraph, src: int, target: float, resp: int):
+    """One Viceroy route: climb to level 1, butterfly descent, then the
+    level-ring and vanilla-ring finish."""
+    ids, n, m = H.ring.ids, H.n, H.level_count
+    path = [src]
+    cur = src
+    # phase 1: climb to level 1
+    guard = 0
+    while H.levels[cur] > 1 and guard < m + 4:
+        cur = _nearest_at_level(H, int(H.levels[cur]) - 1, float(ids[cur]))
+        if cur != path[-1]:
+            path.append(cur)
+        guard += 1
+    # phase 2: butterfly descent while halving beats the drift scale
+    drift_scale = 2.0 * m / n
+    prev_d = None
+    for lvl in range(1, m):
+        if cur == resp:
+            break
+        d = (target - ids[cur]) % 1.0
+        if d < drift_scale:
+            break
+        if prev_d is not None and d > prev_d:
+            break  # overshot the target
+        hop_point = (ids[cur] + 2.0**-lvl) % 1.0 if d >= 2.0**-lvl else ids[cur]
+        nxt = _nearest_at_level(H, lvl + 1, float(hop_point))
+        prev_d = d
+        if nxt != cur:
+            path.append(nxt)
+            cur = nxt
+    # phase 3: the best strictly-improving move among vanilla succ, vanilla
+    # pred, level-ring next and level-ring prev
+    hops = 0
+    while cur != resp and hops < viceroy._MAX_TAIL:
+        cur_dist = min((ids[resp] - ids[cur]) % 1.0, (ids[cur] - ids[resp]) % 1.0)
+        best, best_dist = cur, cur_dist
+        for cand in ((cur + 1) % n, (cur - 1) % n, *_level_ring(H, cur)):
+            if cand == cur:
+                continue
+            d = min((ids[resp] - ids[cand]) % 1.0, (ids[cand] - ids[resp]) % 1.0)
+            if d < best_dist:
+                best, best_dist = cand, d
+        if best == cur:
+            break
+        cur = best
+        path.append(cur)
+        hops += 1
+    return np.asarray(path, dtype=np.int64)
+
+
+def viceroy_walk(H: ViceroyGraph, sources, targets, visit):
+    """``ViceroyGraph._walk``: :func:`viceroy_route_one` per query."""
+    resp = H.ring.successor_index_many(targets)
+    rows = [viceroy_route_one(H, int(s), float(t), int(r))
+            for s, t, r in zip(sources, targets, resp)]
+    resolved = np.asarray([row[-1] == r for row, r in zip(rows, resp)],
+                          dtype=bool)
+    return _replay(rows, resolved, resp, visit)
 
 
 # -- group construction and composition --------------------------------------
@@ -171,7 +317,7 @@ def distance_halving_neighbor_sets(H: DistanceHalvingGraph):
         pieces = [np.array([(i - 1) % n, (i + 1) % n], dtype=np.int64)]
         a, z = float(lo[i]), float(hi[i])
         # the wrapped arc (only node 0 after the roll) splits in two
-        spans = [(a, 1.0 - 1e-15), (0.0, z)] if z < a else [(a, z)]
+        spans = [(a, np.nextafter(1.0, 0.0)), (0.0, z)] if z < a else [(a, z)]
         for sa, sz in spans:
             for c in range(b):
                 pieces.append(_owners_of_interval(H, (sa + c) / b, (sz + c) / b))
@@ -182,6 +328,25 @@ def distance_halving_neighbor_sets(H: DistanceHalvingGraph):
         rows.append(row[row != i])
     indptr, indices = _csr(rows)
     return indptr, indices.astype(np.int64)
+
+
+def viceroy_neighbor_sets(H: ViceroyGraph):
+    """``ViceroyGraph._neighbor_sets``: per node, its ring and level-ring
+    neighbors, its two down edges and its up edge."""
+    n, ids, m = H.n, H.ring.ids, H.level_count
+    rows = []
+    for i in range(n):
+        lvl = int(H.levels[i])
+        nbrs = {(i - 1) % n, (i + 1) % n, *_level_ring(H, i)}
+        if lvl < m:
+            nbrs.add(_nearest_at_level(H, lvl + 1, float(ids[i])))
+            nbrs.add(_nearest_at_level(
+                H, lvl + 1, float((ids[i] + 2.0**-lvl) % 1.0)))
+        if lvl > 1:
+            nbrs.add(_nearest_at_level(H, lvl - 1, float(ids[i])))
+        nbrs.discard(i)
+        rows.append(np.asarray(sorted(nbrs), dtype=np.int64))
+    return _csr(rows)
 
 
 # -- E5's transition pair ----------------------------------------------------
@@ -283,7 +448,9 @@ def cuckoo_join(sim: CuckooSimulator, idx: int, pos: float) -> None:
 #: ``successor_index_bulk`` falls back to the plain binary search.
 LEAVES = (
     (InputGraph, "search_fail", search_fail),
-    (ChordGraph, "search_fail", search_fail),
+    (DistanceHalvingGraph, "_walk", distance_halving_walk),
+    (DeBruijnGraph, "_walk", debruijn_walk),
+    (ViceroyGraph, "_walk", viceroy_walk),
     (GroupGraph, "search_success", search_success),
     (static_case, "measure_static_search_streamed", static_search),
     (Ring, "successor_index_bulk", Ring.successor_index_many),
@@ -292,6 +459,7 @@ LEAVES = (
     (dynamic, "_split_members", split_members),
     (ChordGraph, "_neighbor_sets", chord_neighbor_sets),
     (DistanceHalvingGraph, "_neighbor_sets", distance_halving_neighbor_sets),
+    (ViceroyGraph, "_neighbor_sets", viceroy_neighbor_sets),
     (PuzzleScheme, "mint_count_windows", mint_count_windows),
     (CuckooSimulator, "_join", cuckoo_join),
 )

@@ -20,7 +20,7 @@ raise, never silently wrap.
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.groups import build_groups_fast
@@ -129,19 +129,35 @@ def test_zero_probes_read_as_an_empty_batch(probe_chunk):
     assert np.isnan(stats.max_responsibility)
 
 
+# Rings a uniform draw never yields: 40 IDs one ulp apart, evenly spaced
+# IDs (every distance exact, so points tie), and IDs at 0 and just below 1.
+_ULP_40 = 0.37 + np.arange(40) * np.spacing(0.37)
+_DYADIC_64 = np.arange(64) / 64
+_EDGES = np.array([0.0, 1e-17, np.nextafter(1.0, 0.0)])
+
+
 @given(
-    topology=st.sampled_from(["chord", "distance-halving"]),
-    n=st.sampled_from([1, 2, 3, 17, 64, 257]),
-    seed=st.integers(min_value=0, max_value=2**31),
+    topology=st.sampled_from(["chord", "distance-halving", "viceroy"]),
+    ids=st.builds(
+        lambda n, seed: np.random.default_rng(seed).random(n),
+        st.sampled_from([1, 2, 3, 17, 64, 257]),
+        st.integers(min_value=0, max_value=2**31),
+    ),
+    index_dtype=st.sampled_from(["int32", "int64"]),
 )
-@settings(max_examples=20, deadline=None)
-def test_vectorized_neighbor_sets_match_reference_loop(topology, n, seed):
+@example(topology="viceroy", ids=_ULP_40, index_dtype="int32")
+@example(topology="viceroy", ids=_DYADIC_64, index_dtype="int64")
+@example(topology="viceroy", ids=_EDGES, index_dtype="int32")
+@settings(max_examples=30, deadline=None)
+def test_vectorized_neighbor_sets_match_reference_loop(topology, ids,
+                                                       index_dtype):
     """The one-pass edge build must be byte-identical to the per-node
     Python loop in ``tests/oracles.py``."""
-    H = _graph(topology, n, seed, "int64")
+    H = make_input_graph(topology, ids, index_dtype=index_dtype)
     indptr, indices = H._neighbor_sets()
     loop = {"chord": oracles.chord_neighbor_sets,
-            "distance-halving": oracles.distance_halving_neighbor_sets}
+            "distance-halving": oracles.distance_halving_neighbor_sets,
+            "viceroy": oracles.viceroy_neighbor_sets}
     ref_indptr, ref_indices = loop[topology](H)
     np.testing.assert_array_equal(
         indptr.astype(np.int64), ref_indptr.astype(np.int64)

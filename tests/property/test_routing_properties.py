@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.idspace.ring import Ring
-from repro.inputgraph import PADDING, TOPOLOGIES, InputGraph, make_input_graph
+from repro.inputgraph import PADDING, TOPOLOGIES, make_input_graph
 
 # Build one modest graph per topology once; hypothesis drives the queries.
 _RINGS = Ring(np.random.default_rng(99).random(96))
@@ -167,7 +167,10 @@ def test_chord_routes_match_reference(case):
     red_kind="random",
 )
 @settings(max_examples=40, deadline=None)
-def test_chord_search_fail_matches_base_default(case, red_kind):
+def test_chord_search_fail_matches_reference_scan(case, red_kind):
+    """A query fails exactly when its reference path does not resolve or
+    reaches a red ID after its source, and the hop total counts every hop
+    of every path."""
     ids, dtype, sources, keys = case
     g = make_input_graph("chord", ids, index_dtype=dtype)
     red = {
@@ -176,6 +179,9 @@ def test_chord_search_fail_matches_base_default(case, red_kind):
         "random": np.random.default_rng(g.n).random(g.n) < 0.3,
     }[red_kind]
     fail, hops = g.search_fail(sources, keys, red)
-    base_fail, base_hops = InputGraph.search_fail(g, sources, keys, red)
-    np.testing.assert_array_equal(fail, base_fail)
-    assert hops == base_hops
+    want_hops = 0
+    for i, (s, k) in enumerate(zip(sources, keys)):
+        path, ok, _ = _reference_route(g, int(s), float(k))
+        want_hops += len(path) - 1
+        assert bool(fail[i]) == (not ok or bool(red[path[1:]].any()))
+    assert hops == want_hops

@@ -384,11 +384,15 @@ class TestHalvingSpecifics:
         h3 = make_input_graph("kautz", rings[256])
         assert h3.walk_steps < h2.walk_steps
 
-    def test_invalid_base(self, rings):
-        from repro.inputgraph.distance_halving import DistanceHalvingGraph
-
-        with pytest.raises(ValueError):
-            DistanceHalvingGraph(rings[64], base=1)
+    @pytest.mark.parametrize("name", ["distance-halving", "debruijn", "kautz"])
+    def test_last_id_just_below_one(self, name):
+        # node 0's wrapped arc starts at the last ID: its first piece must
+        # not invert when that ID lies above 1 - 1e-15
+        ids = np.append(np.random.default_rng(8).random(63),
+                        np.nextafter(1.0, 0.0))
+        g = make_input_graph(name, ids)
+        assert g.degrees()[0] <= 8
+        assert validate_properties(g, probes=2000).satisfied["P3"]
 
 
 def test_viceroy_one_id_ring():

@@ -14,7 +14,7 @@ from repro.core.dynamic import EpochSimulator
 from repro.core.params import SystemParams
 from repro.core.static_case import measure_static_search, synthetic_static_graph
 from repro.experiments import run_experiment
-from repro.inputgraph import make_input_graph
+from repro.inputgraph import TOPOLOGIES, make_input_graph
 
 
 def _leaf_ids():
@@ -44,11 +44,11 @@ def test_production_reaches_every_swapped_leaf(monkeypatch):
 
     for key, (owner, name, _) in zip(_leaf_ids(), oracles.LEAVES):
         # owner.__dict__: a class must wrap its own attribute, not the
-        # one it inherits (ChordGraph overrides InputGraph.search_fail)
+        # one it inherits (DeBruijnGraph overrides DistanceHalvingGraph._walk)
         monkeypatch.setattr(owner, name, counting(key, vars(owner)[name]))
 
     params = SystemParams(n=32, beta=0.08, seed=3)
-    for topology in ("chord", "distance-halving"):
+    for topology in sorted(TOPOLOGIES):
         EpochSimulator(params, topology=topology, probes=50,
                        rng=np.random.default_rng(1)).step()
     rng = np.random.default_rng(2)

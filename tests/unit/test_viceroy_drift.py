@@ -28,8 +28,8 @@ class TestViceroy:
     def test_levels_deterministic_and_verifiable(self):
         """P3: any party can recompute the level assignment from the ID."""
         ring = Ring(np.random.default_rng(19).random(128))
-        a = ViceroyGraph(ring, level_seed=5)
-        b = ViceroyGraph(ring, level_seed=5)
+        a = ViceroyGraph(ring)
+        b = ViceroyGraph(ring)
         assert np.array_equal(a.levels, b.levels)
 
     def test_constant_degree(self, graph):
@@ -44,7 +44,7 @@ class TestViceroy:
 
     def test_nearest_at_level(self, graph):
         lvl = int(graph.levels[0])
-        idx = graph._nearest_at_level(lvl, 0.5)
+        idx = graph._nearest_at_level(lvl, np.array([0.5]))[0]
         assert graph.levels[idx] == lvl
         # no same-level node strictly between 0.5 and the returned node
         pos = graph.ring.ids[graph._level_nodes[lvl]]
