@@ -22,10 +22,11 @@ million-node case) fit a ~4 GB budget is exactly this PR's hot-path work:
   transient ``(q, hops)`` route/outcome tables are window-bounded instead
   of scaling with the whole workload;
 * the hashed groups (and a Chord finger table, where one is built) are
-  built in row blocks that hold ~2^18 points in all, run on up to four
-  threads
+  built in row blocks of ~2^18 points over the thread count, two per
+  thread in flight (~2^19 points in all), run on up to four threads
   (:func:`repro.idspace.ring.map_blocks`; ``taskset -c 0`` runs them on
-  the calling thread), so no ``(n, m)`` point array is ever held.
+  the calling thread as blocks of ~2^18), so no ``(n, m)`` point array
+  is ever held.
 
 Each phase emits a ``mem.peak`` telemetry event, so ``repro telemetry
 report --mem`` summarizes the run; the rows themselves live only in the

@@ -16,15 +16,16 @@ is the layout the construction, churn, and state-cost experiments all share.
 
 Construction: the oracle points of a row block of leaders map to the
 flat ``(leader, member)`` edge array of their groups; a row-sort (the
-edges are then lexsorted by ``(leader, member)``) plus a segment-dedup
-mask collapses duplicate oracle points and emits the CSR arrays directly
-— no per-group ``np.unique`` calls, no Python-level per-leader loop.
+edges are then lexsorted by ``(leader, member)``) plus one flat
+comparison of each member with the one before it finds the few repeated
+members, which ``np.delete`` drops, emitting the CSR arrays directly — no
+per-group ``np.unique`` calls, no Python-level per-leader loop.
 ``build_groups_fast`` draws its points in row blocks
 (:func:`~repro.idspace.ring.row_blocks`; ``build_groups`` hashes all
 leaders as one block), and the blocks' lookup, sort and dedup run on up
 to four threads (:func:`~repro.idspace.ring.map_blocks`) while the
 calling thread draws the blocks and writes the CSR in order.  The blocks
-in flight hold ~2^18 points in all, so at n = 2^20 no ``(n, m)`` point
+in flight hold ~2^19 points in all, so at n = 2^20 no ``(n, m)`` point
 array is ever held.  The CSR arrays are property-tested byte-identical
 to the test suite's per-leader ``np.unique`` loop, at any thread count.
 """
@@ -55,14 +56,6 @@ def _as_index(arr) -> np.ndarray:
     if arr.dtype == np.int32 or arr.dtype == np.int64:
         return arr
     return arr.astype(np.int64)
-
-
-def _narrow_indptr(ring: Ring, indptr: np.ndarray) -> np.ndarray:
-    """Store ``indptr`` at the ring's index dtype when its totals fit."""
-    dt = ring.index_dtype
-    if indptr.size and int(indptr[-1]) <= np.iinfo(dt).max:
-        return indptr.astype(dt, copy=False)
-    return indptr
 
 
 class GroupSet:
@@ -136,37 +129,44 @@ def _points_to_csr(
     member index; sorting each row then makes the flat ``(leader, member)``
     edge array lexsorted by ``(leader, member)``, so duplicate members
     inside a group are exactly the positions equal to their left neighbor
-    — a single segment-dedup mask replaces the per-group ``np.unique``
-    calls, and the kept-per-row counts cumsum into ``indptr``.  The blocks
-    run on :func:`~repro.idspace.ring.map_blocks`' threads; this thread
-    pulls them from ``blocks`` and writes their members in order.
+    in the same row.  One flat comparison of the block against itself
+    shifted by one, with the row starts cleared, finds those few repeats:
+    each row keeps ``m`` minus its repeats, and ``np.delete`` drops them —
+    no per-group ``np.unique``, no per-row mask or sum.  The blocks run on
+    :func:`~repro.idspace.ring.map_blocks`' threads; this thread pulls them
+    from ``blocks`` and writes their members in order.  Sizes, members and
+    ``indptr`` carry the ring's index dtype (``indptr`` is int64 when its
+    total does not fit).
     """
+    dt = ring.index_dtype
 
     def dedup(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = pts.shape[0]
         if not pts.size:  # zero solicit: all-empty groups
-            return np.zeros(rows, dtype=np.int64), pts.ravel()
-        idx = ring.successor_index_bulk(pts.ravel()).reshape(rows, m)
-        idx.sort(axis=1)
-        keep = np.empty((rows, m), dtype=bool)
-        keep[:, 0] = True
-        np.not_equal(idx[:, 1:], idx[:, :-1], out=keep[:, 1:])
-        return keep.sum(axis=1), idx[keep]
+            return np.zeros(rows, dtype=dt), pts.ravel()
+        idx = ring.successor_index_bulk(pts.ravel())
+        idx.reshape(rows, m).sort(axis=1)
+        same = idx[1:] == idx[:-1]
+        same[m - 1 :: m] = False  # a row's first member is never a repeat
+        repeat = np.flatnonzero(same) + 1
+        counts = np.full(rows, m, dtype=dt)
+        np.subtract.at(counts, repeat // m, 1)
+        return counts, np.delete(idx, repeat)
 
-    sizes = np.zeros(ng, dtype=np.int64)
+    sizes = np.zeros(ng, dtype=dt)
     # room for every point; the tail that dedup leaves unwritten is never
-    # touched, so it never becomes resident.  Member indices carry
-    # ring.index_dtype, as the bulk lookup does.
-    members = np.empty(ng * m, dtype=ring.index_dtype)
+    # touched, so it never becomes resident
+    members = np.empty(ng * m, dtype=dt)
     row = total = 0
     for counts, kept in map_blocks(dedup, blocks):
         sizes[row : row + counts.size] = counts
         members[total : total + kept.size] = kept
         row += counts.size
         total += kept.size
-    indptr = np.zeros(ng + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    return _narrow_indptr(ring, indptr), members[:total]
+    indptr = np.zeros(ng + 1, dtype=dt if total <= np.iinfo(dt).max
+                      else np.int64)
+    np.cumsum(sizes, out=indptr[1:], dtype=indptr.dtype)
+    return indptr, members[:total]
 
 
 def build_groups(

@@ -86,7 +86,8 @@ _ALMOST_ONE = float(np.nextafter(1.0, 0.0))
 
 # Points per row block of a streamed bulk build: a block's points, buckets
 # and indices stay a few MB, where one (n, m) pass at n = 2^20 would hold
-# ~22M of each.  Run on threads, the blocks in flight share this budget.
+# ~22M of each.  Run on threads, a block is this budget over the thread
+# count, so the map's two blocks in flight per thread hold about twice it.
 _BLOCK_POINTS = 1 << 18
 
 # Threads of the block map: at most 4, fewer when the process may use fewer
@@ -109,25 +110,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _in_flight() -> int:
-    """Blocks :func:`map_blocks` holds at once: two per thread, so a thread
-    finds the next block queued while the caller takes a result."""
-    return 2 * _THREADS
-
-
 def row_blocks(rows: int, width: int) -> Iterator[slice]:
     """Consecutive row slices covering a ``(rows, width)`` point array.
 
     A build that draws or computes its points block by block and runs the
     blocks through :func:`map_blocks` never holds more than about
-    ``_BLOCK_POINTS`` points of them.  Rows that fit one block are one
+    ``2 * _BLOCK_POINTS`` points of them.  Rows that fit one block are one
     block.  Beyond that, each slice holds about ``_BLOCK_POINTS`` points
-    (at least one row), divided by the map's in-flight bound when it runs
-    on threads.
+    (at least one row), divided by the thread count when the map runs on
+    threads, whose in-flight bound is two blocks per thread.  Larger
+    blocks make fewer NumPy calls per point.
     """
     step = max(1, _BLOCK_POINTS // max(1, width))
     if rows > step and _THREADS > 1:
-        step = max(1, step // _in_flight())
+        step = max(1, step // _THREADS)
     for lo in range(0, rows, step):
         yield slice(lo, min(lo + step, rows))
 
@@ -165,7 +161,9 @@ def map_blocks(fn: Callable, items: Iterable) -> Iterator:
     if not head or _THREADS == 1:
         yield from map(fn, itertools.chain(head, items))
         return
-    pool, bound = _block_pool(), _in_flight()
+    # two blocks in flight per thread, so a thread finds the next block
+    # queued while the caller takes a result
+    pool, bound = _block_pool(), 2 * _THREADS
     pending = deque()
     try:
         for item in itertools.chain(head, items):
@@ -287,8 +285,9 @@ class Ring:
     # wins: the LUT path's extra NumPy passes don't amortize)
     _BULK_THRESHOLD = 4096
     _LUT_MIN = 256
-    # advance-loop bound: uniform-ish rings finish in <= 3 steps; an
-    # adversarially clustered ring falls back to the exact binary search
+    # advance-loop bound, past a bucket's first two IDs: uniform-ish rings
+    # finish in <= 3 steps; an adversarially clustered ring falls back to
+    # the exact binary search
     _BULK_MAX_ADVANCE = 32
 
     def _bulk_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -339,15 +338,16 @@ class Ring:
         the point.  A point in a bucket with no ID (about 78% of uniform
         points at ``K = 4n``) has its answer in the table entry itself.
         Only a point whose entry carries the sign mark decodes it to the
-        bucket's first ID, which is never past the successor, and then
-        reads the IDs in a short vectorized advance: for near-uniform ID
-        sets almost every such query lands 0-2 slots from that first ID.
-        Queries still advancing after a bounded number of steps (an
-        adversarially clustered ring) are resolved by the exact binary
-        search, so for points in ``[0, 1]`` the result equals
-        :meth:`successor_index_many` element-for-element on *any* ring.
-        This is the hot path of the group and finger builds, and of the
-        finger reads a Chord walk computes before its table is built.
+        bucket's first ID, which is never past the successor, and compares
+        itself with that ID and the one after it; that decides all but
+        ~0.9% of uniform points.  Those past two IDs read on in a short
+        vectorized advance, and queries still advancing after a bounded
+        number of steps (an adversarially clustered ring) are resolved by
+        the exact binary search, so for points in ``[0, 1]`` the result
+        equals :meth:`successor_index_many` element-for-element on *any*
+        ring.  This is the hot path of the group and finger builds, of the
+        finger reads a Chord walk computes before its table is built, and
+        of an epoch's responsible-ID and candidate lookups.
 
         A batch under ``_BULK_THRESHOLD`` points never builds the LUT: it
         takes the binary search until the LUT exists, and the LUT from
@@ -361,18 +361,22 @@ class Ring:
         K = lut.size - 1
         idx = lut[(pts * K).astype(np.int64)]  # inherits index_dtype
         marked = np.flatnonzero(idx < 0)
+        marked_pts = pts[marked]
         first = ~idx[marked]
+        # a marked bucket holds an ID, so first + 1 <= n reads at most the
+        # inf sentinel: step past the first ID, then past the one after it
+        first += ids_ext[first] < marked_pts
+        past = ids_ext[first] < marked_pts
+        first += past
         idx[marked] = first
-        active = marked[ids_ext[first] < pts[marked]]
-        if active.size:
-            for _ in range(self._BULK_MAX_ADVANCE):
-                idx[active] += 1
-                still = ids_ext[idx[active]] < pts[active]
-                active = active[still]
-                if not active.size:
-                    break
-            else:
-                idx[active] = np.searchsorted(self.ids, pts[active], side="left")
+        active = marked[past]  # past two IDs: first + 2 is not yet read
+        for _ in range(self._BULK_MAX_ADVANCE):
+            if not active.size:
+                break
+            active = active[ids_ext[idx[active]] < pts[active]]
+            idx[active] += 1
+        else:
+            idx[active] = np.searchsorted(self.ids, pts[active], side="left")
         idx[idx == self.n] = 0
         return idx
 

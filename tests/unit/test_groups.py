@@ -7,13 +7,14 @@ import pytest
 import repro.idspace.ring as ring_module
 from repro.core.groups import (
     GroupSet,
+    _points_to_csr,
     build_groups,
     build_groups_fast,
     classify_groups,
 )
 from repro.core.params import SystemParams
 from repro.idspace.hashing import RandomOracle
-from repro.idspace.ring import Ring
+from repro.idspace.ring import Ring, row_blocks
 
 
 @pytest.fixture
@@ -188,6 +189,50 @@ class TestKernelEquivalence:
         with oracle_loops():
             loop = build_groups(ring, params, h, leaders=leaders)
         self._assert_same(kernel, loop)
+
+
+@pytest.mark.usefixtures("block_threads")
+@pytest.mark.parametrize("block_threads", [1, 2], indirect=True)
+@pytest.mark.parametrize("policy", ["auto", "int64"])
+class TestPointsToCsr:
+    """``_points_to_csr``'s flat dedup against the per-leader ``np.unique``
+    loop, in blocks of several rows (8 on one thread, 4 on two)."""
+
+    def _csr(self, monkeypatch, ring, pts):
+        ng, m = pts.shape
+        monkeypatch.setattr(ring_module, "_BLOCK_POINTS", 8 * m)
+        monkeypatch.setattr(Ring, "_BULK_THRESHOLD", 1)  # take the LUT
+        indptr, members = _points_to_csr(
+            ring, (pts[rows] for rows in row_blocks(ng, m)), ng, m)
+        expect = oracles.points_to_csr(ring, [pts], ng, m)
+        for got, want in zip((indptr, members), expect):
+            assert got.dtype == want.dtype == ring.index_dtype
+            assert np.array_equal(got, want)
+        return indptr, members
+
+    def test_a_row_may_start_with_the_member_the_last_one_ends_with(
+            self, monkeypatch, policy):
+        # row r holds members r and r + 1, each twice: row r + 1 starts
+        # with the member row r ends with, which is no repeat
+        ring = Ring(np.linspace(0.01, 0.97, 32), index_dtype=policy)
+        r = np.arange(20)[:, None]
+        pts = ring.ids[r + np.array([1, 0, 1, 0])]
+        indptr, members = self._csr(monkeypatch, ring, pts)
+        assert np.array_equal(np.diff(indptr), np.full(20, 2))
+        assert np.array_equal(members, np.column_stack([r, r + 1]).ravel())
+
+    def test_rows_that_repeat_one_member_throughout(self, monkeypatch,
+                                                    policy):
+        # two IDs and m = 21: rows inside one arc keep one member, and
+        # runs of such rows start with the member the last row ended with
+        ring = Ring([0.25, 0.75], index_dtype=policy)
+        u = np.random.default_rng(3).random((30, 21))
+        pts = np.concatenate([0.3 + 0.4 * u[:10],   # arc of ID 1
+                              0.8 + 0.2 * u[10:20],  # wraps to ID 0
+                              u[20:]])               # both
+        indptr, members = self._csr(monkeypatch, ring, pts)
+        assert np.array_equal(np.diff(indptr), [1] * 20 + [2] * 10)
+        assert np.array_equal(members, [1] * 10 + [0] * 10 + [0, 1] * 10)
 
 
 class TestClassify:

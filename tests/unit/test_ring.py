@@ -268,6 +268,41 @@ class TestSuccessorBulk:
             _assert_bulk_exact(ring, pts)
 
     @pytest.mark.parametrize("index_dtype", ["auto", "int64"])
+    @pytest.mark.parametrize("last", [1, 2, 3])
+    @pytest.mark.parametrize("per_bucket", [2, 3])
+    def test_two_id_check(self, per_bucket, last, index_dtype):
+        # K = 256 buckets: 40 buckets below the last hold exactly
+        # per_bucket IDs each (half of them one on the bucket's edge), and
+        # the ring's last marked bucket, K - 1, holds `last`.  A point is
+        # decided by its bucket's first ID and the one after it; on the
+        # third ID or past it, it advances.  Past the ring's last ID the
+        # check reads the inf sentinel at n, and the point wraps to 0
+        K = 256
+        rng = np.random.default_rng(10 * per_bucket + last)
+        held = np.append(np.sort(rng.choice(K - 1, 40, replace=False)), K - 1)
+        counts = np.full(held.size, per_bucket)
+        counts[-1] = last
+        offsets = [np.sort(rng.random(c)) for c in counts]
+        for off in offsets[::2]:
+            off[0] = 0.0
+        ids = (np.repeat(held, counts) + np.concatenate(offsets)) / K
+        ring = Ring(ids, index_dtype=index_dtype)
+        lut, _ = ring._bulk_tables()
+        assert lut.size - 1 == K and ring.n == ids.size
+        per = np.bincount((ring.ids * K).astype(np.int64), minlength=K)
+        assert np.array_equal(per[held], counts)
+        tail = np.array([np.nextafter(ring.ids[-1], 1),
+                         (ring.ids[-1] + 1.0) / 2, np.nextafter(1.0, 0), 1.0])
+        edges = held / K
+        pts = np.concatenate([ring.ids, np.nextafter(ring.ids, 0),
+                              np.nextafter(ring.ids, 1), edges,
+                              np.nextafter(edges, 0), tail])
+        assert pts.size >= Ring._LUT_MIN  # the built LUT serves it
+        _assert_bulk_exact(ring, pts)
+        assert (ring.successor_index_bulk(np.resize(tail, Ring._LUT_MIN))
+                == 0).all()
+
+    @pytest.mark.parametrize("index_dtype", ["auto", "int64"])
     @pytest.mark.parametrize("n", [1, 2, 3, 1000, 4096])
     def test_lut_counts_ids_per_bucket(self, n, index_dtype):
         # K is the largest power of two <= 4n; each slot, decoded, is the
@@ -337,13 +372,13 @@ class TestRowBlocks:
         sizes = [b.stop - b.start for b in blocks]
         assert all(s == sizes[0] for s in sizes[:-1])
         assert all(s >= sizes[-1] for s in sizes)
-        # rows that fit one block are one block; beyond that, the blocks a
-        # map holds at once share it: as many rows as fit a share (at
-        # least one row), the last may be short
+        # rows that fit one block are one block; beyond that, the threads
+        # share it: as many rows as fit a share (at least one row), the
+        # last may be short
         one = max(1, 18 // max(1, width))
         assert (len(blocks) <= 1) == (rows <= one)
         share = 18 if len(blocks) <= 1 or block_threads == 1 \
-            else 18 // (2 * block_threads)
+            else 18 // block_threads
         assert all(0 < s and (s == 1 or s * width <= share) for s in sizes)
         if width:
             assert all((s + 1) * width > share for s in sizes[:-1])
