@@ -30,24 +30,25 @@ distributionally-identical fast path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..adversary.base import Adversary
 from ..adversary.strategies import UniformAdversary
 from ..churn.models import ChurnModel
+from ..idspace.csr import indptr_of
 from ..idspace.ring import Ring
 from ..inputgraph import make_input_graph
+from ..inputgraph.base import InputGraph
 from .costs import CostLedger
-from .group_graph import GroupGraph
-from .groups import GroupSet, build_groups_fast, classify_groups
+from .groups import GroupSet, build_groups_fast, composition_bad
 from .membership import BuildReport, EpochPair, GraphSide, build_new_graph, measure_qf
 from .params import SystemParams
 from .robustness import RobustnessReport, evaluate_robustness
 
-__all__ = ["EpochReport", "EpochSimulator"]
+__all__ = ["EpochReport", "EpochSimulator", "initial_pair"]
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,39 @@ def _split_members(
 
     Returns ``(good_indptr, good_members, n_bad)``.  CSR segments stay
     sorted under a boolean mask, so slicing the flat member array keeps
-    each group's good members in ascending order.
+    each group's good members in ascending order; a group's good count is
+    its size less its bad count.
     """
-    good_mask = ~bad[gs.member_idx]
-    good_counts = np.zeros(gs.n_groups, dtype=np.int64)
-    nonempty = gs.sizes() > 0
-    if good_mask.size:
-        good_counts[nonempty] = np.add.reduceat(
-            good_mask.astype(np.int64), gs.indptr[:-1][nonempty]
-        )
-    indptr = np.zeros(gs.n_groups + 1, dtype=np.int64)
-    np.cumsum(good_counts, out=indptr[1:])
-    return indptr, gs.member_idx[good_mask], gs.bad_counts(bad)
+    n_bad = gs.bad_counts(bad)
+    return (indptr_of(gs.sizes() - n_bad), gs.member_idx[~bad[gs.member_idx]],
+            n_bad)
+
+
+def initial_pair(
+    ring: Ring,
+    bad: np.ndarray,
+    H: InputGraph,
+    params: SystemParams,
+    rng: np.random.Generator,
+) -> EpochPair:
+    """The epoch-0 pair of the paper's initialization assumption (App. X):
+    both graphs' groups formed by hashing (graph 1 drawn first), neighbor
+    sets correct, and a group red exactly when its composition is bad.
+    The simulator's first pair and
+    :func:`~repro.core.initialization.heavyweight_init`'s are built here.
+    """
+    departed = np.zeros(ring.n, dtype=bool)
+    sides, reds = [], []
+    for _ in (1, 2):
+        gs = build_groups_fast(ring, params, rng)
+        indptr, good_members, n_bad = _split_members(gs, bad)
+        sides.append(GraphSide(indptr, good_members, n_bad,
+                               confused=np.zeros(gs.n_groups, dtype=bool),
+                               pool_departed=departed))
+        reds.append(composition_bad(gs.sizes(), n_bad, params.group_min_size,
+                                    params.bad_member_threshold)[0])
+    return EpochPair(ring=ring, H=H, bad_mask=bad, red1=reds[0], red2=reds[1],
+                     side1=sides[0], side2=sides[1], ring_departed=departed)
 
 
 class EpochSimulator:
@@ -185,37 +207,11 @@ class EpochSimulator:
         return ring, bad
 
     def _initial_pair(self) -> EpochPair:
-        """Epoch-0 graphs built per the paper's initialization assumption
-        (App. X): groups correctly formed by hashing, neighbor sets correct,
-        red == bad composition only."""
+        """Epoch 0: the first population, its input graph and
+        :func:`initial_pair`."""
         ring, bad = self._population()
-        H = make_input_graph(self.topology, ring)
-        sides: list[GraphSide] = []
-        reds: list[np.ndarray] = []
-        departed = np.zeros(ring.n, dtype=bool)
-        for _ in (1, 2):
-            gs = build_groups_fast(ring, self.params, self.rng)
-            quality = classify_groups(gs, bad, self.params)
-            indptr, good_members, n_bad = _split_members(gs, bad)
-            side = GraphSide(
-                good_indptr=indptr,
-                good_members=good_members,
-                n_bad=n_bad,
-                confused=np.zeros(gs.n_groups, dtype=bool),
-                pool_departed=departed,
-            )
-            sides.append(side)
-            reds.append(quality.is_bad.copy())
-        return EpochPair(
-            ring=ring,
-            H=H,
-            bad_mask=bad,
-            red1=reds[0],
-            red2=reds[1],
-            side1=sides[0],
-            side2=sides[1],
-            ring_departed=departed,
-        )
+        return initial_pair(ring, bad, make_input_graph(self.topology, ring),
+                            self.params, self.rng)
 
     # -- stepping -----------------------------------------------------------------
 

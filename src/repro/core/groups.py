@@ -10,16 +10,16 @@ iff
 Groups are **not disjoint**: an ID typically belongs to ``Theta(log log n)``
 groups besides leading its own (Lemma 10 bounds the expected count).
 
-Storage is CSR (flat ``member_idx`` + ``offsets``): classification of all n
-groups is then three vectorized reductions instead of n Python loops — this
-is the layout the construction, churn, and state-cost experiments all share.
+Storage is CSR (flat ``member_idx`` + ``indptr``), built and read through
+:mod:`repro.idspace.csr`: classification of all n groups is then a few
+vectorized reductions instead of n Python loops — this is the layout the
+construction, churn, and state-cost experiments all share.
 
 Construction: the oracle points of a row block of leaders map to the
-flat ``(leader, member)`` edge array of their groups; a row-sort (the
-edges are then lexsorted by ``(leader, member)``) plus one flat
-comparison of each member with the one before it finds the few repeated
-members, which ``np.delete`` drops, emitting the CSR arrays directly — no
-per-group ``np.unique`` calls, no Python-level per-leader loop.
+``(leaders, m)`` matrix of their successors, and
+:func:`~repro.idspace.csr.distinct_rows` (one row sort and one flat keep
+mask) emits each group's distinct members — no per-group ``np.unique``
+calls, no Python-level per-leader loop.
 ``build_groups_fast`` draws its points in row blocks
 (:func:`~repro.idspace.ring.row_blocks`; ``build_groups`` hashes all
 leaders as one block), and the blocks' lookup, sort and dedup run on up
@@ -37,6 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..idspace.csr import distinct_rows, indptr_of, row_reduce
 from ..idspace.hashing import RandomOracle
 from ..idspace.ring import Ring, map_blocks, row_blocks
 from .params import SystemParams
@@ -93,14 +94,7 @@ class GroupSet:
     def bad_counts(self, bad_mask: np.ndarray) -> np.ndarray:
         """Number of bad members per group, vectorized over all groups."""
         flags = np.asarray(bad_mask, dtype=np.int64)[self.member_idx]
-        # reduceat needs non-empty slices; guard empty groups explicitly.
-        sizes = self.sizes()
-        out = np.zeros(self.n_groups, dtype=np.int64)
-        nonempty = sizes > 0
-        if flags.size:
-            sums = np.add.reduceat(flags, self.indptr[:-1][nonempty])
-            out[nonempty] = sums
-        return out
+        return row_reduce(np.add, self.indptr, flags)
 
     def __len__(self) -> int:
         return self.n_groups
@@ -126,32 +120,18 @@ def _points_to_csr(
 
     ``blocks`` yields the ``(ng, m)`` point matrix as consecutive row
     blocks.  Per block, one bulk successor lookup maps every point to its
-    member index; sorting each row then makes the flat ``(leader, member)``
-    edge array lexsorted by ``(leader, member)``, so duplicate members
-    inside a group are exactly the positions equal to their left neighbor
-    in the same row.  One flat comparison of the block against itself
-    shifted by one, with the row starts cleared, finds those few repeats:
-    each row keeps ``m`` minus its repeats, and ``np.delete`` drops them —
-    no per-group ``np.unique``, no per-row mask or sum.  The blocks run on
-    :func:`~repro.idspace.ring.map_blocks`' threads; this thread pulls them
-    from ``blocks`` and writes their members in order.  Sizes, members and
-    ``indptr`` carry the ring's index dtype (``indptr`` is int64 when its
-    total does not fit).
+    member index and :func:`~repro.idspace.csr.distinct_rows` reduces each
+    row to its distinct members, ascending — no per-group ``np.unique``.
+    The blocks run on :func:`~repro.idspace.ring.map_blocks`' threads;
+    this thread pulls them from ``blocks`` and writes their members in
+    order.  Sizes, members and ``indptr`` carry the ring's index dtype
+    (``indptr`` is int64 when its total does not fit).
     """
     dt = ring.index_dtype
 
     def dedup(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = pts.shape[0]
-        if not pts.size:  # zero solicit: all-empty groups
-            return np.zeros(rows, dtype=dt), pts.ravel()
-        idx = ring.successor_index_bulk(pts.ravel())
-        idx.reshape(rows, m).sort(axis=1)
-        same = idx[1:] == idx[:-1]
-        same[m - 1 :: m] = False  # a row's first member is never a repeat
-        repeat = np.flatnonzero(same) + 1
-        counts = np.full(rows, m, dtype=dt)
-        np.subtract.at(counts, repeat // m, 1)
-        return counts, np.delete(idx, repeat)
+        return distinct_rows(
+            ring.successor_index_bulk(pts.ravel()).reshape(pts.shape))
 
     sizes = np.zeros(ng, dtype=dt)
     # room for every point; the tail that dedup leaves unwritten is never
@@ -163,9 +143,7 @@ def _points_to_csr(
         members[total : total + kept.size] = kept
         row += counts.size
         total += kept.size
-    indptr = np.zeros(ng + 1, dtype=dt if total <= np.iinfo(dt).max
-                      else np.int64)
-    np.cumsum(sizes, out=indptr[1:], dtype=indptr.dtype)
+    indptr = indptr_of(sizes, dt if total <= np.iinfo(dt).max else np.int64)
     return indptr, members[:total]
 
 

@@ -18,8 +18,9 @@ justifies the assumption without a central authority:
 electing the cluster by running :func:`~repro.agreement.phase_king` over
 candidate slates, forming the groups through the elected cluster, and
 reporting the message bill — then hands back a valid epoch-0
-:class:`~repro.core.membership.EpochPair` identical in distribution to the
-`EpochSimulator`'s assumed one (asserted in the tests).
+:class:`~repro.core.membership.EpochPair`.  The pair is built by
+:func:`~repro.core.dynamic.initial_pair`, the function that builds the
+`EpochSimulator`'s first pair, so the two are the same by construction.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from ..agreement.phase_king import phase_king
 from ..idspace.ring import Ring
 from ..inputgraph import make_input_graph
 from .costs import CostLedger
-from .groups import build_groups_fast, classify_groups
-from .membership import EpochPair, GraphSide
+from .dynamic import initial_pair
+from .membership import EpochPair
 from .params import SystemParams
 
 __all__ = ["InitReport", "heavyweight_init", "elect_representative_cluster"]
@@ -109,46 +110,10 @@ def heavyweight_init(
 
     # 3. assignment: the cluster derives both graphs' memberships and
     # notifies every member (1 message per membership slot per graph)
-    departed = np.zeros(n, dtype=bool)
-    sides, reds = [], []
-    assignment = 0
-    for _ in (1, 2):
-        gs = build_groups_fast(ring, params, rng)
-        quality = classify_groups(gs, bad_mask, params)
-        assignment += int(gs.member_idx.size)
-        good_rows, n_bad = [], np.zeros(gs.n_groups, dtype=np.int64)
-        for g in range(gs.n_groups):
-            mem = gs.members_of(g)
-            good_rows.append(mem[~bad_mask[mem]])
-            n_bad[g] = int(bad_mask[mem].sum())
-        indptr = np.zeros(gs.n_groups + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([r.size for r in good_rows])
-        sides.append(
-            GraphSide(
-                good_indptr=indptr,
-                good_members=(
-                    np.concatenate(good_rows)
-                    if good_rows
-                    else np.empty(0, dtype=np.int64)
-                ),
-                n_bad=n_bad,
-                confused=np.zeros(gs.n_groups, dtype=bool),
-                pool_departed=departed,
-            )
-        )
-        reds.append(quality.is_bad.copy())
+    pair = initial_pair(ring, bad_mask, H, params, rng)
+    assignment = sum(side.good_members.size + int(side.n_bad.sum())
+                     for side in (pair.side1, pair.side2))
     ledger.add_messages("init_assignment", assignment)
-
-    pair = EpochPair(
-        ring=ring,
-        H=H,
-        bad_mask=bad_mask,
-        red1=reds[0],
-        red2=reds[1],
-        side1=sides[0],
-        side2=sides[1],
-        ring_departed=departed,
-    )
     return InitReport(
         cluster=cluster,
         cluster_good_majority=good_majority,

@@ -20,11 +20,12 @@ graphs:
 :func:`build_new_graph` performs one graph's construction in batches: all
 bootstrap searches for all leaders are routed as one batch, then all
 verification searches, then all neighbor searches, and every group's
-composition falls out of row sorts of the ``(group, slot)`` candidate
-matrix.  This is what makes multi-epoch, multi-seed sweeps (experiments
-E4/E5) tractable.  The test suite's reference loops (per-probe scalar
-searches, the per-group ``np.unique`` composition) pin every batch
-bit-identical.
+composition falls out of the ``(group, slot)`` candidate matrix through
+the row dedup and row reduction of :mod:`repro.idspace.csr`, which also
+build the hashed groups and the neighbor sets.  This is what makes
+multi-epoch, multi-seed sweeps (experiments E4/E5) tractable.  The test
+suite's reference loops (per-probe scalar searches, the per-group
+``np.unique`` composition) pin every batch bit-identical.
 
 The per-slot outcomes follow Lemma 7's case analysis, except case 3:
 
@@ -58,6 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..idspace.csr import distinct_rows, indptr_of, row_reduce
 from ..idspace.ring import Ring
 from ..inputgraph.base import InputGraph
 from .costs import CostLedger
@@ -92,15 +94,9 @@ class GraphSide:
     pool_departed: np.ndarray
 
     def good_remaining(self) -> np.ndarray:
-        """Good members still present, per group (vectorized reduceat)."""
-        n_groups = self.good_indptr.size - 1
+        """Good members still present, per group (one row reduction)."""
         present = (~self.pool_departed[self.good_members]).astype(np.int64)
-        out = np.zeros(n_groups, dtype=np.int64)
-        sizes = np.diff(self.good_indptr)
-        nonempty = sizes > 0
-        if present.size:
-            out[nonempty] = np.add.reduceat(present, self.good_indptr[:-1][nonempty])
-        return out
+        return row_reduce(np.add, self.good_indptr, present)
 
     def classify(self, params: SystemParams) -> np.ndarray:
         """Current red mask: composition-bad OR confused."""
@@ -222,29 +218,6 @@ def _good_sources(
     return rng.choice(blue, size=count, replace=True)
 
 
-def _distinct_per_group(
-    cand: np.ndarray, selected: np.ndarray, sentinel: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct selected candidates per row of the ``(groups, slots)`` matrix.
-
-    Returns ``(flat, counts)`` where ``flat`` lists each group's distinct
-    values among its ``selected`` slots of ``cand`` in ascending order
-    (groups concatenated in row order) and ``counts[g]`` is group ``g``'s
-    distinct count — exactly what a per-group ``np.unique`` loop produces.
-    Unselected slots read ``sentinel``, which is above every candidate, so
-    sorting each row moves them to its end; the segment-dedup mask of
-    ``_points_to_csr`` then keeps the first of each run of equal values,
-    less the sentinel's.
-    """
-    if not selected.any():
-        return np.empty(0, dtype=np.int64), np.zeros(cand.shape[0], dtype=np.int64)
-    rows = np.where(selected, cand, sentinel)
-    rows.sort(axis=1)
-    keep = rows != sentinel
-    keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-    return rows[keep], keep.sum(axis=1)
-
-
 def _compose_groups(
     captured: np.ndarray,
     bad_cand: np.ndarray,
@@ -259,29 +232,16 @@ def _compose_groups(
     candidates are the good members.  Returns ``(good_indptr,
     good_members, n_bad, sizes, membership_counts)``: the CSR of good
     members (pool indices, ascending per group), bad and total counts per
-    group, and each pool ID's accepted memberships.
+    group, and each pool ID's accepted memberships.  A row's unselected
+    slots read ``pool_n``, above every candidate, and
+    :func:`~repro.idspace.csr.distinct_rows` drops them with the repeats.
     """
-    good_members, good_counts = _distinct_per_group(cand, accepted, pool_n)
-    _, bad_distinct = _distinct_per_group(cand, bad_cand, pool_n)
+    good_counts, good_members = distinct_rows(
+        np.where(accepted, cand, pool_n), pool_n)
+    bad_distinct, _ = distinct_rows(np.where(bad_cand, cand, pool_n), pool_n)
     n_bad = captured.sum(axis=1) + bad_distinct
-    good_indptr = np.zeros(cand.shape[0] + 1, dtype=np.int64)
-    np.cumsum(good_counts, out=good_indptr[1:])
-    return (good_indptr, good_members, n_bad, good_counts + n_bad,
+    return (indptr_of(good_counts), good_members, n_bad, good_counts + n_bad,
             np.bincount(good_members, minlength=pool_n))
-
-
-def _any_per_row(indptr: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Per row of the CSR ``indptr``: is any of the row's ``flags`` set?
-
-    A segment OR over the non-empty rows' starts, the pattern of
-    :meth:`GraphSide.good_remaining`: ``reduceat`` would read an empty
-    row as the next row's first flag, so empty rows are left ``False``.
-    """
-    out = np.zeros(indptr.size - 1, dtype=bool)
-    if flags.size:
-        nonempty = indptr[1:] > indptr[:-1]
-        out[nonempty] = np.logical_or.reduceat(flags, indptr[:-1][nonempty])
-    return out
 
 
 def build_new_graph(
@@ -369,7 +329,7 @@ def build_new_graph(
     find_pts = rng.random(total_slots)
     find_fail = dual_fail(find_pts)
     verify_fail = dual_fail(find_pts)
-    is_confused = _any_per_row(indptr, find_fail | verify_fail)
+    is_confused = row_reduce(np.logical_or, indptr, find_fail | verify_fail)
 
     red = is_bad | is_confused
     # The new side's member pool is the old leader population; share its

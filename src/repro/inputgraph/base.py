@@ -15,7 +15,10 @@ unit ring that provides:
 :class:`InputGraph` encodes that contract.  Concrete topologies (Chord,
 distance halving, D2B, Kautz, Viceroy) implement ``_neighbor_sets`` and
 one routing walk, ``_walk``; everything downstream (group graphs, secure
-routing, congestion measurement) is topology-agnostic.
+routing, congestion measurement) is topology-agnostic.  A neighbor set is
+a CSR row like a group's member list, and a topology whose rows have a
+fixed width (Chord, Viceroy) reduces them with the row dedup that builds
+the groups (:func:`~repro.idspace.csr.distinct_rows`).
 
 Routing (P1) never reads the neighbor sets (P3), so the neighbor CSR is
 built on first use: the static pipeline, which only searches, never
@@ -43,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..idspace.csr import distinct_rows, indptr_of
 from ..idspace.ring import Ring
 
 __all__ = ["InputGraph", "RouteBatch", "PADDING"]
@@ -275,17 +279,12 @@ class InputGraph(abc.ABC):
     @staticmethod
     def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The CSR of each row's distinct entries, ascending, less the
-        row's own index: per row exactly ``np.unique(row[row != i])``, from
-        one row sort and a mask of repeats and self entries."""
-        n = rows.shape[0]
-        f = np.sort(rows, axis=1)
-        keep = np.empty(f.shape, dtype=bool)
-        keep[:, 0] = True
-        np.not_equal(f[:, 1:], f[:, :-1], out=keep[:, 1:])
-        keep &= f != np.arange(n, dtype=f.dtype)[:, None]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return indptr, f[keep]
+        row's own index: per row exactly ``np.unique(row[row != i])``
+        (:func:`~repro.idspace.csr.distinct_rows`, which sorts ``rows`` in
+        place)."""
+        counts, flat = distinct_rows(
+            rows, drop=np.arange(rows.shape[0], dtype=rows.dtype))
+        return indptr_of(counts), flat
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n={self.n})"

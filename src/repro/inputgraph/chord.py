@@ -175,8 +175,9 @@ class ChordGraph(InputGraph):
     def _neighbor_sets(self) -> tuple[np.ndarray, np.ndarray]:
         # each node's distinct fingers, successor and predecessor, itself
         # excluded, in one vectorized pass (no per-node Python loop, the
-        # wall-time blocker at n = 10^6)
-        return self._sorted_rows(self.finger_table())
+        # wall-time blocker at n = 10^6); the walks read the table, so
+        # the rows are sorted in a copy
+        return self._sorted_rows(self.finger_table().copy())
 
     @property
     def finger_count(self) -> int:

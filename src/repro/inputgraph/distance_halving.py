@@ -40,6 +40,7 @@ import math
 
 import numpy as np
 
+from ..idspace.csr import indptr_of
 from ..idspace.ring import Ring
 from .base import InputGraph
 
@@ -137,9 +138,7 @@ class DistanceHalvingGraph(InputGraph):
         if e_node.size:
             first[0] = True
             first[1:] = (e_node[1:] != e_node[:-1]) | (e_tgt[1:] != e_tgt[:-1])
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(e_node[first], minlength=n), out=indptr[1:])
-        return indptr, e_tgt[first]
+        return indptr_of(np.bincount(e_node[first], minlength=n)), e_tgt[first]
 
     # -- routing ----------------------------------------------------------------
 

@@ -22,7 +22,7 @@ tests are its callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class MintStats:
     beta_realized: float
     bad_ids: np.ndarray
     good_ids: np.ndarray
-
-    @property
-    def all_ids(self) -> np.ndarray:
-        return np.concatenate([self.good_ids, self.bad_ids])
 
 
 class IdentityRegistry:

@@ -65,6 +65,24 @@ class TestHeavyweightInit:
         assert report.election_messages >= ids.size ** 1.5
         assert report.assignment_messages > 0
 
+    def test_pair_matches_reference_loops(self, population, oracle_loops):
+        """The epoch-0 pair (good-member CSR, bad counts, red masks) equals
+        the per-group loop's, dtypes included."""
+        params, ids, bad, _ = population
+
+        def arrays():
+            pair = heavyweight_init(params, ids, bad,
+                                    np.random.default_rng(7)).pair
+            return [pair.red1, pair.red2] + [
+                a for side in (pair.side1, pair.side2)
+                for a in (side.good_indptr, side.good_members, side.n_bad)]
+
+        kernels = arrays()
+        with oracle_loops():
+            loops = arrays()
+        for got, want in zip(kernels, loops):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_cluster_flagged(self, population):
         params, ids, bad, rng = population
         report = heavyweight_init(params, ids, bad, rng)

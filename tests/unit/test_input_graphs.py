@@ -163,6 +163,13 @@ class TestChordSpecifics:
         g = make_input_graph("chord", rings[256])
         assert g.degrees().mean() <= 3 * np.log2(256)
 
+    def test_neighbor_sets_leave_the_table_in_column_order(self, rings):
+        # the row dedup sorts its rows in place; the walks read the table
+        g = make_input_graph("chord", rings[64])
+        table = g.finger_table().copy()
+        g.neighbor_lists()
+        assert np.array_equal(g.finger_table(), table)
+
 
 class TestChordFingerBlocks:
     """The finger table, built in row blocks, equals one whole-table pass."""

@@ -6,8 +6,6 @@ import pytest
 from repro.core.membership import (
     EpochPair,
     GraphSide,
-    _any_per_row,
-    _distinct_per_group,
     build_new_graph,
     measure_qf,
 )
@@ -138,85 +136,6 @@ class TestBuildRedOlds:
         assert rep.red[non_minority].all()
         if beta >= 0.3:
             assert non_minority.any()
-
-
-class TestDistinctPerGroup:
-    """The row-sort composition equals the serial path's np.unique loop."""
-
-    POOL = 40  # candidates lie in [0, POOL); POOL is the sentinel
-
-    @staticmethod
-    def _unique_loop(cand, selected):
-        rows = [np.unique(c[s]) for c, s in zip(cand, selected)]
-        return np.concatenate(rows), np.array([r.size for r in rows])
-
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_matches_unique_loop(self, dtype):
-        rng = np.random.default_rng(11)
-        cand = rng.integers(0, self.POOL, (30, 9)).astype(dtype)
-        selected = rng.random(cand.shape) < 0.6
-        cand[2], selected[2] = 7, True                # one ID in every slot
-        cand[3], selected[3] = self.POOL - 1, True    # the top ID, repeated
-        cand[4, ::2], selected[4] = 5, rng.random(9) < 0.5
-        selected[5] = False                           # nothing selected
-        flat, counts = _distinct_per_group(cand, selected, self.POOL)
-        want_flat, want_counts = self._unique_loop(cand, selected)
-        assert flat.dtype == dtype
-        assert np.array_equal(flat, want_flat)
-        assert np.array_equal(counts, want_counts)
-        assert counts[2] == counts[3] == 1 and counts[5] == 0
-        assert not (flat == self.POOL).any()
-
-    @pytest.mark.parametrize("shape", [(6, 5), (6, 0), (0, 5)])
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_empty_selection_is_int64(self, shape, dtype):
-        cand = np.zeros(shape, dtype=dtype)
-        flat, counts = _distinct_per_group(
-            cand, np.zeros(shape, dtype=bool), self.POOL
-        )
-        assert flat.dtype == np.int64 and flat.size == 0
-        assert np.array_equal(counts, np.zeros(shape[0], dtype=np.int64))
-
-
-class TestAnyPerRow:
-    """The segment OR equals ``logical_or.at`` over repeated row owners."""
-
-    @staticmethod
-    def _owner_loop(indptr, flags):
-        deg = np.diff(indptr)
-        out = np.zeros(deg.size, dtype=bool)
-        np.logical_or.at(out, np.repeat(np.arange(deg.size), deg), flags)
-        return out
-
-    @pytest.mark.parametrize("fill", ["random", "none", "all"])
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_matches_owner_loop(self, fill, dtype):
-        rng = np.random.default_rng(5)
-        deg = rng.integers(0, 4, 40)
-        deg[[0, 1, 17, 38, 39]] = 0       # empty rows at both ends and inside
-        deg[20] = 1
-        indptr = np.zeros(deg.size + 1, dtype=dtype)
-        np.cumsum(deg, out=indptr[1:])
-        flags = {
-            "random": rng.random(int(indptr[-1])) < 0.3,
-            "none": np.zeros(int(indptr[-1]), dtype=bool),
-            "all": np.ones(int(indptr[-1]), dtype=bool),
-        }[fill]
-        got = _any_per_row(indptr, flags)
-        assert got.dtype == bool
-        assert np.array_equal(got, self._owner_loop(indptr, flags))
-        assert not got[deg == 0].any()
-
-    @pytest.mark.parametrize("indptr, flags", [
-        ([0, 0], []), ([0, 3], [False, False, False]), ([0, 2], [False, True]),
-        ([0], []), ([0, 0, 0], []),
-    ])
-    def test_tiny_rows(self, indptr, flags):
-        indptr = np.array(indptr, dtype=np.int64)
-        flags = np.array(flags, dtype=bool)
-        assert np.array_equal(
-            _any_per_row(indptr, flags), self._owner_loop(indptr, flags)
-        )
 
 
 class TestGraphSide:

@@ -253,9 +253,10 @@ probe batch through fixed-size windows
 (`measure_static_search_streamed`: integer accumulators ÷ probes, so
 bit-equal at any window size) with one `mem.peak` telemetry event per
 window.  The hashed groups (and a Chord finger table, where one is
-built) are built in row blocks that hold ~2^18 points in all
-(`repro.idspace.ring.row_blocks`),
-so no `(n, m)` point or index array is ever held.  The blocks' lookups,
+built) are built in row blocks (`repro.idspace.ring.row_blocks`): one
+block of ~2^18 points at a time on one thread, or blocks of ~2^18 points
+over the thread count, two per thread in flight, so ~2^19 points in all,
+and no `(n, m)` point or index array is ever held.  The blocks' lookups,
 row sorts and dedups run on up to four threads
 (`repro.idspace.ring.map_blocks`; NumPy releases the GIL inside them)
 while the calling thread draws the blocks and writes the tables in
