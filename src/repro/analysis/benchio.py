@@ -22,10 +22,9 @@ queries (:func:`speedup_rows`, compared across runs by
 :func:`diff_bench_ratios`).  Both sides run on the same host in the
 same process, so host speed divides out of their ratio; a ratio drop
 means the code itself regressed.  :func:`diff_bench_rows` compares one
-column per row key: the memory ledger's ``peak_rss_mb``, which is
-largely machine-invariant for a fixed workload, and absolute wall-clock
-drift, which is only ever a warning because across heterogeneous runners
-it cannot distinguish slow code from a slow machine.  Each run also
+column per row key: the absolute wall-clock drift, which is only ever a
+warning because across heterogeneous runners it cannot distinguish slow
+code from a slow machine.  Each run also
 records a :func:`measure_calibration` row (``experiment="CALIBRATION"``,
 ``backend="host"``): a fixed NumPy workload timing that quantifies the
 host's speed, so a reader of the ledger can attribute absolute drift to
@@ -44,7 +43,6 @@ __all__ = [
     "CALIBRATION_EXPERIMENT",
     "PROCESS_BENCH_CASES",
     "PROCESS_BENCH_CASES_QUICK",
-    "SCALE_BENCH_FILENAME",
     "bench_row",
     "calibration_row",
     "diff_bench_ratios",
@@ -56,11 +54,6 @@ __all__ = [
 ]
 
 BENCH_FILENAME = "BENCH_vectorized.json"
-
-# the memory-scaling ledger (``benchmarks/bench_scale.py``): same row
-# shape plus the optional ``peak_rss_mb`` column, gated by
-# diff_bench_rows over that column
-SCALE_BENCH_FILENAME = "BENCH_scale.json"
 
 # the per-run host-speed measurement's ledger key (n=0, backend="host")
 CALIBRATION_EXPERIMENT = "CALIBRATION"
@@ -111,8 +104,8 @@ def bench_row(
 ) -> dict:
     """One benchmark measurement in the canonical ledger row shape.
 
-    ``peak_rss_mb`` is the optional memory column the scale and serve
-    ledgers carry; it is omitted (not null-filled) when absent so the
+    ``peak_rss_mb`` is the optional memory column the serve ledger
+    carries; it is omitted (not null-filled) when absent so the
     wall-clock rows keep their shape.
     """
     row = {

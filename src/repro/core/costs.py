@@ -61,9 +61,6 @@ class CostLedger:
     def add_state(self, category: str, entries: int) -> None:
         self.state_entries[category] = self.state_entries.get(category, 0) + int(entries)
 
-    def total_state(self) -> int:
-        return sum(self.state_entries.values())
-
     # -- ops --------------------------------------------------------------------
 
     def count_op(self, name: str, times: int = 1) -> None:

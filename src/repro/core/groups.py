@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..idspace.csr import distinct_rows, indptr_of, row_reduce
+from ..idspace.csr import distinct_rows, indptr_of, row_counts
 from ..idspace.hashing import RandomOracle
 from ..idspace.ring import Ring, map_blocks, row_blocks
 from .params import SystemParams
@@ -93,8 +93,8 @@ class GroupSet:
 
     def bad_counts(self, bad_mask: np.ndarray) -> np.ndarray:
         """Number of bad members per group, vectorized over all groups."""
-        flags = np.asarray(bad_mask, dtype=np.int64)[self.member_idx]
-        return row_reduce(np.add, self.indptr, flags)
+        flags = np.asarray(bad_mask, dtype=bool)[self.member_idx]
+        return row_counts(self.indptr, np.flatnonzero(flags))
 
     def __len__(self) -> int:
         return self.n_groups

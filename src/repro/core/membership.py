@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..idspace.csr import distinct_rows, indptr_of, row_reduce
+from ..idspace.csr import distinct_rows, indptr_of, row_counts, row_reduce
 from ..idspace.ring import Ring
 from ..inputgraph.base import InputGraph
 from .costs import CostLedger
@@ -94,9 +94,11 @@ class GraphSide:
     pool_departed: np.ndarray
 
     def good_remaining(self) -> np.ndarray:
-        """Good members still present, per group (one row reduction)."""
-        present = (~self.pool_departed[self.good_members]).astype(np.int64)
-        return row_reduce(np.add, self.good_indptr, present)
+        """Good members still present, per group: each row's size less
+        its departed members."""
+        departed = np.flatnonzero(self.pool_departed[self.good_members])
+        return np.diff(self.good_indptr) - row_counts(self.good_indptr,
+                                                      departed)
 
     def classify(self, params: SystemParams) -> np.ndarray:
         """Current red mask: composition-bad OR confused."""

@@ -122,11 +122,6 @@ class SystemParams:
         return 1.0 / (self.ln_n**self.k)
 
     @property
-    def route_length_bound(self) -> int:
-        """``D = O(log N)`` search length bound (P1)."""
-        return max(4, math.ceil(3.0 * math.log2(self.n)))
-
-    @property
     def neighbor_set_bound(self) -> int:
         """``|L_w| = O(log^gamma n)`` bound (P3)."""
         return max(4, math.ceil(2.0 * self.ln_n**self.gamma))

@@ -46,10 +46,6 @@ class RobustnessReport:
             self.fraction_unreachable_resources,
         )
 
-    def within_target(self, slack: float = 1.0) -> bool:
-        """Whether the measured eps sits inside ``slack * eps_target``."""
-        return self.epsilon_achieved <= slack * self.eps_target
-
     def rows(self) -> list[tuple[str, str]]:
         return [
             ("fraction red groups", f"{self.fraction_red:.4f}"),

@@ -207,9 +207,6 @@ class ResultCache:
         out.sort(key=lambda e: (e.mtime, e.path.name))
         return out
 
-    def total_bytes(self) -> int:
-        return sum(e.size for e in self.entries())
-
     def latest_per_experiment(self) -> dict[str, CacheEntry]:
         """The newest stored entry for each experiment (by mtime)."""
         latest: dict[str, CacheEntry] = {}

@@ -4,14 +4,14 @@ A group ``G_w`` is the deduplicated set of ``suc(h(w, i))``.  Hashed
 groups, an epoch's good members and an input graph's neighbor sets are
 all stored as CSR: a flat array cut into rows by ``indptr``, row ``i``
 being ``flat[indptr[i]:indptr[i + 1]]``, and all are built and read
-through the three functions here.
+through the functions here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["distinct_rows", "indptr_of", "row_reduce"]
+__all__ = ["distinct_rows", "indptr_of", "row_counts", "row_reduce"]
 
 
 def distinct_rows(
@@ -49,6 +49,18 @@ def indptr_of(counts: np.ndarray, dtype=np.int64) -> np.ndarray:
     indptr = np.zeros(len(counts) + 1, dtype=dtype)
     np.cumsum(counts, out=indptr[1:], dtype=dtype)
     return indptr
+
+
+def row_counts(indptr: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """How many of the flat ``positions`` fall in each row, as int64.
+
+    Given ``np.flatnonzero(flags)``, it counts each row's true flags from
+    their positions alone, with no int64 value per flag.  A position's
+    row is the last one starting at or before it (an empty row shares its
+    start with the next row, so ``side="right"`` lands past it)."""
+    rows = np.searchsorted(indptr, positions, side="right")
+    rows -= 1
+    return np.bincount(rows, minlength=indptr.size - 1)
 
 
 def row_reduce(ufunc: np.ufunc, indptr: np.ndarray,

@@ -258,7 +258,7 @@ class Ring:
         self.index_dtype: np.dtype = index_dtype_for(self.n, index_dtype)
         self._succ_lut: np.ndarray | None = None
 
-    # -- successor / predecessor ------------------------------------------------
+    # -- successor ----------------------------------------------------------------
 
     def successor_index(self, point: float) -> int:
         """Ring index of ``suc(point)``: first ID clockwise from ``point``.
@@ -384,19 +384,6 @@ class Ring:
         """ID value of ``suc(point)``."""
         return float(self.ids[self.successor_index(point)])
 
-    def predecessor_index(self, point: float) -> int:
-        """Ring index of the first ID strictly counter-clockwise of ``point``."""
-        i = int(np.searchsorted(self.ids, point, side="left")) - 1
-        return self.n - 1 if i < 0 else i
-
-    def predecessor_index_of(self, idx: int) -> int:
-        """Ring index of the predecessor *ID* of the ID at ring index ``idx``."""
-        return (idx - 1) % self.n
-
-    def successor_index_of(self, idx: int) -> int:
-        """Ring index of the successor *ID* of the ID at ring index ``idx``."""
-        return (idx + 1) % self.n
-
     # -- ownership arcs -----------------------------------------------------------
 
     def arc_lengths(self) -> np.ndarray:
@@ -410,22 +397,7 @@ class Ring:
         rolled = np.roll(self.ids, 1)
         return np.mod(self.ids - rolled, 1.0)
 
-    def responsible_fraction(self, mask: np.ndarray) -> float:
-        """Total key-space fraction owned by the IDs selected by ``mask``."""
-        return float(self.arc_lengths()[np.asarray(mask, dtype=bool)].sum())
-
     # -- misc -----------------------------------------------------------------
-
-    def index_of(self, value: float) -> int:
-        """Ring index of an exact ID value (raises ``KeyError`` if absent)."""
-        i = int(np.searchsorted(self.ids, value, side="left"))
-        if i == self.n or self.ids[i] != value:
-            raise KeyError(f"ID {value!r} not in ring")
-        return i
-
-    def contains(self, value: float) -> bool:
-        i = int(np.searchsorted(self.ids, value, side="left"))
-        return i < self.n and self.ids[i] == value
 
     def __len__(self) -> int:
         return self.n

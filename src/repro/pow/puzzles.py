@@ -129,10 +129,6 @@ class PuzzleScheme:
 
     # -- fast mode (distribution-exact sampling) -----------------------------------
 
-    def expected_solutions(self, compute_units: float, steps: float) -> float:
-        """``E[solutions] = units * steps * rate * tau``."""
-        return compute_units * steps * self.hash_rate * self.tau
-
     def mint_fast(
         self, compute_units: float, steps: float, rng: np.random.Generator
     ) -> np.ndarray:

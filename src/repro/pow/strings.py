@@ -78,9 +78,6 @@ class BinTable:
         self.counters[j] += 1
         return True
 
-    def saturated_bins(self) -> int:
-        return int((self.counters >= self.c0_ln_n).sum())
-
 
 def solution_set(
     seen: list[StringCandidate], n: int, d0: float = 2.0

@@ -87,11 +87,3 @@ def test_successor_scalar_vector_agree(ids, point):
     assert ring.successor_index_many(np.array([point]))[0] == ring.successor_index(
         point
     )
-
-
-@given(ids=id_arrays)
-@settings(max_examples=40)
-def test_pred_succ_inverse(ids):
-    ring = Ring(ids)
-    for i in range(ring.n):
-        assert ring.successor_index_of(ring.predecessor_index_of(i)) == i

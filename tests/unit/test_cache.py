@@ -273,10 +273,6 @@ class TestEntriesAndPrune:
         rc.prune(max_bytes=0)
         assert rc.load("E1", 0, True, {}) is None
 
-    def test_total_bytes(self, tmp_path):
-        rc, _ = self._seed_store(tmp_path)
-        assert rc.total_bytes() == sum(e.size for e in rc.entries())
-
 
 class TestVersionBump:
     """Version-keyed invalidation: a stale-version entry is ignored, never

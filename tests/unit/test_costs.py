@@ -37,7 +37,7 @@ class TestCostLedger:
         led = CostLedger()
         led.add_state("links", 10)
         led.add_state("members", 4)
-        assert led.total_state() == 14
+        assert led.state_entries == {"links": 10, "members": 4}
 
     def test_count_op(self):
         led = CostLedger()

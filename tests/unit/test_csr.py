@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.idspace.csr import distinct_rows, indptr_of, row_reduce
+from repro.idspace.csr import distinct_rows, indptr_of, row_counts, row_reduce
 
 
 def unique_loop(rows, drop=None):
@@ -23,6 +23,15 @@ def reduce_loop(ufunc, indptr, values):
     return np.array([ufunc.reduce(values[a:b])
                      for a, b in zip(indptr[:-1], indptr[1:])],
                     dtype=values.dtype)
+
+
+def assert_row_counts(indptr, flags):
+    """``row_counts`` of the true flags' positions equals the int64 row
+    sum of the flags."""
+    got = row_counts(indptr, np.flatnonzero(flags))
+    want = row_reduce(np.add, indptr, flags.astype(np.int64))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def assert_distinct_rows(rows, drop=None):
@@ -142,6 +151,7 @@ def test_row_reduce_is_per_row_loop(case):
     got = row_reduce(ufunc, indptr, values)
     assert got.dtype == values.dtype
     assert np.array_equal(got, reduce_loop(ufunc, indptr, values))
+    assert_row_counts(indptr, values != 0)
 
 
 class TestRowReduce:
@@ -165,6 +175,7 @@ class TestRowReduce:
         assert got.dtype == values.dtype
         assert np.array_equal(got, reduce_loop(ufunc, indptr, values))
         assert not got[deg == 0].any()
+        assert_row_counts(indptr, flags)
 
     @pytest.mark.parametrize("indptr, flags", [
         ([0, 0], []), ([0, 3], [False, False, False]), ([0, 2], [False, True]),
@@ -177,3 +188,4 @@ class TestRowReduce:
             row_reduce(np.logical_or, indptr, flags),
             reduce_loop(np.logical_or, indptr, flags),
         )
+        assert_row_counts(indptr, flags)

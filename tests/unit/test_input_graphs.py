@@ -104,23 +104,6 @@ class TestTopology:
             assert (np.diff(nb) > 0).all()
             assert i not in nb
 
-    def test_verify_link_accepts_real_neighbors(self, graphs, name):
-        g = graphs[(name, 64)]
-        for i in range(0, 64, 11):
-            for u in g.neighbors(i)[:3]:
-                assert g.verify_link(i, int(u))
-
-    def test_verify_link_rejects_non_neighbors(self, graphs, name):
-        g = graphs[(name, 256)]
-        rng = np.random.default_rng(5)
-        rejected = 0
-        for _ in range(50):
-            w = int(rng.integers(256))
-            u = int(rng.integers(256))
-            if u != w and not g.verify_link(w, u):
-                rejected += 1
-        assert rejected > 10  # random pairs are mostly non-neighbors
-
     def test_degrees_positive(self, graphs, name):
         g = graphs[(name, 256)]
         assert (g.degrees() >= 2).all()  # at least ring succ+pred
@@ -144,6 +127,20 @@ def test_properties_p1_p4(graphs, name):
     rep = validate_properties(g, probes=4000, rng=np.random.default_rng(6))
     assert rep.ok(), f"{name}: {rep.satisfied}"
     assert len(rep.rows()) == 4
+
+
+def test_p3_fails_when_stored_rows_break_the_rule():
+    # every stored neighbor row replaced by three arbitrary IDs: P1, P2 and
+    # P4 never read the rows, and the degree bound still holds, so only the
+    # comparison with the rule recomputed from the ring can fail
+    g = make_input_graph("chord", np.random.default_rng(3).random(256))
+    indptr = np.arange(0, 3 * 257, 3)
+    indices = np.tile(np.array([5, 77, 200]), 256)
+    g.__dict__["_csr"] = (indptr, indices)
+    rep = validate_properties(g, probes=2000, rng=np.random.default_rng(6))
+    assert not rep.links_verifiable
+    assert not rep.satisfied["P3"]
+    assert rep.satisfied["P1"] and rep.satisfied["P2"] and rep.satisfied["P4"]
 
 
 class TestChordSpecifics:
@@ -436,7 +433,6 @@ class TestNeighborSetsOnFirstUse:
         "neighbors": lambda g: g.neighbors(0),
         "neighbor_lists": lambda g: g.neighbor_lists(),
         "degrees": lambda g: g.degrees(),
-        "verify_link": lambda g: g.verify_link(0, g.n - 1),
         "in_neighbors_count": lambda g: g.in_neighbors_count(),
     }
 

@@ -65,10 +65,6 @@ class TestDerived:
         p = SystemParams(n=1024, k=3.0)
         assert p.pf_target == pytest.approx(1.0 / math.log(1024) ** 3)
 
-    def test_route_length_bound_log(self):
-        p = SystemParams(n=1024)
-        assert p.route_length_bound >= math.log2(1024)
-
     def test_effective_beta(self):
         p = SystemParams(beta=0.09)
         assert p.effective_beta() == pytest.approx(0.03)

@@ -4,15 +4,14 @@ Each fixture under ``tests/fixtures/perf_ledger/`` holds the rows of one
 real run, taken on a 2-vCPU host:
 
 * ``BENCH_vectorized.json`` — ``tools/smoke_vectorized.py --quick``;
-* ``BENCH_scale.json`` — ``benchmarks/bench_scale.py --n 131072``;
 * ``BENCH_serve.json`` — ``benchmarks/bench_serve.py --n 128
   --requests 300 --verify``.
 
 Every case is an edited copy of one of them, run through the tool with
 the flag pairs CI passes.  The expected exit codes and flagged keys are
-the ones the three separate gates gave with CI's threshold flags at
-commit 006c047, before they became one loop, so the loop catches exactly
-what they caught.  No case runs a benchmark.
+the ones the separate gates gave with CI's threshold flags at commit
+006c047, before they became one loop, so the loop catches exactly what
+they caught.  No case runs a benchmark.
 """
 
 from __future__ import annotations
@@ -27,28 +26,23 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 FIXTURES = ROOT / "tests" / "fixtures" / "perf_ledger"
 
-# ledger -> (fixture, CI's flag pair, gated point, the point's backends:
-# base and fast side of a ratio ledger, the one row of the memory ledger)
+# ledger -> (fixture, CI's flag pair, gated point, the point's base and
+# fast backends)
 LEDGERS = {
     "cells": ("BENCH_vectorized.json", ("--baseline", "--current"),
               ("E1", 1024), ("cells-serial", "cells-process")),
     "serve": ("BENCH_serve.json", ("--serve-baseline", "--serve-current"),
               ("SERVE", 128), ("offline", "closed")),
-    "scale": ("BENCH_scale.json", ("--scale-baseline", "--scale-current"),
-              ("SCALE", 131072), ("int32",)),
 }
-# the gates' thresholds and noise floors: a ratio drop for the two
-# speedup ledgers (floor on the fast side's wall, seconds), a growth for
-# the memory ledger (floor in MB)
-THRESHOLD = {"cells": 0.20, "serve": 0.25, "scale": 0.20}
-FLOOR = {"cells": 0.05, "serve": 0.05, "scale": 32.0}
-FLAGGED_KEY = {
-    "cells": "E1 n=1024", "serve": "SERVE n=128", "scale": "SCALE n=131072 int32",
-}
+# the gates' speedup-drop thresholds and noise floors (on the fast side's
+# wall, seconds)
+THRESHOLD = {"cells": 0.20, "serve": 0.25}
+FLOOR = {"cells": 0.05, "serve": 0.05}
+FLAGGED_KEY = {"cells": "E1 n=1024", "serve": "SERVE n=128"}
 
 # recorded from the tool at 006c047 with CI's arguments of the time
-# (cells: --max-regression 0.20; serve: --max-regression 0.25; scale:
-# --mem-max-regression 0.20): the same for all three ledgers
+# (cells: --max-regression 0.20; serve: --max-regression 0.25): the same
+# for both ledgers
 EXPECTED = {
     "unchanged": (0, False),
     "past_threshold": (1, True),
@@ -66,59 +60,48 @@ def _rows(ledger: str) -> list[dict]:
     return json.loads((FIXTURES / LEDGERS[ledger][0]).read_text())
 
 
-def _measure(rows: list[dict], ledger: str, *values: float) -> list[dict]:
-    """``rows`` with the gated point's measurement replaced: the base and
-    fast walls of a ratio ledger, the peak of the memory ledger."""
+def _measure(rows: list[dict], ledger: str, *walls: float) -> list[dict]:
+    """``rows`` with the gated point's base and fast walls replaced."""
     _, _, (experiment, n), backends = LEDGERS[ledger]
-    column = "peak_rss_mb" if ledger == "scale" else "wall_s"
     rows = copy.deepcopy(rows)
     for row in rows:
         if (row["experiment"], row["n"]) == (experiment, n):
-            row[column] = values[backends.index(row["backend"])]
+            row["wall_s"] = walls[backends.index(row["backend"])]
     return rows
 
 
 def _value(rows: list[dict], ledger: str) -> tuple[float, ...]:
     _, _, (experiment, n), backends = LEDGERS[ledger]
-    column = "peak_rss_mb" if ledger == "scale" else "wall_s"
     by_backend = {
-        r["backend"]: r[column] for r in rows
+        r["backend"]: r["wall_s"] for r in rows
         if (r["experiment"], r["n"]) == (experiment, n)
     }
     return tuple(by_backend[b] for b in backends)
 
 
 def _regressed(rows: list[dict], ledger: str, factor: float) -> list[dict]:
-    """The gated point made worse by ``factor``: a ratio ledger's fast
-    wall grows (its speedup shrinks), the memory ledger's peak grows."""
-    values = list(_value(rows, ledger))
-    values[-1] *= factor
-    return _measure(rows, ledger, *values)
+    """The gated point made worse by ``factor``: its fast wall grows, so
+    its speedup shrinks."""
+    base, fast = _value(rows, ledger)
+    return _measure(rows, ledger, base, fast * factor)
 
 
 def case_files(ledger: str, case: str) -> tuple[object, object]:
     """(baseline, current) for one case: a row list, ``None`` for a
     missing file, or the raw text of a file."""
     rows, thr, floor = _rows(ledger), THRESHOLD[ledger], FLOOR[ledger]
-    ratio = ledger != "scale"
-    just_past = 1.01 / (1.0 - thr) if ratio else 1.01 * (1.0 + thr)
+    just_past = 1.01 / (1.0 - thr)
     if case == "unchanged":
         return rows, rows
     if case == "past_threshold":
         return rows, _regressed(rows, ledger, just_past)
-    if case == "at_threshold":
-        if ratio:  # speedup 1.0 -> 1 - thr
-            return (_measure(rows, ledger, 1.0, 1.0),
-                    _measure(rows, ledger, 1.0 - thr, 1.0))
-        return (_measure(rows, ledger, 150.0),
-                _measure(rows, ledger, 150.0 * (1.0 + thr)))
+    if case == "at_threshold":  # speedup 1.0 -> 1 - thr
+        return (_measure(rows, ledger, 1.0, 1.0),
+                _measure(rows, ledger, 1.0 - thr, 1.0))
     if case == "under_noise_floor":
         # a 4x regression, every measurement of it under the floor
-        if ratio:
-            return (_measure(rows, ledger, 0.8 * floor, 0.2 * floor),
-                    _measure(rows, ledger, 0.8 * floor, 0.8 * floor))
-        return (_measure(rows, ledger, 0.2 * floor),
-                _measure(rows, ledger, 0.8 * floor))
+        return (_measure(rows, ledger, 0.8 * floor, 0.2 * floor),
+                _measure(rows, ledger, 0.8 * floor, 0.8 * floor))
     if case == "key_missing_from_baseline":
         # the baseline measured the point at another n: nothing to compare
         _, _, point, _ = LEDGERS[ledger]
@@ -195,7 +178,6 @@ def test_gates_hold_ci_values(perf_ledger):
     assert table == {
         "BENCH_vectorized.json": (0.20, 0.05),
         "BENCH_serve.json": (0.25, 0.05),
-        "BENCH_scale.json": (0.20, 32.0),
     }
 
 
@@ -217,7 +199,8 @@ def test_cells_ledger_warns_on_wall_drift_but_passes(perf_ledger, tmp_path,
 @pytest.mark.parametrize("argv", [
     [],
     ["--baseline", "b.json"],
-    ["--scale-current", "c.json"],
+    ["--serve-current", "c.json"],
+    ["--scale-baseline", "b.json", "--scale-current", "c.json"],
 ])
 def test_flag_pairs_are_usage_errors(perf_ledger, argv):
     with pytest.raises(SystemExit) as exc:

@@ -25,9 +25,6 @@ class TestScheme:
         with pytest.raises(ValueError):
             PuzzleScheme(OracleSuite(0), epoch_length=1)
 
-    def test_expected_solutions(self, scheme):
-        assert scheme.expected_solutions(10, 100) == pytest.approx(10 * 100 * scheme.tau)
-
 
 class TestOracleMode:
     def test_mint_produces_valid_solutions(self, scheme):

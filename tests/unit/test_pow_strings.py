@@ -46,14 +46,6 @@ class TestBinTable:
                 break
         assert accepted <= bt.c0_ln_n
 
-    def test_saturated_bins_counted(self):
-        bt = BinTable(n=16, epoch_length=10, c0=0.1)
-        v = 0.49
-        for _ in range(bt.c0_ln_n + 2):
-            bt.should_forward(v)
-            v *= 0.99
-        assert bt.saturated_bins() >= 1
-
 
 class TestSolutionSet:
     def test_size_capped(self):

@@ -113,32 +113,11 @@ class TestRing:
         for p, idx in zip(pts, many):
             assert idx == small_ring.successor_index(float(p))
 
-    def test_predecessor_index(self):
-        r = Ring([0.1, 0.5, 0.9])
-        assert r.predecessor_index(0.2) == 0   # first ID ccw of 0.2 is 0.1
-        assert r.predecessor_index(0.05) == 2  # wraps to 0.9
-
-    def test_pred_succ_of_index_roundtrip(self, small_ring):
-        for i in (0, 5, small_ring.n - 1):
-            assert small_ring.predecessor_index_of(small_ring.successor_index_of(i)) == i
-
     def test_arc_lengths_sum_to_one(self, small_ring):
         assert small_ring.arc_lengths().sum() == pytest.approx(1.0)
 
     def test_arc_lengths_positive(self, small_ring):
         assert (small_ring.arc_lengths() > 0).all()
-
-    def test_responsible_fraction_all(self, small_ring):
-        mask = np.ones(small_ring.n, dtype=bool)
-        assert small_ring.responsible_fraction(mask) == pytest.approx(1.0)
-
-    def test_index_of_and_contains(self):
-        r = Ring([0.1, 0.5, 0.9])
-        assert r.index_of(0.5) == 1
-        assert r.contains(0.9)
-        assert not r.contains(0.2)
-        with pytest.raises(KeyError):
-            r.index_of(0.2)
 
     def test_len(self, small_ring):
         assert len(small_ring) == small_ring.n

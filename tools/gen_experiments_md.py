@@ -231,24 +231,23 @@ a >20% ratio drop fails, absolute wall-clock drift is warn-only with a
 per-run `CALIBRATION` row as host context, so heterogeneous runner
 generations can't flap the gate (warn-only on the bootstrap run).
 
-**Scale bench — the million-node memory budget.**
-`benchmarks/bench_scale.py` runs the E2-shaped static pipeline (ring
-build → Chord input graph → hashed group construction → one 100k-probe
-batched secure search) at n = 2^17 and 2^20 (the million-node case) and
-records `{experiment: "SCALE", n, backend, wall_s, cells, trials,
-peak_rss_mb}` rows into `benchmarks/output/BENCH_scale.json`.  Searches
-never read the neighbor CSR, which an input graph builds on first use,
-and a Chord walk computes the finger cells it reads until they have cost
-about as much as the whole table; the 100k probes read ~5% of the 2^20
-table's 24 M cells, so this pipeline builds neither.  Two knobs make 2^20
-fit a ~4 GB budget (measured on a 2-vCPU host: ~0.28 GB peak, ~0.8-1.1 s
-wall, vs ~0.38 GB for the int64 oracle): `--index-dtype auto` narrows
-every stored index array — ring successor LUTs, the finger table,
-routed paths, group member lists — to int32 whenever n fits (`int64`
-stays the byte-identity oracle at double width; RNG draws and
-accumulators are never narrowed, so statistics are
+**The million-node static pipeline and its memory gate.**
+The end-to-end benchmark's `static-1m` workload (`benchmarks/e2e/`)
+runs the E2-shaped static pipeline at n = 2^20, the million-node case:
+ring build → Chord input graph → hashed group construction → one
+100k-probe batched secure search, with its peak RSS (`peak_rss_mb`)
+reported beside its timings.  Searches never read the neighbor CSR,
+which an input graph builds on first use, and a Chord walk computes the
+finger cells it reads until they have cost about as much as the whole
+table; the 100k probes read ~5% of the 2^20 table's 24 M cells, so this
+pipeline builds neither.  Two settings keep 2^20 far inside a ~4 GB
+budget (`static-1m` peaks at ~0.24-0.25 GB on a 2-vCPU host):
+`index_dtype="auto"` narrows every stored index array — ring successor
+LUTs, the finger table, routed paths, group member lists — to int32
+whenever n fits (`int64` stays the byte-identity oracle at double width;
+RNG draws and accumulators are never narrowed, so statistics are
 value-identical — property-tested in
-`tests/property/test_index_dtype.py`), and `--probe-chunk` streams the
+`tests/property/test_index_dtype.py`), and `probe_chunk` streams the
 probe batch through fixed-size windows
 (`measure_static_search_streamed`: integer accumulators ÷ probes, so
 bit-equal at any window size) with one `mem.peak` telemetry event per
@@ -263,11 +262,11 @@ while the calling thread draws the blocks and writes the tables in
 order, so every array, dtype and the generator's next draw are the same
 at any thread count; `taskset -c 0` runs every block on the calling
 thread.  E2 accepts the same `probe_chunk=`
-override through `build_spec`.  CI's `smoke-scale` job runs the 2^17
-and 2^20 points under `--max-rss-mb 4096` and gates `peak_rss_mb` per
-row against the previous run's artifact via
-`tools/perf_ledger.py --scale-baseline` (>20% growth fails; bootstrap
-is warn-only).
+override through `build_spec`.  CI's `paired-gate` job runs `static-1m`
+and `epoch-4k` on the base and head commits in alternating pairs and
+fails when `benchmarks/e2e/compare.py` reads `regressed`: a median peak
+more than 15% above the base's, with both sides' spreads inside that
+bound, fails.
 
 **Serving layer — live queries under churn (`repro.serve`).**
 `python -m repro serve run` exposes the secure-routing machinery as an

@@ -2,7 +2,7 @@
 """Perf-ledger gate: diff this run's ``BENCH_*.json`` ledgers against the
 previous run's.
 
-CI keeps three ledgers as artifacts and gates each against the previous
+CI keeps two ledgers as artifacts and gates each against the previous
 run's copy.  One entry of :data:`GATES` per ledger holds its artifact
 name, the flag pair that names its two files, the diff, the threshold
 and the noise floor:
@@ -12,22 +12,15 @@ and the noise floor:
   fails on a drop of more than 20%, unless both runs' fast-side wall
   sits under 0.05 s;
 * ``BENCH_serve.json`` (``--serve-baseline``/``--serve-current``): the
-  ``offline``/``closed`` speedup, the same way at 25%;
-* ``BENCH_scale.json`` (``--scale-baseline``/``--scale-current``): each
-  row's ``peak_rss_mb`` fails on a growth of more than 20%, unless both
-  peaks sit under 32 MB.
+  ``offline``/``closed`` speedup, the same way at 25%.
 
-* The two speedups are machine-invariant: both sides of a pair run on
-  the same host in the same run, so host speed divides out of the ratio
-  (:func:`repro.analysis.benchio.diff_bench_ratios`).  The serve gate is
-  looser because one closed-loop run has more scheduling noise than a
-  batch of cells.
-* Peak RSS for a fixed workload is largely machine-invariant, so the
-  absolute growth is the gate (:func:`~repro.analysis.benchio.
-  diff_bench_rows` over ``peak_rss_mb``).
-* A point whose measurements all sit under the floor is reported but
-  never gated: µs-scale walls measure scheduler jitter and a sub-32 MB
-  peak is the interpreter's own footprint.
+Both speedups are machine-invariant: both sides of a pair run on the
+same host in the same run, so host speed divides out of the ratio
+(:func:`repro.analysis.benchio.diff_bench_ratios`).  The serve gate is
+looser because one closed-loop run has more scheduling noise than a
+batch of cells.  A point whose fast-side walls both sit under the floor
+is reported but never gated: µs-scale walls measure scheduler jitter.
+The million-node peak RSS is gated by CI's ``paired-gate`` job instead.
 
 ``BENCH_vectorized.json`` also prints its ``CALIBRATION`` row (a fixed
 NumPy workload timing both runs record) and the absolute wall-clock
@@ -57,7 +50,6 @@ from typing import Callable, NamedTuple
 from repro.analysis.benchio import (
     BENCH_FILENAME,
     CALIBRATION_EXPERIMENT,
-    SCALE_BENCH_FILENAME,
     diff_bench_ratios,
     diff_bench_rows,
     read_bench_rows,
@@ -83,9 +75,6 @@ GATES = (
     Gate("BENCH_serve.json", "serve-", "offline/closed speedup",
          functools.partial(diff_bench_ratios, backends=("offline", "closed")),
          threshold=0.25, floor=0.05),
-    Gate(SCALE_BENCH_FILENAME, "scale-", "peak RSS (MB)",
-         functools.partial(diff_bench_rows, column="peak_rss_mb"),
-         threshold=0.20, floor=32.0),
 )
 
 
