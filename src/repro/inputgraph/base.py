@@ -95,8 +95,8 @@ class InputGraph(abc.ABC):
     keeps every neighbor set in two flat arrays: ``neighbors(i)`` is
     ``indices[indptr[i]:indptr[i+1]]``.  Construction does not build it;
     the first call of a neighbor accessor (:meth:`neighbors`,
-    :meth:`neighbor_lists`, :meth:`degrees`, :meth:`in_neighbors_count`)
-    does, once per graph.
+    :meth:`neighbor_lists`, :meth:`degrees`, :meth:`verify_link`,
+    :meth:`in_neighbors_count`) does, once per graph.
     """
 
     #: human-readable topology name ("chord", "distance-halving", ...)
@@ -151,6 +151,20 @@ class InputGraph(abc.ABC):
     def degrees(self) -> np.ndarray:
         """Out-degree (|S_w|) of every ID."""
         return np.diff(self._csr[0])
+
+    def verify_link(self, w: int, u: int) -> bool:
+        """P3 verification: is ``u`` in the stored ``S_w``?
+
+        All our topologies define ``S_w`` as a deterministic function of the
+        ID set, so verification is a recomputation + membership test — the
+        in-simulation analogue of the paper's "any ID may determine the
+        elements in S_w by performing searches".  This is the membership
+        test; :func:`~repro.inputgraph.properties.validate_properties` runs
+        it on the links of the rule recomputed from the ring.
+        """
+        nb = self.neighbors(w)
+        pos = int(np.searchsorted(nb, u))
+        return pos < nb.size and nb[pos] == u
 
     def in_neighbors_count(self) -> np.ndarray:
         """How many IDs list each ID as a neighbor (P3's reverse bound)."""

@@ -116,13 +116,14 @@ def validate_properties(
         _CONGESTION_CONSTANT * (ln_n ** graph.congestion_exponent) / n
     )
 
-    # Any ID can recompute S_w from the ring (P3), so the stored rows of a
-    # sample of IDs must equal the linking rule computed afresh.
-    indptr, indices = graph.neighbor_lists()
+    # Any ID can recompute S_w from the ring (P3), so for a sample of IDs
+    # the stored set must verify every link of the rule computed afresh and
+    # hold no other (stored rows are sorted and distinct).
     rule_ptr, rule_idx = graph._neighbor_sets()
     links_ok = all(
-        np.array_equal(indices[indptr[w]:indptr[w + 1]],
-                       rule_idx[rule_ptr[w]:rule_ptr[w + 1]])
+        degs[w] == rule_ptr[w + 1] - rule_ptr[w]
+        and all(graph.verify_link(int(w), int(u))
+                for u in rule_idx[rule_ptr[w]:rule_ptr[w + 1]])
         for w in rng.integers(0, n, size=min(64, n))
     )
 

@@ -154,6 +154,20 @@ def test_row_reduce_is_per_row_loop(case):
     assert_row_counts(indptr, values != 0)
 
 
+@given(case=csr_rows(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_counts_is_per_row_loop(case, data):
+    _, counts, _, indptr, _ = case
+    total = int(counts.sum())
+    positions = np.array(sorted(data.draw(st.sets(
+        st.integers(0, max(total - 1, 0)), max_size=total))), dtype=np.int64)
+    got = row_counts(indptr, positions)
+    want = [np.count_nonzero((positions >= a) & (positions < b))
+            for a, b in zip(indptr[:-1], indptr[1:])]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
 class TestRowReduce:
     @pytest.mark.parametrize("ufunc", [np.logical_or, np.add])
     @pytest.mark.parametrize("fill", ["random", "none", "all"])

@@ -53,6 +53,15 @@ class TestGroupSet:
         counts = gs.bad_counts(bad)
         assert list(counts) == [1, 0, 1]
 
+    def test_bad_counts_with_empty_groups_at_both_ends(self):
+        # a row's last member lies where the empty rows after it start
+        gs = GroupSet(np.array([0, 1, 2, 3]), np.array([0, 0, 3, 3, 3]),
+                      np.array([5, 1, 4]), n_ids=6)
+        bad = np.array([False, True, False, False, True, True])
+        counts = gs.bad_counts(bad)
+        assert counts.dtype == np.int64
+        assert list(counts) == [0, 3, 0, 0]
+
     def test_indptr_validation(self):
         with pytest.raises(ValueError):
             GroupSet(np.array([0]), np.array([0, 1, 2]), np.array([0, 1]), 4)

@@ -104,6 +104,23 @@ class TestTopology:
             assert (np.diff(nb) > 0).all()
             assert i not in nb
 
+    def test_verify_link_accepts_real_neighbors(self, graphs, name):
+        g = graphs[(name, 64)]
+        for i in range(0, 64, 11):
+            for u in g.neighbors(i)[:3]:
+                assert g.verify_link(i, int(u))
+
+    def test_verify_link_rejects_non_neighbors(self, graphs, name):
+        g = graphs[(name, 256)]
+        rng = np.random.default_rng(5)
+        rejected = 0
+        for _ in range(50):
+            w = int(rng.integers(256))
+            u = int(rng.integers(256))
+            if u != w and not g.verify_link(w, u):
+                rejected += 1
+        assert rejected > 10  # random pairs are mostly non-neighbors
+
     def test_degrees_positive(self, graphs, name):
         g = graphs[(name, 256)]
         assert (g.degrees() >= 2).all()  # at least ring succ+pred
@@ -141,6 +158,36 @@ def test_p3_fails_when_stored_rows_break_the_rule():
     assert not rep.links_verifiable
     assert not rep.satisfied["P3"]
     assert rep.satisfied["P1"] and rep.satisfied["P2"] and rep.satisfied["P4"]
+
+
+def _one_link_off(g, kind):
+    """``g``'s stored CSR with every row one link off the rule: its first
+    link dropped, an ID outside it (not its owner) added, or the one
+    swapped for the other."""
+    indptr, indices = g.neighbor_lists()
+    rows = []
+    for w in range(g.n):
+        row = indices[indptr[w]:indptr[w + 1]]
+        outside = np.setdiff1d(np.arange(g.n), np.append(row, w))[0]
+        row = {"drop": row[1:], "add": np.append(row, outside),
+               "swap": np.append(row[1:], outside)}[kind]
+        rows.append(np.sort(row))
+    sizes = [r.size for r in rows]
+    return np.concatenate(([0], np.cumsum(sizes))), np.concatenate(rows)
+
+
+@pytest.mark.parametrize("kind", ["drop", "add", "swap"])
+@pytest.mark.parametrize("name", ALL)
+def test_p3_fails_when_each_row_is_one_link_off(rings, name, kind):
+    # a row one link short or long fails on its size; a swapped link keeps
+    # the size, so it fails only where verify_link misses a rule link
+    g = make_input_graph(name, rings[256])
+    g.__dict__["_csr"] = _one_link_off(g, kind)
+    if kind == "swap":
+        assert np.array_equal(g.degrees(), np.diff(g._neighbor_sets()[0]))
+    rep = validate_properties(g, probes=2000, rng=np.random.default_rng(6))
+    assert not rep.links_verifiable
+    assert not rep.satisfied["P3"]
 
 
 class TestChordSpecifics:
@@ -433,6 +480,7 @@ class TestNeighborSetsOnFirstUse:
         "neighbors": lambda g: g.neighbors(0),
         "neighbor_lists": lambda g: g.neighbor_lists(),
         "degrees": lambda g: g.degrees(),
+        "verify_link": lambda g: g.verify_link(0, g.n - 1),
         "in_neighbors_count": lambda g: g.in_neighbors_count(),
     }
 

@@ -156,6 +156,20 @@ class TestGraphSide:
         side.pool_departed[1] = True
         assert list(side.good_remaining()) == [2, 2]
 
+    def test_good_remaining_with_empty_rows(self):
+        # groups 0 and 2 have no good member: their rows stay at zero, and
+        # member 6 sits where the empty row 0 and row 1 both start
+        side = GraphSide(
+            good_indptr=np.array([0, 0, 2, 2]),
+            good_members=np.array([6, 7]),
+            n_bad=np.array([2, 0, 1]),
+            confused=np.zeros(3, dtype=bool),
+            pool_departed=np.zeros(8, dtype=bool),
+        )
+        assert list(side.good_remaining()) == [0, 2, 0]
+        side.pool_departed[[0, 6]] = True
+        assert list(side.good_remaining()) == [0, 1, 0]
+
     def test_classify_flags_decayed_majority(self, params):
         side = self._side()
         red0 = side.classify(params)
