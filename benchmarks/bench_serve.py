@@ -1,43 +1,44 @@
 #!/usr/bin/env python3
-"""Bench serve — the asyncio serving layer's throughput ledger.
+"""Bench serve — the asyncio serving layer's efficiency, offline vs served.
 
-Two rows per measurement point, written into ``BENCH_serve.json``:
+One measurement point, two walls over the same queries:
 
-* ``("SERVE", n, "offline")`` — the same per-query code path the service
-  runs (snapshot ``answer`` + :func:`~repro.serve.snapshot.
-  canonical_response`) driven as a plain in-process loop over replayed
-  epoch snapshots.  This is the query kernel's floor: no sockets, no
-  event loop, no concurrency.
-* ``("SERVE", n, "closed")`` — the same number of queries pushed through
-  the real thing: a listening :class:`~repro.serve.service.
-  RoutingService` whose epochs advance live under uniform churn, driven
-  by the closed-loop generator at ``--concurrency``.
+* ``offline`` — the same per-query code path the service runs (snapshot
+  ``answer`` + :func:`~repro.serve.snapshot.canonical_response`) driven
+  as a plain in-process loop over replayed epoch snapshots.  This is the
+  query kernel's floor: no sockets, no event loop, no concurrency.
+* ``closed`` — the same number of queries pushed through the real thing:
+  a listening :class:`~repro.serve.service.RoutingService` whose epochs
+  advance live under uniform churn, driven by the closed-loop generator
+  at ``--concurrency``.
 
-The wall-clock *ratio* offline/closed is the serving layer's efficiency
-— both sides run on the same host in the same process, so machine speed
-divides out, exactly like the cells ledger's ``cells-serial``/
-``cells-process`` pair.  CI (``smoke-serve``) gates that ratio against
-the previous run via ``tools/perf_ledger.py --serve-baseline/
---serve-current``: if the asyncio/TCP layer gets relatively slower, the
-ratio drops and the job fails.  ``--telemetry-out`` records the run's
-``serve.request`` and ``serve.publish`` events; the rows themselves live
-only in the JSON file.
+The offline/closed speedup is the serving layer's efficiency — both
+sides run on the same host in the same process, so machine speed
+divides out.  Each run appends it as one JSON line to ``--out``
+(default ``benchmarks/output/speedups.jsonl``): ``{"kind": "serve",
+"point": "SERVE n=256", "speedup": ...}``.  CI's ``paired-gate`` job
+runs this benchmark on the base and head commits in alternating pairs,
+and ``tools/judge_speedups.py`` fails it when the head's median speedup
+is more than 25% below the base's: the asyncio/TCP layer itself got
+relatively slower.  ``REPRO_TELEMETRY=<path>`` records the run's
+``serve.request`` and ``serve.publish`` events.
 
 With ``--verify`` every response line from the closed-loop run is
-byte-compared against the offline oracle replay before any row is
-recorded — a bench run can never launder wrong answers into the ledger.
+byte-compared against the offline oracle replay before the speedup is
+recorded — a bench run can never launder wrong answers into the gate.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py              # default point
-    PYTHONPATH=src python benchmarks/bench_serve.py \
-        --n 128 --requests 500 --verify                          # CI smoke
+    PYTHONPATH=src python benchmarks/bench_serve.py \\
+        --n 128 --requests 500 --verify
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import pathlib
 import sys
 import time
@@ -75,13 +76,11 @@ async def _closed_loop(config, requests: int, concurrency: int):
             await asyncio.wait_for(task, timeout=30)
 
 
-def run_point(args) -> tuple[list[dict], int]:
-    """Both ledger rows for one ``n``; returns (rows, problem count)."""
+def run_point(args) -> tuple[dict, int]:
+    """The speedup line for one ``n``; returns (line, problem count)."""
     import numpy as np
 
-    from repro.analysis.benchio import bench_row
     from repro.serve import ServeConfig, replay_snapshots, verify_responses
-    from repro.telemetry import peak_rss_mb
 
     config = ServeConfig(
         n=args.n, epochs=args.epochs, churn_rate=args.churn,
@@ -103,18 +102,6 @@ def run_point(args) -> tuple[list[dict], int]:
         for problem in problems:
             print(f"bench-serve: {problem}", file=sys.stderr)
 
-    rows = [
-        bench_row(
-            experiment="SERVE", n=config.n, backend="offline",
-            wall_s=offline_wall, cells=len(snapshots), trials=len(queries),
-            peak_rss_mb=peak_rss_mb(),
-        ),
-        bench_row(
-            experiment="SERVE", n=config.n, backend="closed",
-            wall_s=report.wall_s, cells=len(snapshots), trials=report.requests,
-            peak_rss_mb=peak_rss_mb(),
-        ),
-    ]
     overhead = report.wall_s / offline_wall if offline_wall > 0 else float("inf")
     print(
         f"[serve] n={config.n:<6} offline {offline_wall:.3f}s vs closed "
@@ -122,13 +109,15 @@ def run_point(args) -> tuple[list[dict], int]:
         f"({overhead:.1f}x layer overhead, {report.qps:.0f} QPS, "
         f"p99 {report.latency_percentile(0.99) * 1e3:.2f}ms)"
     )
-    return rows, len(problems)
+    line = dict(kind="serve", point=f"SERVE n={config.n}",
+                speedup=round(offline_wall / report.wall_s, 4))
+    return line, len(problems)
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", default="benchmarks/output/BENCH_serve.json",
-                    help="serve ledger JSON to merge rows into")
+    ap.add_argument("--out", default="benchmarks/output/speedups.jsonl",
+                    help="JSON lines file the speedup is appended to")
     ap.add_argument("--n", type=int, default=256,
                     help="population size for the measurement point")
     ap.add_argument("--requests", type=int, default=500,
@@ -146,31 +135,22 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--verify", action="store_true",
                     help="byte-compare every closed-loop response against "
-                         "the offline oracle; any divergence fails the run")
-    ap.add_argument("--telemetry-out", default=None,
-                    help="write serve.request/serve.publish events to this "
-                         "jsonl file (default: $REPRO_TELEMETRY if set)")
+                         "the offline oracle; any divergence fails the run "
+                         "and records no speedup")
     args = ap.parse_args(argv)
 
-    from contextlib import nullcontext
-
-    from repro.analysis.benchio import record_bench_rows
-    from repro.telemetry import telemetry_to
-
-    sink = (
-        telemetry_to(args.telemetry_out) if args.telemetry_out
-        else nullcontext()
-    )
-    with sink:
-        rows, problems = run_point(args)
-    record_bench_rows(pathlib.Path(args.out), rows)
-    print(f"bench-serve: merged {len(rows)} row(s) into {args.out}")
+    line, problems = run_point(args)
     if problems:
         print(
             f"bench-serve: {problems} response(s) diverged from the oracle",
             file=sys.stderr,
         )
         return 1
+    out = pathlib.Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with out.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line) + "\n")
+    print(f"bench-serve: appended the speedup to {out}")
     return 0
 
 

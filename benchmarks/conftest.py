@@ -11,10 +11,7 @@ Rendered tables are also written to ``benchmarks/output/`` so EXPERIMENTS.md
 can be regenerated without scraping stdout.
 
 ``timing_sink`` appends a human-oriented ``name backend workers seconds``
-line per measurement to ``output/timings.txt``; ``bench_json`` merges its
-rows into ``output/BENCH_vectorized.json`` (via ``repro.analysis.benchio``),
-the repo's perf-trajectory file — re-runs replace rows by
-``(experiment, n, backend)`` instead of appending.
+line per measurement to ``output/timings.txt``.
 """
 
 from __future__ import annotations
@@ -23,8 +20,6 @@ import pathlib
 import time
 
 import pytest
-
-from repro.analysis.benchio import BENCH_FILENAME, bench_row, record_bench_rows
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -66,26 +61,3 @@ def timing_sink():
 
     return record
 
-
-@pytest.fixture(scope="session")
-def bench_json():
-    """Machine-readable bench rows: ``record(experiment, n, backend,
-    wall_s, cells, trials)``.
-
-    At teardown the accumulated rows are merged into
-    ``output/BENCH_vectorized.json`` (replacing rows with the same
-    ``(experiment, n, backend)`` key), so benchmark files compose into
-    one trajectory file no matter which subset was run.
-    """
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    rows: list[dict] = []
-
-    def record(experiment, n, backend, wall_s, cells, trials):
-        row = bench_row(experiment, n, backend, wall_s, cells, trials)
-        rows.append(row)
-        print(f"[bench-json] {row}")
-        return row
-
-    yield record
-    if rows:
-        record_bench_rows(OUTPUT_DIR / BENCH_FILENAME, rows)

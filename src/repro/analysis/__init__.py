@@ -1,16 +1,5 @@
-"""Theory predictions, statistics, table rendering, and benchmark I/O."""
+"""Theory predictions, statistics and table rendering."""
 
-from .benchio import (
-    BENCH_FILENAME,
-    bench_row,
-    calibration_row,
-    diff_bench_ratios,
-    diff_bench_rows,
-    measure_calibration,
-    read_bench_rows,
-    record_bench_rows,
-    speedup_rows,
-)
 from .regimes import (
     RegimeReport,
     epoch_map_analysis,
@@ -30,15 +19,6 @@ from .theory import (
 )
 
 __all__ = [
-    "BENCH_FILENAME",
-    "bench_row",
-    "calibration_row",
-    "diff_bench_ratios",
-    "diff_bench_rows",
-    "measure_calibration",
-    "read_bench_rows",
-    "record_bench_rows",
-    "speedup_rows",
     "TableResult",
     "render_table",
     "bad_group_probability",

@@ -1,8 +1,7 @@
 """Message and state cost accounting (paper §I costs (i)-(iii), Corollary 1).
 
-The paper's headline win is a cost reduction, so the simulator counts every
-message the protocols send, bucketed by the three cost categories the
-introduction defines:
+The paper's headline win is a cost reduction over the three cost
+categories the introduction defines:
 
 (i)   **group communication** — all-to-all exchanges inside one group,
       ``Theta(|G|^2)`` messages per operation;
@@ -11,9 +10,12 @@ introduction defines:
 (iii) **state maintenance** — per-ID link state: members of the groups the
       ID belongs to, plus the members of neighboring groups.
 
-:class:`CostLedger` is a plain counter bag — cheap enough to thread through
-hot loops — and :func:`corollary1_predictions` produces the closed-form
-expectations the benchmarks compare against.
+The simulator counts the messages of costs (i) and (ii) in a
+:class:`CostLedger` — a plain counter bag, cheap enough to thread through
+hot loops — and :func:`corollary1_predictions` gives their closed-form
+expectations.  Per-ID state (cost iii) is not counted by the ledger:
+:func:`corollary1_predictions` predicts it, and E7's membership counts
+measure it.
 """
 
 from __future__ import annotations
@@ -26,18 +28,17 @@ __all__ = ["CostLedger", "corollary1_predictions", "CostPrediction"]
 
 
 class CostLedger:
-    """Accumulates message counts by category and per-ID state sizes.
+    """Accumulates message and operation counts by category.
 
     Categories are free-form strings; the conventional ones are
     ``"group_comm"``, ``"routing"``, ``"maintenance"``, ``"pow"``,
     ``"gossip"``.
     """
 
-    __slots__ = ("messages", "state_entries", "operations")
+    __slots__ = ("messages", "operations")
 
     def __init__(self):
         self.messages: Dict[str, int] = {}
-        self.state_entries: Dict[str, int] = {}
         self.operations: Dict[str, int] = {}
 
     # -- messages ---------------------------------------------------------------
@@ -56,11 +57,6 @@ class CostLedger:
     def total_messages(self) -> int:
         return sum(self.messages.values())
 
-    # -- state ------------------------------------------------------------------
-
-    def add_state(self, category: str, entries: int) -> None:
-        self.state_entries[category] = self.state_entries.get(category, 0) + int(entries)
-
     # -- ops --------------------------------------------------------------------
 
     def count_op(self, name: str, times: int = 1) -> None:
@@ -69,8 +65,6 @@ class CostLedger:
     def merge(self, other: "CostLedger") -> "CostLedger":
         for k, v in other.messages.items():
             self.add_messages(k, v)
-        for k, v in other.state_entries.items():
-            self.add_state(k, v)
         for k, v in other.operations.items():
             self.count_op(k, v)
         return self
@@ -78,12 +72,11 @@ class CostLedger:
     def snapshot(self) -> dict:
         return {
             "messages": dict(self.messages),
-            "state": dict(self.state_entries),
             "operations": dict(self.operations),
         }
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"CostLedger(messages={self.messages}, state={self.state_entries})"
+        return f"CostLedger(messages={self.messages}, operations={self.operations})"
 
 
 @dataclass(frozen=True)

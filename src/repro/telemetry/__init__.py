@@ -3,8 +3,8 @@
 The reproduction's auditable-evidence substrate: the dispatch spool's
 unit lifecycle, the sweep substrate's per-cell timings, the worker
 pool, the memory high-water marks and the serving layer all emit the
-same versioned jsonl record shape.  (The perf ledgers' rows live only in
-their ``BENCH_*.json`` files: :mod:`repro.analysis.benchio`.)
+same versioned jsonl record shape.  (Benchmark speedups are not events:
+their tools append JSON lines that CI's paired-run gate judges.)
 
 * :mod:`~repro.telemetry.records` — the schema: envelope
   ``{v, ts, type}`` + an open per-type field registry,

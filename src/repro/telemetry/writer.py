@@ -38,7 +38,29 @@ from .records import TelemetryError, check_event, make_event
 __all__ = ["TelemetryBuffer", "TelemetryWriter"]
 
 
-class TelemetryWriter:
+class _CheckedSink:
+    """The emit path both sinks share: a clamped clock and the schema check."""
+
+    def __init__(self, clock: Callable[[], float] | None):
+        self.clock = time.time if clock is None else clock
+        self._last_ts: float | None = None
+
+    def _event(self, type: str, fields: dict) -> dict:
+        """The checked event, stamped no earlier than the last one."""
+        ts = float(self.clock())
+        if self._last_ts is not None and ts < self._last_ts:
+            ts = self._last_ts
+        self._last_ts = ts
+        event = make_event(type, ts=ts, **fields)
+        problems = check_event(event)
+        if problems:
+            raise TelemetryError(
+                f"refusing to emit malformed event: {'; '.join(problems)}"
+            )
+        return event
+
+
+class TelemetryWriter(_CheckedSink):
     """Schema-checked jsonl appends, atomic under concurrent writers."""
 
     def __init__(
@@ -46,10 +68,9 @@ class TelemetryWriter:
         path: str | os.PathLike,
         clock: Callable[[], float] | None = None,
     ):
+        super().__init__(clock)
         self.path = pathlib.Path(path)
-        self.clock = time.time if clock is None else clock
         self._fd: int | None = None
-        self._last_ts: float | None = None
 
     def _ensure_fd(self) -> int:
         if self._fd is None:
@@ -61,25 +82,13 @@ class TelemetryWriter:
             )
         return self._fd
 
-    def _next_ts(self) -> float:
-        ts = float(self.clock())
-        if self._last_ts is not None and ts < self._last_ts:
-            ts = self._last_ts
-        self._last_ts = ts
-        return ts
-
     def emit(self, type: str, **fields) -> dict:
         """Append one event; returns the event dict as written.
 
         Raises :class:`TelemetryError` for a schema violation (emitter
         bug); swallows ``OSError`` (a full disk must not kill a worker).
         """
-        event = make_event(type, ts=self._next_ts(), **fields)
-        problems = check_event(event)
-        if problems:
-            raise TelemetryError(
-                f"refusing to emit malformed event: {'; '.join(problems)}"
-            )
+        event = self._event(type, fields)
         try:
             line = json.dumps(event, sort_keys=True, separators=(",", ":"))
         except (TypeError, ValueError) as exc:
@@ -111,25 +120,15 @@ class TelemetryWriter:
         self.close()
 
 
-class TelemetryBuffer:
+class TelemetryBuffer(_CheckedSink):
     """The writer surface over an in-memory list (in-process sinks, tests)."""
 
     def __init__(self, clock: Callable[[], float] | None = None):
-        self.clock = time.time if clock is None else clock
+        super().__init__(clock)
         self.events: list[dict] = []
-        self._last_ts: float | None = None
 
     def emit(self, type: str, **fields) -> dict:
-        ts = float(self.clock())
-        if self._last_ts is not None and ts < self._last_ts:
-            ts = self._last_ts
-        self._last_ts = ts
-        event = make_event(type, ts=ts, **fields)
-        problems = check_event(event)
-        if problems:
-            raise TelemetryError(
-                f"refusing to emit malformed event: {'; '.join(problems)}"
-            )
+        event = self._event(type, fields)
         self.events.append(event)
         return event
 

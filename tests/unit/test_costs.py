@@ -33,12 +33,6 @@ class TestCostLedger:
         led.add_messages("b", 2)
         assert led.total_messages() == 3
 
-    def test_state(self):
-        led = CostLedger()
-        led.add_state("links", 10)
-        led.add_state("members", 4)
-        assert led.state_entries == {"links": 10, "members": 4}
-
     def test_count_op(self):
         led = CostLedger()
         led.count_op("searches", 5)
@@ -49,18 +43,34 @@ class TestCostLedger:
         a, b = CostLedger(), CostLedger()
         a.add_messages("x", 1)
         b.add_messages("x", 2)
-        b.add_state("s", 3)
         b.count_op("o", 4)
         a.merge(b)
         assert a.messages["x"] == 3
-        assert a.state_entries["s"] == 3
         assert a.operations["o"] == 4
 
     def test_snapshot(self):
         led = CostLedger()
         led.add_messages("x", 1)
         snap = led.snapshot()
-        assert snap["messages"] == {"x": 1}
+        assert snap == {"messages": {"x": 1}, "operations": {}}
+
+    def test_merge_returns_self_and_leaves_other_as_it_was(self):
+        a, b = CostLedger(), CostLedger()
+        b.add_messages("x", 2)
+        b.count_op("o", 1)
+        assert a.merge(b) is a
+        a.add_messages("x", 5)
+        a.count_op("o")
+        assert b.snapshot() == {"messages": {"x": 2}, "operations": {"o": 1}}
+
+    def test_snapshot_is_a_copy(self):
+        led = CostLedger()
+        led.add_messages("x", 1)
+        led.count_op("o")
+        snap = led.snapshot()
+        snap["messages"]["x"] = 99
+        snap["operations"].clear()
+        assert led.snapshot() == {"messages": {"x": 1}, "operations": {"o": 1}}
 
 
 class TestCorollary1:

@@ -186,8 +186,8 @@ sweeps move 11.6 KB through the executor's pipe in all.
 Together these flip the old economics: per-cell dispatch overhead no
 longer swamps the batched kernels, so on a multi-core host `--backend
 process` beats the in-process default on every multi-cell experiment at
-paper scale (the `cells-serial`/`cells-process` rows in
-`BENCH_vectorized.json`; CI enforces the ratio on >= 4-core runners).
+paper scale (the `cells-serial`/`cells-process` speedups of
+`tools/smoke_vectorized.py`; CI enforces them on >= 4-core runners).
 Use `--backend process` for paper-scale multi-cell sweeps on multi-core
 hosts; stay with the default in-process path for quick-scale runs,
 single-cell experiments (E4/E8-style trajectories parallelize their
@@ -222,14 +222,12 @@ core at paper-scale n, the kernels were >= 5x (E3 construction grid,
 n=8192, ~8x) to ~240x (E4 one epoch, n=2048) and ~70x (E2 probe batch,
 n=4096) faster than the loops; `BENCHMARK.json`'s `static-1m` and
 `epoch-4k` workloads now track the E2/E3/E4 kernels' speed end to end.
-CI's `smoke-vectorized` job is the tracked process-backend ledger
-(`benchmarks/output/BENCH_vectorized.json`, from
-`tools/smoke_vectorized.py`): it downloads the previous run's artifact
-and gates via `tools/perf_ledger.py` on the machine-invariant
-`cells-serial`/`cells-process` **speedup ratio** per `(experiment, n)` —
-a >20% ratio drop fails, absolute wall-clock drift is warn-only with a
-per-run `CALIBRATION` row as host context, so heterogeneous runner
-generations can't flap the gate (warn-only on the bootstrap run).
+CI's `paired-gate` job runs `tools/smoke_vectorized.py` on the base and
+head commits in alternating pairs and fails when the head's median
+`cells-serial`/`cells-process` **speedup** of E1, E2 or E5 is more than
+20% below the base's (`tools/judge_speedups.py`): both walls of a
+speedup come from one run, and both sides from one runner, so the
+runner's speed divides out.
 
 **The million-node static pipeline and its memory gate.**
 The end-to-end benchmark's `static-1m` workload (`benchmarks/e2e/`)
@@ -287,14 +285,12 @@ transitions, and `--out` records response lines for the oracle check.
 Every query emits a `serve.request` event and every swap a
 `serve.publish`; `repro telemetry report` renders QPS, p50/p95/p99
 latency, per-epoch breakdown, and publish walls from the stream.
-`benchmarks/bench_serve.py` records `("SERVE", n, "offline")` (the same
-per-query code path as a plain loop) vs `("SERVE", n, "closed")`
-(through the live service) into `benchmarks/output/BENCH_serve.json`;
-CI's `smoke-serve` job runs `tools/smoke_serve.py` (>= 500 concurrent
-queries across >= 3 live epochs, every response oracle-verified) and
-gates the machine-invariant offline/closed wall ratio against the
-previous run via `tools/perf_ledger.py --serve-baseline` (>25% drop
-fails; bootstrap is warn-only).
+`benchmarks/bench_serve.py` times one query set twice: as a plain loop
+over the service's per-query code path (`offline`) and through the live
+service (`closed`).  CI's `smoke-serve` job runs `tools/smoke_serve.py` (>= 500
+concurrent queries across >= 3 live epochs, every response
+oracle-verified), and its `paired-gate` job fails when the head's median
+offline/closed speedup is more than 25% below the base's.
 
 Telemetry (TELEMETRY.md, `repro.telemetry`): every sink above — the
 dispatch spool's `events.log`, sweep runs (opt-in via
@@ -304,9 +300,9 @@ one writer (atomic O_APPEND lines, safe under concurrent OS-process
 workers).  `python -m repro telemetry report --events run.jsonl`
 renders the dispatch funnel (lease/verdict/requeue counts, latency
 percentiles), sweep cell-timing stats, the pool, memory peaks and the
-serving latencies.  A benchmark row is stored once, in its
-`BENCH_*.json` ledger, and `tools/perf_ledger.py` gates the three
-ledgers through one loop.
+serving latencies.  Benchmark speedups are not events: their tools
+append JSON lines, which `tools/judge_speedups.py` judges in CI's
+`paired-gate` job.
 
 `--cache` / `--no-cache` / `--force` drive the on-disk result cache
 (`benchmarks/output/cache/`, keyed by experiment/seed/fast/overrides/

@@ -1,31 +1,28 @@
 #!/usr/bin/env python3
-"""CI smoke: in-process vs process-backend cells, plus the perf ledger.
+"""Process-backend smoke: in-process vs process-backend cells, and their speedups.
 
 Runs the process-backend measurement points (E1/E2/E5 at paper scale,
-``repro.analysis.benchio.PROCESS_BENCH_CASES``) twice: in-process
-(``cells-serial``) and dispatched across the warm worker pool in
-contiguous spans (``cells-process``).  Then it
+:data:`PROCESS_BENCH_CASES`) twice: in-process (``cells-serial``) and
+dispatched across the warm worker pool in contiguous spans
+(``cells-process``).  Then it
 
 1. asserts the rendered tables are **byte-identical** (the schedule must
-   never show up in a table), and
-2. records ``{experiment, n, backend, wall_s, cells, trials}`` rows into
-   ``benchmarks/output/BENCH_vectorized.json`` — the machine-readable
-   perf-ledger file the CI job diffs against the previous run's artifact
-   and uploads.  On hosts with >= 4 usable cores the process side must
-   beat in-process by each case's ``min_ratio`` bar (scaled by
-   ``--process-margin``) — the ROADMAP item-3 acceptance.  On smaller
-   hosts the ratio is recorded warn-only (a pool cannot beat one core).
+   never show up in a table);
+2. appends one JSON line per point to ``--out`` (default
+   ``benchmarks/output/speedups.jsonl``): ``{"kind": "cells", "point":
+   "E1 n=4096", "speedup": ...}``, the serial wall over the process
+   wall.  Both sides run on the same host in the same run, so host
+   speed divides out of the speedup.  CI's ``paired-gate`` job runs this
+   tool on the base and head commits in alternating pairs, and
+   ``tools/judge_speedups.py`` compares the two sides' medians;
+3. on hosts with >= 4 usable cores, requires the process side to beat
+   in-process by each case's ``min_ratio`` bar (scaled by
+   ``--process-margin``).  On smaller hosts the speedup is only recorded
+   (a pool cannot beat one core).
 
-The ledger also gets a per-run host-calibration row — a fixed NumPy
-workload timing that tells a ledger reader whether absolute drift was
-the machine or the code (the ratio gate in ``tools/perf_ledger.py``
-needs neither).  The runtime's own telemetry (``sweep.run``,
-``pool.spawn``/``pool.reuse``, ``sweep.degrade``) goes to
-``--telemetry-out`` (default ``<out dir>/telemetry.jsonl``).
-
-The file keeps its historical name so CI's artifact baseline chain
-holds.  Exercised by the ``smoke-vectorized`` job in
-``.github/workflows/ci.yml``; also handy locally::
+``REPRO_TELEMETRY=<path>`` records the runtime's own events
+(``sweep.run``, ``pool.spawn``/``pool.reuse``, ``sweep.degrade``).
+Usage::
 
     PYTHONPATH=src python tools/smoke_vectorized.py [--quick]
 """
@@ -33,24 +30,31 @@ holds.  Exercised by the ``smoke-vectorized`` job in
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import pathlib
 import sys
 import time
 
-
-def _timed(fn, repeats_budget_s: float = 5.0):
-    """Run ``fn`` once; if it is quick, repeat and keep the best time
-    (min-of-3 shields the ratio check from scheduler jitter on shared CI
-    hosts)."""
-    t0 = time.perf_counter()
-    result = fn()
-    best = time.perf_counter() - t0
-    if best < repeats_budget_s:
-        for _ in range(2):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-    return result, best
+# The same experiment run in-process (one core, one cell after another)
+# and across the warm worker pool: both sides run the identical
+# computation, so the speedup isolates scheduling (warm-pool spawn
+# amortization + contiguous worker spans against single-core execution).
+# ``min_ratio`` is the process-beats-serial bar (1.0 = strictly faster),
+# enforced only with >= 4 usable cores (the parity check always runs).
+# ``benchmarks/bench_sweep.py`` times its scheduling rows on the same
+# E1/E2 points.
+PROCESS_BENCH_CASES = {
+    "E1": dict(n=4096, workers=4, min_ratio=1.0, kwargs=dict(fast=False)),
+    "E2": dict(n=4096, workers=4, min_ratio=1.0, kwargs=dict(fast=False)),
+    "E5": dict(n=2048, workers=4, min_ratio=1.0, kwargs=dict(fast=False)),
+}
+# fast-scale equivalents: overhead-dominated, so parity only, no bar
+PROCESS_BENCH_CASES_QUICK = {
+    "E1": dict(n=1024, workers=2, min_ratio=None, kwargs=dict(fast=True)),
+    "E2": dict(n=1024, workers=2, min_ratio=None, kwargs=dict(fast=True)),
+    "E5": dict(n=512, workers=2, min_ratio=None, kwargs=dict(fast=True)),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,41 +76,20 @@ def main(argv: list[str] | None = None) -> int:
     )
     ap.add_argument(
         "--out", default=None,
-        help="bench JSON path (default: benchmarks/output/BENCH_vectorized.json)",
-    )
-    ap.add_argument(
-        "--telemetry-out", default=None,
-        help="telemetry jsonl path (default: telemetry.jsonl next to --out)",
+        help="JSON lines file the speedups are appended to "
+             "(default: benchmarks/output/speedups.jsonl)",
     )
     args = ap.parse_args(argv)
 
-    import pathlib
-
-    # the measurement points are shared with benchmarks/bench_sweep.py
-    # (repro.analysis.benchio)
-    from repro.analysis.benchio import (
-        BENCH_FILENAME,
-        PROCESS_BENCH_CASES,
-        PROCESS_BENCH_CASES_QUICK,
-        calibration_row,
-        measure_calibration,
-        record_bench_rows,
-    )
     from repro.experiments import run_experiment
     from repro.sim import ExecutionConfig
     from repro.sim.pool import get_pool, shutdown_pool
-    from repro.telemetry import TelemetryWriter, set_default_writer
 
     out_path = pathlib.Path(
         args.out
         if args.out is not None
         else pathlib.Path(__file__).resolve().parent.parent
-        / "benchmarks" / "output" / BENCH_FILENAME
-    )
-    telemetry_path = pathlib.Path(
-        args.telemetry_out
-        if args.telemetry_out is not None
-        else out_path.parent / "telemetry.jsonl"
+        / "benchmarks" / "output" / "speedups.jsonl"
     )
     process_cases = PROCESS_BENCH_CASES_QUICK if args.quick else PROCESS_BENCH_CASES
     if args.only:
@@ -120,43 +103,36 @@ def main(argv: list[str] | None = None) -> int:
             k: v for k, v in process_cases.items() if k in wanted
         }
 
-    telemetry = TelemetryWriter(telemetry_path)
-    # the process-default sink: the runtime's own events (sweep.run,
-    # pool.spawn/reuse, sweep.degrade) land in the uploaded artifact,
-    # where the report CLI's pool section reads them back
-    previous_writer = set_default_writer(telemetry)
-    cal_wall = measure_calibration()
-    print(f"host calibration: {cal_wall:.4f}s (fixed NumPy workload)")
-
-    rows, failures = [calibration_row(cal_wall)], []
+    lines, failures = [], []
     cores = os.cpu_count() or 1
     for name, case in process_cases.items():
         kwargs = dict(case["kwargs"], seed=args.seed)
         workers = case["workers"]
         # warm the pool before timing: the warm pool pays spawn once per
         # process by design, so the steady-state scheduling win — not the
-        # one-off boot — is what the row records
+        # one-off boot — is what the speedup measures
         get_pool(workers)
-        in_table, t_in = _timed(lambda: run_experiment(name, **kwargs))
         proc_cfg = ExecutionConfig(backend="process", workers=workers)
-        proc_table, t_proc = _timed(
-            lambda: run_experiment(name, exec_config=proc_cfg, **kwargs)
-        )
+        # best of 3 (shields the speedup from scheduler jitter), the two
+        # backends in alternation so that a drift in the host's speed
+        # reaches both walls
+        t_in = t_proc = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            in_table = run_experiment(name, **kwargs)
+            t1 = time.perf_counter()
+            proc_table = run_experiment(name, exec_config=proc_cfg, **kwargs)
+            t_in = min(t_in, t1 - t0)
+            t_proc = min(t_proc, time.perf_counter() - t1)
         if in_table.render() != proc_table.render():
             failures.append(
                 f"{name}: in-process and process-backend tables differ"
             )
             continue
         ratio = t_in / t_proc
-        rows.append(dict(
-            experiment=name, n=case["n"], backend="cells-serial",
-            wall_s=t_in, cells=case["cells"], trials=case["trials"],
-        ))
-        rows.append(dict(
-            experiment=name, n=case["n"], backend="cells-process",
-            wall_s=t_proc, cells=case["cells"], trials=case["trials"],
-        ))
-        bar = case.get("min_ratio")
+        lines.append(dict(kind="cells", point=f"{name} n={case['n']}",
+                          speedup=round(ratio, 4)))
+        bar = case["min_ratio"]
         enforce = bar is not None and cores >= 4
         print(
             f"{name} (n={case['n']}): cells-serial {t_in:.3f}s / "
@@ -174,11 +150,10 @@ def main(argv: list[str] | None = None) -> int:
             )
     shutdown_pool()
 
-    set_default_writer(previous_writer)
-    telemetry.close()
-    record_bench_rows(out_path, rows)
-    print(f"wrote {len(rows)} rows to {out_path} "
-          f"(telemetry: {telemetry_path})")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    with out_path.open("a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(line) + "\n" for line in lines)
+    print(f"appended {len(lines)} speedup(s) to {out_path}")
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
