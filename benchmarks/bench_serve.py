@@ -21,7 +21,7 @@ runs this benchmark on the base and head commits in alternating pairs,
 and ``tools/judge_speedups.py`` fails it when the head's median speedup
 is more than 25% below the base's: the asyncio/TCP layer itself got
 relatively slower.  ``REPRO_TELEMETRY=<path>`` records the run's
-``serve.request`` and ``serve.publish`` events.
+``serve.request`` events and ``serve.publish`` spans.
 
 With ``--verify`` every response line from the closed-loop run is
 byte-compared against the offline oracle replay before the speedup is

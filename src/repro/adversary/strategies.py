@@ -5,7 +5,8 @@
 * :class:`ClusterAdversary` — all bad IDs inside one arc; models a system
   **without** the ``f(g(.))`` composition, where the adversary grinds
   puzzle inputs until its IDs land where it wants (§IV-A "Why Use Two Hash
-  Functions?").  Used by experiment E8's ablation.
+  Functions?").  The end-to-end tests place it directly; experiment E8's
+  ablation instead mints IDs through ``PuzzleScheme``'s one-hash windows.
 * :class:`OmissionAdversary` — draws u.a.r. IDs but only *fields* the subset
   inside a chosen arc: exactly Lemma 5's ``N2 ⊂`` larger-u.a.r.-set model.
   P1-P4 must survive this (Lemma 5), unlike the cluster attack.

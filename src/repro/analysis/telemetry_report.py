@@ -1,17 +1,16 @@
 """Summarise a telemetry event stream (``repro telemetry report``).
 
 One jsonl file from :mod:`repro.telemetry` can hold events from every
-layer at once — a dispatch spool's unit lifecycle, the sweep substrate's
-per-cell timings, the worker pool, memory peaks and served queries.
-This module turns such a stream into the operator-facing views:
+layer at once — a dispatch spool's unit lifecycle, the worker pool,
+served queries and the ``span`` events of every timed phase.  This
+module turns such a stream into the operator-facing views:
 
 * :func:`summarize_events` — the structured summary (event counts, the
-  dispatch funnel with lease-latency/execute percentiles, per-sweep cell
-  timing trends, the worker pool, memory peaks, and the serving layer's
-  throughput/latency view — QPS, p50/p95/p99, per-epoch breakdown,
-  publish walls, churn clips);
-* :func:`render_report` — the same as text tables; and
-* :func:`render_mem_report` — just the memory section.
+  dispatch funnel with lease-latency percentiles, the worker pool, the
+  serving layer's throughput/latency view — QPS, p50/p95/p99, per-epoch
+  breakdown, churn clips — and one row per span phase: count, wall
+  p50/p95/max and the largest peak RSS);
+* :func:`render_report` — the same as text tables.
 
 Readers are permissive by the telemetry contract: unknown event types
 count toward the totals and are otherwise ignored, never an error.
@@ -22,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 
 __all__ = [
-    "render_mem_report",
     "render_report",
     "summarize_events",
 ]
@@ -68,6 +66,19 @@ def summarize_events(events: list[dict]) -> dict:
         "types": {t: len(es) for t, es in sorted(by_type.items())},
     }
 
+    # -- spans: one row per dotted phase, parents before their children ----
+    spans: dict[str, list[dict]] = {}
+    for e in by_type.get("span", []):
+        spans.setdefault(str(e.get("phase", "?")), []).append(e)
+    if spans:
+        summary["spans"] = {
+            phase: dict(
+                _stats(_walls(es)) or {"count": 0},
+                peak_rss_mb=max(_walls(es, "peak_rss_mb"), default=None),
+            )
+            for phase, es in sorted(spans.items(), key=lambda kv: kv[0].split("."))
+        }
+
     # -- dispatch funnel ---------------------------------------------------
     serves = by_type.get("dispatch.serve", [])
     completes = by_type.get("dispatch.complete", [])
@@ -78,16 +89,13 @@ def summarize_events(events: list[dict]) -> dict:
         summary["dispatch"] = {
             "served_units": sum(int(e.get("units", 0)) for e in serves) or None,
             "leases": len(by_type.get("dispatch.lease", [])),
-            "executes": len(by_type.get("dispatch.execute", [])),
+            "executes": len(spans.get("dispatch.execute", [])),
             "verdicts": dict(Counter(
                 str(e.get("verdict", "?")) for e in completes
             )),
             "requeues": dict(requeues),
             "corrupt_units": len(by_type.get("dispatch.corrupt_unit", [])),
             "lease_latency_s": _stats(_walls(completes, "lease_latency_s")),
-            "execute_wall_s": _stats(
-                _walls(by_type.get("dispatch.execute", []))
-            ),
         }
         quorums = by_type.get("dispatch.quorum", [])
         poisons = by_type.get("dispatch.poison", [])
@@ -108,31 +116,6 @@ def summarize_events(events: list[dict]) -> dict:
                 )),
             }
 
-    # -- sweep cell trends -------------------------------------------------
-    # grouped per (experiment, backend); a `kernel` field on older events
-    # is ignored, so an old stream folds into the same rows
-    cells: dict[tuple, list[dict]] = {}
-    for e in by_type.get("sweep.cell", []):
-        key = (str(e.get("experiment")), str(e.get("backend")))
-        cells.setdefault(key, []).append(e)
-    runs: dict[tuple, list[dict]] = {}
-    for e in by_type.get("sweep.run", []):
-        key = (str(e.get("experiment")), str(e.get("backend")))
-        runs.setdefault(key, []).append(e)
-    if cells or runs:
-        sweeps = []
-        for key in sorted(set(cells) | set(runs)):
-            experiment, backend = key
-            entry = {
-                "experiment": experiment,
-                "backend": backend,
-                "runs": len(runs.get(key, [])),
-                "run_wall_s": round(sum(_walls(runs.get(key, []))), 6),
-                "cell_wall_s": _stats(_walls(cells.get(key, []))),
-            }
-            sweeps.append(entry)
-        summary["sweeps"] = sweeps
-
     # -- warm pool ---------------------------------------------------------
     spawns = by_type.get("pool.spawn", [])
     reuses = by_type.get("pool.reuse", [])
@@ -151,37 +134,10 @@ def summarize_events(events: list[dict]) -> dict:
             ))
         summary["pool"] = pool
 
-    # -- memory: peak-RSS samples ------------------------------------------
-    peaks = by_type.get("mem.peak", [])
-    if peaks:
-        phases: dict[str, list[float]] = {}
-        for e in peaks:
-            value = e.get("peak_rss_mb")
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                phases.setdefault(str(e.get("phase", "?")), []).append(float(value))
-        mem: dict = {
-            "samples": sum(len(vs) for vs in phases.values()),
-            # ru_maxrss is a lifetime high-water mark, so the overall peak
-            # is the max over every sample whatever phase reached it first
-            "peak_rss_mb": round(
-                max((max(vs) for vs in phases.values()), default=0.0), 3
-            ) or None,
-            "phases": {
-                phase: {
-                    "samples": len(vs),
-                    "p50": round(sorted(vs)[len(vs) // 2], 3),
-                    "max": round(max(vs), 3),
-                }
-                for phase, vs in sorted(phases.items())
-            },
-        }
-        summary["mem"] = mem
-
     # -- serving layer -----------------------------------------------------
     serve_requests = by_type.get("serve.request", [])
-    publishes = by_type.get("serve.publish", [])
     clips = by_type.get("churn.clipped", [])
-    if serve_requests or publishes or clips:
+    if serve_requests or clips:
         timestamps = [
             float(e["ts"]) for e in serve_requests
             if isinstance(e.get("ts"), (int, float))
@@ -204,12 +160,6 @@ def summarize_events(events: list[dict]) -> dict:
                 for epoch, events_at in sorted(per_epoch.items())
             },
         }
-        if publishes:
-            serve["publishes"] = {
-                "count": len(publishes),
-                "epochs": sorted(int(e.get("epoch", -1)) for e in publishes),
-                "wall_s": _stats(_walls(publishes)),
-            }
         if clips:
             serve["churn_clips"] = [
                 {
@@ -245,16 +195,13 @@ def render_report(summary: dict) -> str:
             lines.append(f"  requeue:{reason:<10} {count}")
         if dispatch["corrupt_units"]:
             lines.append(f"  corrupt units     {dispatch['corrupt_units']}")
-        for label, stats in (
-            ("lease latency", dispatch["lease_latency_s"]),
-            ("execute wall", dispatch["execute_wall_s"]),
-        ):
-            if stats:
-                lines.append(
-                    f"  {label:<14} p50 {stats['p50']:.3f}s  "
-                    f"p95 {stats['p95']:.3f}s  max {stats['max']:.3f}s  "
-                    f"(n={stats['count']})"
-                )
+        stats = dispatch["lease_latency_s"]
+        if stats:
+            lines.append(
+                f"  lease latency  p50 {stats['p50']:.3f}s  "
+                f"p95 {stats['p95']:.3f}s  max {stats['max']:.3f}s  "
+                f"(n={stats['count']})"
+            )
         quorum = dispatch.get("quorum")
         if quorum:
             lines.append("  quorum:")
@@ -264,22 +211,6 @@ def render_report(summary: dict) -> str:
                 lines.append(f"    poisoned        {quorum['poisoned']}")
             for worker, score in list(quorum["suspicion"].items())[:5]:
                 lines.append(f"    suspect {worker:<15} suspicion={score}")
-
-    sweeps = summary.get("sweeps")
-    if sweeps:
-        lines.append("")
-        lines.append("sweep cells (experiment/backend):")
-        for s in sweeps:
-            cell = s["cell_wall_s"]
-            detail = (
-                f"cells={cell['count']} p50={cell['p50']:.4f}s "
-                f"p95={cell['p95']:.4f}s"
-                if cell else "no per-cell events"
-            )
-            lines.append(
-                f"  {s['experiment']:>4} {s['backend']:<10} "
-                f"runs={s['runs']} wall={s['run_wall_s']:.3f}s  {detail}"
-            )
 
     pool = summary.get("pool")
     if pool:
@@ -291,11 +222,6 @@ def render_report(summary: dict) -> str:
         )
         for key, count in sorted(pool.get("degrades", {}).items()):
             lines.append(f"  degrade {key:<20} {count}")
-
-    mem = summary.get("mem")
-    if mem:
-        lines.append("")
-        lines.extend(_mem_lines(mem))
 
     serve = summary.get("serve")
     if serve:
@@ -317,47 +243,26 @@ def render_report(summary: dict) -> str:
                 f"  epoch {epoch:<3} requests={stats['count']} "
                 f"p50={stats['p50'] * 1e3:.2f}ms p99={stats['p99'] * 1e3:.2f}ms"
             )
-        publishes = serve.get("publishes")
-        if publishes:
-            wall = publishes["wall_s"]
-            lines.append(
-                f"  publishes         {publishes['count']} "
-                f"(epochs {publishes['epochs']}) "
-                f"build p50 {wall['p50']:.3f}s max {wall['max']:.3f}s"
-            )
         for clip in serve.get("churn_clips", ()):
             lines.append(
                 f"  churn clipped     {clip['model']} rate={clip['rate']} "
                 f"-> cap={clip['cap']}"
             )
 
+    spans = summary.get("spans")
+    if spans:
+        lines.append("")
+        lines.append("spans (phase: count, wall p50/p95/max, peak RSS):")
+        for phase, row in spans.items():
+            text = f"  {phase:<22} n={row['count']:<5}"
+            if row["count"]:
+                text += (
+                    f" p50 {row['p50']:.4f}s  p95 {row['p95']:.4f}s  "
+                    f"max {row['max']:.4f}s"
+                )
+            if row["peak_rss_mb"] is not None:
+                text += f"  peak {row['peak_rss_mb']:.1f}MB"
+            lines.append(text)
+
     return "\n".join(lines)
-
-
-def _mem_lines(mem: dict) -> list[str]:
-    """The memory section's text lines (shared by both report views)."""
-    lines = ["memory (mem.peak):"]
-    if mem.get("peak_rss_mb") is not None:
-        lines.append(
-            f"  peak RSS          {mem['peak_rss_mb']:.1f}MB "
-            f"({mem['samples']} sample(s))"
-        )
-    for phase, stats in mem.get("phases", {}).items():
-        lines.append(
-            f"  phase {phase:<18} samples={stats['samples']} "
-            f"p50={stats['p50']:.1f}MB max={stats['max']:.1f}MB"
-        )
-    return lines
-
-
-def render_mem_report(summary: dict) -> str:
-    """Just the memory section (``repro telemetry report --mem``).
-
-    The peak-RSS high-water mark and per-phase sample trends from the
-    chunked hot paths, without the full multi-layer report.
-    """
-    mem = summary.get("mem")
-    if not mem:
-        return "no memory events (mem.peak) in this stream"
-    return "\n".join(_mem_lines(mem))
 

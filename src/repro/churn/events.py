@@ -1,11 +1,12 @@
 """Join/departure event streams (paper §III).
 
-For experiments that need *event-granular* churn (the cuckoo-rule baseline,
-the polynomially-many-events claim of Theorem 3) rather than epoch-batched
-churn, :class:`EventStream` produces an alternating sequence of
-(departure, join) pairs keeping ``n`` constant, with the adversary choosing
-*which of its own* IDs rejoin — the classic rejoin attack that the cuckoo
-rule exists to blunt.
+For *event-granular* churn (the polynomially-many-events claim of
+Theorem 3) rather than epoch-batched churn, :class:`EventStream` produces
+an alternating sequence of (departure, join) pairs keeping ``n``
+constant, with the adversary choosing *which of its own* IDs rejoin —
+the classic rejoin attack that the cuckoo rule exists to blunt.  (The
+cuckoo-rule baseline, :mod:`repro.baselines.cuckoo`, pre-draws its own
+joiners and does not use this stream.)
 """
 
 from __future__ import annotations

@@ -40,18 +40,19 @@ Commands
     ``--keep-latest-per-experiment`` exempts each experiment's newest
     entry from eviction (alone, it evicts everything else) — the janitor
     policy for stores that accumulated entries across version bumps.
-``telemetry report --events F [--json] [--mem]``
-    Summarise a :mod:`repro.telemetry` jsonl stream (dispatch funnel with
-    lease-latency percentiles, per-sweep cell timing trends, the worker
-    pool, memory peaks and the serving layer's latency view); ``--mem``
-    renders only the memory section.
+``telemetry report --events F [--json]``
+    Summarise a :mod:`repro.telemetry` jsonl stream: the dispatch funnel
+    with lease-latency percentiles, the worker pool, the serving layer's
+    latency view, and one span table (per dotted phase — ``sweep.E1``,
+    ``sweep.E1.cell``, ``serve.publish``, ``static.search.window``,
+    ``dispatch.execute`` — its count, wall p50/p95/max and peak RSS).
 ``serve run [-n N] [--epochs E] [--churn R] [--epoch-period S] [--port P] [--telemetry F]``
 ``serve load --port P [--requests N] [--concurrency C] [--mode closed|open] [--rate R] [--out F]``
     The serving layer (ROADMAP item 4): ``run`` answers secure-routing
     queries over TCP JSON lines from consistent copy-on-publish epoch
     snapshots while the simulator's epochs advance live under uniform
-    churn (per-request ``serve.request`` + per-epoch ``serve.publish``
-    telemetry; runs until a client sends ``{"op": "stop"}``).  ``load``
+    churn (per-request ``serve.request`` events and one ``serve.publish``
+    span per epoch; runs until a client sends ``{"op": "stop"}``).  ``load``
     drives open- or closed-loop traffic at such a service, prints
     QPS/latency percentiles, optionally records raw response lines
     (``--out``) for offline-oracle verification, and with
@@ -251,7 +252,6 @@ def _cmd_dispatch(args) -> int:
             max_units=args.max_units,
             timeout=args.timeout,
             chaos=chaos,
-            replicas=args.replicas,
         )
         print(f"work: executed {executed} unit(s) from {args.spool}")
         return 0
@@ -264,7 +264,6 @@ def _cmd_dispatch(args) -> int:
             timeout=args.timeout,
             cache=cache,
             cache_dir=args.cache_dir,
-            replicas=args.replicas,
         )
     except IncompleteSweepError as exc:
         print(f"collect: {exc}", file=sys.stderr)
@@ -274,11 +273,7 @@ def _cmd_dispatch(args) -> int:
 
 
 def _cmd_telemetry(args) -> int:
-    from .analysis.telemetry_report import (
-        render_mem_report,
-        render_report,
-        summarize_events,
-    )
+    from .analysis.telemetry_report import render_report, summarize_events
     from .telemetry import read_events
 
     try:
@@ -291,9 +286,7 @@ def _cmd_telemetry(args) -> int:
         print(f"telemetry report: no events in {args.events}", file=sys.stderr)
         return 1
     summary = summarize_events(events)
-    if getattr(args, "mem", False):
-        print(render_mem_report(summary))
-    elif args.json:
+    if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
         print(render_report(summary))
@@ -585,11 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
              "completion from unit K on is a plausible wrong answer) — "
              "comma-separated",
     )
-    pdw.add_argument(
-        "--replicas", type=_positive_int, default=None, metavar="R",
-        help="override the manifest's quorum width (rarely needed: the "
-             "serve-time value is recorded in the spool)",
-    )
     pdw.set_defaults(fn=_cmd_dispatch)
 
     pdc = pdsub.add_parser("collect", help="verify results, reassemble table")
@@ -608,11 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store the reassembled table in the result cache",
     )
     pdc.add_argument("--cache-dir", default=None, help="cache root (implies --cache)")
-    pdc.add_argument(
-        "--replicas", type=_positive_int, default=None, metavar="R",
-        help="override the manifest's quorum width (rarely needed: the "
-             "serve-time value is recorded in the spool)",
-    )
     pdc.set_defaults(fn=_cmd_dispatch)
 
     pt = sub.add_parser(
@@ -628,10 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     ptr.add_argument(
         "--json", action="store_true",
         help="emit the structured summary as JSON instead of text",
-    )
-    ptr.add_argument(
-        "--mem", action="store_true",
-        help="render only the memory section (mem.peak phase trends)",
     )
     ptr.set_defaults(fn=_cmd_telemetry)
 
@@ -659,8 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TCP port (default 0 = OS-assigned; the bound port "
                           "is printed on the 'serving on' line)")
     psr.add_argument("--telemetry", default=None, metavar="F",
-                     help="write serve.request/serve.publish events to this "
-                          "jsonl file (default: $REPRO_TELEMETRY sink)")
+                     help="write serve.request events and serve.publish "
+                          "spans to this jsonl file (default: "
+                          "$REPRO_TELEMETRY sink)")
     psr.set_defaults(fn=_cmd_serve, check=_serve_config)
 
     psl = psvsub.add_parser(

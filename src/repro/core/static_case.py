@@ -167,10 +167,10 @@ def measure_static_search_streamed(
     The maximum responsibility is ``counts.max() / probes``: dividing by
     a positive constant keeps the order of the rounded quotients, so it
     equals the maximum of the per-node responsibilities bit for bit.
-    Each window of a chunked pass emits a ``mem.peak`` telemetry event
-    (phase ``static.search``).
+    Each window is one telemetry ``span`` (phase
+    ``static.search.window``).
     """
-    from ..telemetry import emit_peak
+    from ..telemetry import span  # lazy: keep the core import-light
 
     if not probes:  # an empty batch: no search failed, none walked a path
         return _finish_stats(gg, 0, resp_constant, 0.0, np.nan, np.nan)
@@ -181,15 +181,14 @@ def measure_static_search_streamed(
     path_cells_total = 0
     counts = np.zeros(n, dtype=np.int64)
     for ci, start in enumerate(range(0, probes, chunk)):
-        window = slice(start, start + chunk)
-        routed = gg.H.route_many(sources[window], targets[window])
-        out = router.route_outcomes(routed)
-        mask = out.search_path_mask()
-        delivered_total += int(out.delivered.sum())
-        path_cells_total += int(mask.sum())
-        np.add.at(counts, routed.paths[mask], 1)
-        if chunk < probes:
-            emit_peak("static.search", chunk=ci)
+        with span("static.search.window", index=ci):
+            window = slice(start, start + chunk)
+            routed = gg.H.route_many(sources[window], targets[window])
+            out = router.route_outcomes(routed)
+            mask = out.search_path_mask()
+            delivered_total += int(out.delivered.sum())
+            path_cells_total += int(mask.sum())
+            np.add.at(counts, routed.paths[mask], 1)
     failure_rate = 1.0 - delivered_total / probes
     mean_path_len = path_cells_total / probes
     return _finish_stats(

@@ -1,7 +1,7 @@
 """On-disk result cache for experiment tables.
 
-``run_all`` regenerates fifteen tables even when nothing changed; this
-module gives every experiment run an addressable identity —
+Re-running an experiment recomputes its table even when nothing
+changed; this module gives every experiment run an addressable identity —
 ``(experiment, seed, fast, overrides, repro version)`` — and stores the
 finished :class:`~repro.analysis.tables.TableResult` as JSON under that
 key (default root: ``benchmarks/output/cache/``), so a warm run loads the

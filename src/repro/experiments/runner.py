@@ -1,7 +1,7 @@
 """Experiment registry and batch runner.
 
 ``run_experiment("E4")`` runs one experiment; ``run_all()`` runs the full
-suite (used to regenerate EXPERIMENTS.md).  Each experiment module exposes
+suite (or a subset) in ID order.  Each experiment module exposes
 one entry point, ``build_spec(seed=..., fast=..., **overrides) ->
 SweepSpec`` — the declarative grid (axes + per-cell function) the sweep
 substrate executes — and :data:`SPEC_BUILDERS` maps each experiment ID to
@@ -11,14 +11,14 @@ Dispatch goes through the spec: the runner validates overrides against the
 target experiment's ``build_spec`` signature up front (so a typo'd
 parameter raises a ``TypeError`` naming the experiment instead of an
 opaque traceback from deep inside the module), builds the spec, and hands
-it to :func:`repro.sim.sweep.run_sweep`.
+it to the sweep substrate's ``run_sweep`` (:mod:`repro.sim.sweep`).
 
 Execution: pass an :class:`repro.sim.ExecutionConfig` (surfaced on the CLI
 as ``--backend``/``--workers``) to select how sweep cells — and E12's
-churn cases — execute.  ``run_all`` with the
-``process`` backend dispatches independent experiments across a spawn-safe
-process pool; workers run their cells with an explicit *serial* config
-(process pools do not nest) and results are identical to the serial path.
+churn cases — execute.  ``run_all`` runs its experiments one after
+another and forwards the config into each sweep, so under the
+``process`` backend each multi-cell sweep splits across the warm pool;
+tables are identical to the in-process path.
 
 Caching: ``cache=True`` consults the on-disk result cache
 (:mod:`repro.experiments.cache`, default ``benchmarks/output/cache/``)
@@ -34,7 +34,7 @@ import inspect
 from typing import Callable, Dict, Sequence
 
 from ..analysis.tables import TableResult
-from ..sim.montecarlo import ExecutionConfig, spawn_map
+from ..sim.montecarlo import ExecutionConfig
 from ..sim.sweep import SweepSpec, run_sweep
 from .cache import ResultCache
 from . import (
@@ -166,35 +166,6 @@ def run_experiment(
     return table
 
 
-def _run_one(
-    name: str,
-    seed: int,
-    fast: bool,
-    cache: bool,
-    force: bool,
-    cache_dir: str | None,
-    overrides: dict,
-) -> TableResult:
-    """Spawn-pool entry point: run one experiment in a worker.
-
-    Module-level so it pickles under the ``spawn`` start method.  The
-    child receives an *explicit* in-process config — process backends do
-    not nest, and the caller's ``exec_config`` must not leak into workers
-    implicitly — plus the caller's cache settings, so warm entries
-    short-circuit inside the worker too.
-    """
-    return run_experiment(
-        name,
-        seed=seed,
-        fast=fast,
-        exec_config=ExecutionConfig(backend="serial"),
-        cache=cache,
-        force=force,
-        cache_dir=cache_dir,
-        **overrides,
-    )
-
-
 def run_all(
     seed: int = 0,
     fast: bool = True,
@@ -207,12 +178,10 @@ def run_all(
 ) -> Dict[str, TableResult]:
     """Run the suite (default: all experiments) in ID order.
 
-    With ``exec_config.backend == "process"`` the independent experiments
-    are dispatched across a spawn-safe process pool (each experiment keeps
-    its own seed, so results are identical to the serial path; a single
-    worker degrades to a plain serial map).  Otherwise they run serially
-    in-process, with ``exec_config`` forwarded into each experiment's
-    sweep.  With ``cache=True`` only experiments whose key
+    Experiments run one after another, each through
+    :func:`run_experiment` with ``exec_config`` forwarded into its sweep
+    (under the ``process`` backend, multi-cell sweeps split across the
+    warm pool).  With ``cache=True`` only experiments whose key
     ``(name, seed, fast, overrides, version)`` is absent from the result
     cache are re-executed.  ``names`` restricts the suite to a subset;
     ``overrides`` maps experiment IDs to per-experiment override dicts
@@ -230,10 +199,10 @@ def run_all(
                 raise ValueError(
                     f"unknown experiment {n!r}; choose from {sorted(SPEC_BUILDERS)}"
                 )
-    # validate everything in the parent, before anything runs or is shipped
-    # to a pool: override entries for experiments outside the run would be
-    # silently dead, and seed/fast smuggled through the mapping would
-    # surface as a duplicate-keyword crash inside a worker
+    # validate everything before anything runs: override entries for
+    # experiments outside the run would be silently dead, and seed/fast
+    # smuggled through the mapping would surface as a duplicate-keyword
+    # crash after earlier experiments had already run
     stray = sorted(set(overrides) - set(order))
     if stray:
         raise ValueError(
@@ -242,31 +211,6 @@ def run_all(
         )
     for n in order:
         _validate_overrides(n, SPEC_BUILDERS[n], overrides.get(n, {}))
-    if exec_config is not None and exec_config.backend == "process":
-        tables: Dict[str, TableResult] = {}
-        todo = list(order)
-        if cache and not force:
-            # consult the cache in the parent so a warm suite never pays
-            # pool startup: only the misses are shipped to workers
-            store = ResultCache(cache_dir)
-            for n in order:
-                hit = store.load(n, seed, fast, overrides.get(n, {}))
-                if hit is not None:
-                    tables[n] = hit
-            todo = [n for n in order if n not in tables]
-        results = spawn_map(
-            _run_one,
-            todo,
-            [seed] * len(todo),
-            [fast] * len(todo),
-            [cache] * len(todo),
-            [force] * len(todo),
-            [cache_dir] * len(todo),
-            [dict(overrides.get(n, {})) for n in todo],
-            workers=exec_config.resolved_workers(),
-        )
-        tables.update(zip(todo, results))
-        return {name: tables[name] for name in order}
     return {
         name: run_experiment(
             name, seed=seed, fast=fast, exec_config=exec_config,

@@ -28,9 +28,10 @@ mid-request.
 
 Telemetry: one ``serve.request`` per query (server-side latency from
 request-line read to response drained, the answering epoch, and the
-outcome — delivered/corrupted/unresolved/error) and one ``serve.publish``
-per epoch swap (step + snapshot-build wall).  Events go to the writer
-passed in, else the process-default sink (``$REPRO_TELEMETRY``).
+outcome — delivered/corrupted/unresolved/error) and one ``span`` of
+phase ``serve.publish`` per epoch swap (step + snapshot-build wall, and
+the new epoch).  Events go to the writer passed in, else the
+process-default sink (``$REPRO_TELEMETRY``).
 """
 
 from __future__ import annotations
@@ -94,18 +95,17 @@ class RoutingService:
         return build_snapshot(self.sim.pair, self.config.params, self.sim.epoch)
 
     async def _advance_epochs(self) -> None:
+        from ..telemetry import span  # lazy: keep the serve import-light
+
         loop = asyncio.get_running_loop()
         for _ in range(self.config.epochs):
             await asyncio.sleep(self.config.epoch_period_s)
-            t0 = time.perf_counter()
-            snap = await loop.run_in_executor(None, self._step_and_build)
-            self.snapshot = snap  # atomic publication: old epoch or new, whole
-            self.published += 1
-            self._emit(
-                "serve.publish",
-                epoch=snap.epoch,
-                wall_s=round(time.perf_counter() - t0, 6),
-            )
+            # the step advances sim.epoch by one; that is the new snapshot's
+            with span("serve.publish", sink=self.telemetry,
+                      epoch=self.sim.epoch + 1):
+                snap = await loop.run_in_executor(None, self._step_and_build)
+                self.snapshot = snap  # atomic publication: old epoch or new, whole
+                self.published += 1
 
     # -- request handling --------------------------------------------------
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ...analysis.tables import TableResult
+from ...telemetry import span
 from .reassemble import Reassembler
 from .spool import SpoolBroker, default_spool_root
 from .wire import (
@@ -59,6 +60,15 @@ def _result_cache(cache_dir):
     from ...experiments.cache import ResultCache
 
     return ResultCache(cache_dir)
+
+
+def _reassembler(spec, manifest: Mapping, broker: SpoolBroker) -> Reassembler:
+    """The spool's validator, at the quorum width its manifest records (a
+    manifest from before quorum mode records none: width one)."""
+    return Reassembler(
+        spec, manifest["fingerprint"],
+        replicas=int(manifest.get("replicas") or 1), emit=broker.emit,
+    )
 
 
 def serve(
@@ -151,7 +161,6 @@ def work(
     timeout: float | None = None,
     registry=None,
     chaos=None,
-    replicas: int | None = None,
 ) -> int:
     """Pull-execute-complete until the spool drains (the worker role).
 
@@ -167,9 +176,10 @@ def work(
     delays this worker by at most the lease timeout.  ``timeout`` bounds
     the total wait (DispatchError rather than a silent partial spool).
     ``chaos`` injects faults for the test harness (see
-    :mod:`repro.sim.dispatch.chaos`).  ``replicas`` normally comes from
-    the manifest; passing it overrides (e.g. collecting a foreign spool
-    whose manifest predates quorum mode).
+    :mod:`repro.sim.dispatch.chaos`).  The quorum width comes from the
+    manifest (one for a manifest that predates quorum mode).  Each
+    executed unit is one telemetry ``span`` (phase ``dispatch.execute``)
+    in the spool's ``events.log``.
 
     A spool whose every remaining unit was poisoned (``max_attempts``
     spent, nothing pending or leased, quorum unsettleable) raises
@@ -183,14 +193,10 @@ def work(
         manifest["experiment"], manifest["seed"], manifest["fast"],
         manifest["overrides"], registry=registry,
     )
-    if replicas is None:
-        replicas = int(manifest.get("replicas") or 1)
     # the worker-side validator: accepted results are only used as the
     # drain condition (collect re-verifies from disk for the table);
     # sweeping also deletes invalid result files and requeues their units
-    reassembler = Reassembler(
-        spec, manifest["fingerprint"], replicas=replicas, emit=broker.emit
-    )
+    reassembler = _reassembler(spec, manifest, broker)
     executed = 0
     deadline = None if timeout is None else time.time() + timeout
     while True:
@@ -227,14 +233,9 @@ def work(
                 )
             time.sleep(poll)
             continue
-        t0 = time.perf_counter()
-        result = execute_unit(unit, worker=worker, spec=spec)
-        broker.emit(
-            "dispatch.execute",
-            index=unit.index,
-            worker=worker,
-            wall_s=round(time.perf_counter() - t0, 6),
-        )
+        with span("dispatch.execute", sink=broker, index=unit.index,
+                  worker=worker):
+            result = execute_unit(unit, worker=worker, spec=spec)
         if chaos is not None:
             result = chaos.apply(unit, result, broker)
             if result is None:  # the fault consumed the completion
@@ -253,7 +254,6 @@ def collect(
     cache: bool = False,
     cache_dir: str | None = None,
     registry=None,
-    replicas: int | None = None,
 ) -> TableResult:
     """Verify results and reassemble the table (the consumer role).
 
@@ -265,8 +265,8 @@ def collect(
     dead workers resurface) until complete or ``timeout``.  A serve-time
     cache hit is returned directly; on success the table is stored in the
     spool and (with ``cache=True``) the result cache.  In quorum mode
-    (manifest ``replicas`` > 1, or the ``replicas`` override) each index
-    must settle on a majority payload hash before it counts as present.
+    (manifest ``replicas`` > 1) each index must settle on a majority
+    payload hash before it counts as present.
     """
     broker = SpoolBroker(spool)
     manifest = broker.load_manifest()
@@ -289,11 +289,7 @@ def collect(
         manifest["experiment"], manifest["seed"], manifest["fast"],
         manifest["overrides"], registry=registry,
     )
-    if replicas is None:
-        replicas = int(manifest.get("replicas") or 1)
-    reassembler = Reassembler(
-        spec, manifest["fingerprint"], replicas=replicas, emit=broker.emit
-    )
+    reassembler = _reassembler(spec, manifest, broker)
     deadline = None if timeout is None else time.time() + timeout
     while True:
         broker.requeue_expired()

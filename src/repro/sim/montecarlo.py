@@ -125,10 +125,10 @@ def spawn_map(fn: Callable, *iterables, workers: int) -> list:
     """Order-preserving ``map(fn, *iterables)`` across the warm spawn pool.
 
     The shared dispatch seam for every process-backend call site (sweep
-    spans, E12 churn cases, ``run_all`` experiments): gates on worker and
-    item count (either <= 1 runs serially in-process), draws workers from
-    the process-wide warm pool (``repro.sim.pool`` — spawn cost is paid
-    once per process, not once per call), and degrades to the serial map
+    spans and E12's churn cases): gates on worker and item count (either
+    <= 1 runs serially in-process), draws workers from the process-wide
+    warm pool (``repro.sim.pool`` — spawn cost is paid once per process,
+    not once per call), and degrades to the serial map
     with a warning when the pool's workers die (``BrokenProcessPool``)
     instead of crashing mid-suite.  ``fn`` must be module-level
     (picklable under ``spawn``).

@@ -24,8 +24,9 @@ axes plus a per-cell function) and the substrate
 
 Cells are addressable: because streams are keyed by coordinates, a single
 cell can be re-run in isolation and reproduce exactly its slice of the
-full sweep — the seed discipline that lets the result cache and (next) a
-sharded dispatcher hand out cells without coordination.
+full sweep — the seed discipline that lets the result cache and the
+sharded dispatcher (:mod:`repro.sim.dispatch`) hand out cells without
+coordination.
 
 Under the ``process`` backend the grid splits into ``min(workers,
 cells)`` contiguous spans; each span is one warm-pool task that runs the
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import pickle
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..analysis.tables import TableResult
-from ..telemetry import emit_default
+from ..telemetry import emit_default, span
 from .montecarlo import ExecutionConfig, spawn_map
 from .rng import tag_entropy
 
@@ -273,7 +273,9 @@ def run_sweep(
     under the ``process`` backend split into ``min(workers, cells)``
     contiguous spans, one warm-pool task each; single-cell grids always
     run in-process (where an ``exec_config``-aware cell may still
-    parallelize its inner trial loops).
+    parallelize its inner trial loops).  With a telemetry sink configured
+    the sweep emits one ``span`` (phase ``sweep.<EXP>``) and each
+    in-process cell one more (``sweep.<EXP>.cell``).
     """
     global _CELLS_EXECUTED
     cells = spec.cells()
@@ -310,36 +312,25 @@ def run_sweep(
         context["exec_config"] = None if use_pool else exec_config
 
     backend = "serial" if exec_config is None else exec_config.backend
-    sweep_t0 = time.perf_counter()
+    phase = f"sweep.{spec.experiment}"
     _CELLS_EXECUTED += len(cells)
     results: list[CellResult] = []
-    if use_pool:
-        workers = exec_config.resolved_workers()
-        spans = np.array_split(np.arange(len(cells)), min(workers, len(cells)))
-        payloads = [
-            (fn_bytes, [cells[i] for i in span], [seed_seqs[i] for i in span],
-             context)
-            for span in spans
-        ]
-        for span_results in spawn_map(_exec_span, payloads, workers=workers):
-            results.extend(span_results)
-    else:
-        for c, ss in zip(cells, seed_seqs):
-            t0 = time.perf_counter()
-            results.append(_run_cell(spec.cell, c, ss, context))
-            emit_default(
-                "sweep.cell",
-                experiment=spec.experiment,
-                index=c.index,
-                backend=backend,
-                wall_s=round(time.perf_counter() - t0, 6),
+    with span(phase, cells=len(cells), backend=backend):
+        if use_pool:
+            workers = exec_config.resolved_workers()
+            spans = np.array_split(
+                np.arange(len(cells)), min(workers, len(cells))
             )
-    emit_default(
-        "sweep.run",
-        experiment=spec.experiment,
-        cells=len(cells),
-        backend=backend,
-        wall_s=round(time.perf_counter() - sweep_t0, 6),
-    )
+            payloads = [
+                (fn_bytes, [cells[i] for i in idx], [seed_seqs[i] for i in idx],
+                 context)
+                for idx in spans
+            ]
+            for span_results in spawn_map(_exec_span, payloads, workers=workers):
+                results.extend(span_results)
+        else:
+            for c, ss in zip(cells, seed_seqs):
+                with span(f"{phase}.cell", index=c.index):
+                    results.append(_run_cell(spec.cell, c, ss, context))
 
     return assemble_table(spec, results)

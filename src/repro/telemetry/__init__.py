@@ -1,10 +1,11 @@
 """repro.telemetry — one structured event stream for every layer.
 
 The reproduction's auditable-evidence substrate: the dispatch spool's
-unit lifecycle, the sweep substrate's per-cell timings, the worker
-pool, the memory high-water marks and the serving layer all emit the
-same versioned jsonl record shape.  (Benchmark speedups are not events:
-their tools append JSON lines that CI's paired-run gate judges.)
+unit lifecycle, the worker pool, the serving layer and every timed
+phase (sweeps and their cells, epoch publishes, static-search windows,
+dispatched units) emit the same versioned jsonl record shape.
+(Benchmark speedups are not events: their tools append JSON lines that
+CI's paired-run gate judges.)
 
 * :mod:`~repro.telemetry.records` — the schema: envelope
   ``{v, ts, type}`` + an open per-type field registry,
@@ -18,11 +19,14 @@ their tools append JSON lines that CI's paired-run gate judges.)
   skipped);
 * :mod:`~repro.telemetry.config` — the process-default sink
   (``$REPRO_TELEMETRY`` or :func:`set_default_writer`) the deep layers
-  emit through.
+  emit through;
+* :mod:`~repro.telemetry.spans` — :func:`span`: one ``span`` event
+  (dotted phase, wall time, peak RSS) per timed phase, and nothing at
+  all when no sink is configured.
 
 ``repro telemetry report`` (:mod:`repro.analysis.telemetry_report`)
-renders trend tables and lease/retry/latency summaries from any events
-file.
+renders the span table and lease/retry/latency summaries from any
+events file.
 """
 
 from .config import (
@@ -32,7 +36,6 @@ from .config import (
     set_default_writer,
     telemetry_to,
 )
-from .mem import emit_peak, peak_rss_mb
 from .reader import iter_events, read_events
 from .records import (
     EVENT_TYPES,
@@ -41,6 +44,7 @@ from .records import (
     check_event,
     make_event,
 )
+from .spans import peak_rss_mb, span
 from .writer import TelemetryBuffer, TelemetryWriter
 
 __all__ = [
@@ -52,12 +56,12 @@ __all__ = [
     "check_event",
     "default_writer",
     "emit_default",
-    "emit_peak",
     "iter_events",
     "make_event",
     "peak_rss_mb",
     "read_events",
     "reset_default_writer",
     "set_default_writer",
+    "span",
     "telemetry_to",
 ]

@@ -45,7 +45,6 @@ EVENT_TYPES: dict[str, dict[str, tuple]] = {
     # dispatch layer — the spool/broker unit lifecycle
     "dispatch.serve": {"enqueued": (int,), "units": (int,), "fingerprint": (str,)},
     "dispatch.lease": {"index": (int,), "worker": (str,)},
-    "dispatch.execute": {"index": (int,), "worker": (str,), "wall_s": _NUMBER},
     "dispatch.complete": {"index": (int,), "worker": (str,), "verdict": (str,)},
     "dispatch.requeue": {"index": (int,)},
     "dispatch.reject": {"index": (int,), "verdict": (str,)},
@@ -57,32 +56,22 @@ EVENT_TYPES: dict[str, dict[str, tuple]] = {
     "dispatch.quorum": {"index": (int,), "outcome": (str,)},
     "dispatch.poison": {"index": (int,), "attempts": (int,)},
     "dispatch.suspect": {"worker": (str,), "suspicion": (int,)},
-    # sweep layer — per-cell timings and sweep summaries (streams from
-    # before the kernel option was retired also carry a `kernel` field)
-    "sweep.cell": {
-        "experiment": (str,), "index": (int,), "backend": (str,),
-        "wall_s": _NUMBER,
-    },
-    "sweep.run": {
-        "experiment": (str,), "cells": (int,), "backend": (str,),
-        "wall_s": _NUMBER,
-    },
-    # a sweep silently losing parallelism is not silent any more: emitted
-    # when an unpicklable cell forces the in-process path
+    # a timed phase (repro.telemetry.spans): the dotted phase is its place
+    # in the phase tree (sweep.E1 > sweep.E1.cell), wall_s its wall time;
+    # peak_rss_mb (the process high-water mark, null where unreadable)
+    # and the emitter's own fields (index, epoch, worker, ...) ride along
+    "span": {"phase": (str,), "wall_s": _NUMBER},
+    # sweep layer — a sweep silently losing parallelism is not silent any
+    # more: emitted when an unpicklable cell forces the in-process path
     "sweep.degrade": {"experiment": (str,), "reason": (str,)},
     # pool layer — warm worker-pool lifecycle
     "pool.spawn": {"workers": (int,), "mp_method": (str,)},
     "pool.reuse": {"workers": (int,), "requested": (int,)},
     "pool.broken": {"workers": (int,)},
-    # memory layer — peak-RSS samples from chunked/streaming hot paths
-    # (ru_maxrss is process-lifetime max, so samples are non-decreasing)
-    "mem.peak": {"phase": (str,), "peak_rss_mb": _NUMBER},
     # serve layer — the async secure-routing query service (repro.serve):
     # one serve.request per answered query (outcome = delivered/corrupted/
     # unresolved/error, epoch = the snapshot generation that answered it)
-    # and one serve.publish per epoch snapshot swap (wall_s = step + build)
     "serve.request": {"latency_s": _NUMBER, "epoch": (int,), "outcome": (str,)},
-    "serve.publish": {"epoch": (int,), "wall_s": _NUMBER},
     # churn layer — a requested departure rate silently exceeding the
     # model's eps'/2 cap is an experiment-changing event, recorded once
     "churn.clipped": {"model": (str,), "rate": _NUMBER, "cap": _NUMBER},

@@ -80,6 +80,22 @@ def test_serve_work_collect_round_trip_with_worker_kill(tmp_path, spool):
     oracle = run_experiment("E1", seed=3, fast=True, **OVERRIDE_KWARGS)
     assert collected.stdout.strip() == oracle.render().strip()
 
+    # the trail holds one dispatch.execute span per executed unit: wB's
+    # for each unit it completed, wA's for the unit it died holding
+    from repro.telemetry import read_events
+
+    events = read_events(spool / "events.log", strict=True)
+    executed = sorted(
+        (e["worker"], e["index"]) for e in events
+        if e["type"] == "span" and e["phase"] == "dispatch.execute"
+    )
+    accepted = sorted(
+        (e["worker"], e["index"]) for e in events
+        if e["type"] == "dispatch.complete" and e["verdict"] == "accepted"
+    )
+    assert [key for key in executed if key[0] == "wB"] == accepted
+    assert [key[0] for key in executed if key[0] != "wB"] == ["wA"]
+
     # warm re-serve into a fresh spool: table-level cache hit, zero units
     spool2 = tmp_path / "spool2"
     warm = repro_cli(

@@ -241,58 +241,69 @@ class TestResultCacheIntegration:
         with pytest.raises(ValueError, match="E99"):
             run_all(names=("E99",))
 
-    def test_warm_process_run_all_resolves_in_parent(self, tmp_path, monkeypatch):
-        """With every experiment cached, the process-backend run_all loads
-        hits in the parent and dispatches nothing to a pool (observed by
-        intercepting the dispatch seam — worker-side recomputation would
-        also render identically, so render parity alone proves nothing)."""
-        import repro.experiments.runner as runner_mod
-        from repro.sim import ExecutionConfig
+    def test_warm_process_run_all_executes_zero_cells(self, tmp_path):
+        """With every experiment cached, a process-backend run_all loads
+        each table and executes (or ships to a pool) no cell at all."""
+        from repro.sim import (
+            ExecutionConfig,
+            cells_executed,
+            reset_cells_executed,
+        )
 
-        names = ("E1", "E13")
+        names = ("E1", "E2", "E13")
         overrides = {n: dict(FAST_OVERRIDES[n]) for n in names}
         kwargs = dict(seed=1, fast=True, cache=True, cache_dir=str(tmp_path),
                       names=names, overrides=overrides)
         cold = run_all(**kwargs)
-
-        dispatched = []
-
-        def spying_spawn_map(fn, *iterables, workers):
-            items = list(zip(*iterables))
-            dispatched.extend(items)
-            return [fn(*args) for args in items]
-
-        monkeypatch.setattr(runner_mod, "spawn_map", spying_spawn_map)
+        reset_cells_executed()
         warm = run_all(
             exec_config=ExecutionConfig(backend="process", workers=2), **kwargs
         )
-        assert dispatched == []  # every experiment resolved from the cache
+        assert cells_executed() == 0  # every experiment resolved from the cache
         assert {k: v.render() for k, v in warm.items()} == {
             k: v.render() for k, v in cold.items()
         }
 
 
-def test_run_all_process_threads_serial_config_and_overrides(tmp_path):
-    """The spawn-pool path hands workers an explicit serial config plus
-    the caller's cache settings and per-experiment overrides
-    (regression: ``_run_one`` used to drop the caller's ``exec_config``
-    and knew nothing of caching) — so a process-backend ``run_all`` is
-    table-identical to the serial path and populates the same cache."""
+def test_run_all_process_forwards_config_into_sweeps(tmp_path):
+    """A process-backend run_all hands its config to each experiment's
+    sweep: the multi-cell E2 sweep splits across the warm pool (its cells
+    emit no in-process span), single-cell E1 and E13 run in-process, every
+    cell is counted once, the tables match the in-process run and the
+    cache is populated."""
     from repro.experiments.cache import ResultCache
-    from repro.sim import ExecutionConfig
+    from repro.sim import ExecutionConfig, cells_executed, reset_cells_executed
+    from repro.telemetry import TelemetryBuffer, set_default_writer
 
-    names = ("E1", "E13")
+    names = ("E1", "E2", "E13")
     overrides = {n: dict(FAST_OVERRIDES[n]) for n in names}
+    reset_cells_executed()
     serial = run_all(seed=1, fast=True, names=names, overrides=overrides)
-    par = run_all(
-        seed=1, fast=True, names=names, overrides=overrides,
-        cache=True, cache_dir=str(tmp_path),
-        exec_config=ExecutionConfig(backend="process", workers=2),
-    )
+    serial_cells = cells_executed()
+    reset_cells_executed()
+    buf = TelemetryBuffer()
+    previous = set_default_writer(buf)
+    try:
+        par = run_all(
+            seed=1, fast=True, names=names, overrides=overrides,
+            cache=True, cache_dir=str(tmp_path),
+            exec_config=ExecutionConfig(backend="process", workers=2),
+        )
+    finally:
+        set_default_writer(previous)
     assert {k: v.render() for k, v in par.items()} == {
         k: v.render() for k, v in serial.items()
     }
-    # the workers stored their tables under the shared cache root
+    assert cells_executed() == serial_cells
+    spans = buf.of_type("span")
+    sweeps = {e["phase"]: e for e in spans if e["phase"].count(".") == 1}
+    assert sorted(sweeps) == ["sweep.E1", "sweep.E13", "sweep.E2"]
+    assert {e["backend"] for e in sweeps.values()} == {"process"}
+    assert sweeps["sweep.E2"]["cells"] == 2
+    cells = {e["phase"] for e in spans if e["phase"].endswith(".cell")}
+    assert cells == {"sweep.E1.cell", "sweep.E13.cell"}
+    draws = buf.of_type("pool.spawn") + buf.of_type("pool.reuse")
+    assert len(draws) == 1  # E2's sweep, the only multi-cell one
     rc = ResultCache(tmp_path)
     for name in names:
         hit = rc.load(name, 1, True, overrides[name])

@@ -351,6 +351,17 @@ class TestDispatchCommand:
         assert "incomplete" in captured.err
         assert captured.out.strip() == ""  # no partial table on stdout
 
+    def test_quorum_width_is_a_serve_flag_only(self, tmp_path, capsys):
+        # work and collect read the width from the manifest; neither parses
+        # a --replicas of its own
+        spool = str(tmp_path / "spool")
+        for action in ("work", "collect"):
+            with pytest.raises(SystemExit) as exc:
+                main(["dispatch", action, "--spool", spool, "--replicas", "3"])
+            assert exc.value.code == 2
+            assert "--replicas" in capsys.readouterr().err
+        assert not (tmp_path / "spool").exists()
+
     def test_bad_set_syntax_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["dispatch", "serve", "E1", "--set", "probes",

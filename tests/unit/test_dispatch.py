@@ -490,6 +490,31 @@ class TestBrokerTelemetry:
         assert all(e["verdict"] == "accepted" for e in completes)
         assert all("lease_latency_s" in e for e in completes)
 
+    def test_work_spans_each_executed_unit(self, tmp_path):
+        from repro.analysis.telemetry_report import summarize_events
+        from repro.sim.dispatch import serve, work
+        from repro.telemetry import read_events
+
+        report = serve("TOY", spool=tmp_path / "spool", registry=TOY)
+        assert work(report.spool, worker="w1", registry=TOY, poll=0.0) == 3
+        events = read_events(tmp_path / "spool" / "events.log", strict=True)
+        spans = [e for e in events if e["type"] == "span"]
+        assert {e["phase"] for e in spans} == {"dispatch.execute"}
+        assert sorted(e["index"] for e in spans) == [0, 1, 2]
+        assert {e["worker"] for e in spans} == {"w1"}
+        assert all(e["wall_s"] >= 0 and e["peak_rss_mb"] > 0 for e in spans)
+        # each span lands before its unit's completion, from the same loop
+        for e in spans:
+            complete = next(
+                c for c in events
+                if c["type"] == "dispatch.complete" and c["index"] == e["index"]
+            )
+            assert events.index(e) < events.index(complete)
+        summary = summarize_events(events)
+        assert summary["dispatch"]["executes"] == 3
+        assert summary["spans"]["dispatch.execute"]["count"] == 3
+
+
 
 class TestQuorumReassembler:
     """Quorum mode: verified results are votes, majority hash settles."""
@@ -671,6 +696,24 @@ class TestSpoolQuorum:
             broker.complete(execute_unit(broker.lease("w"), spec=spec, worker="w"))
         from repro.sim.dispatch import collect
 
+        table = collect(broker.root, registry=TOY)
+        assert table.to_json() == run_sweep(spec).to_json()
+
+    def test_legacy_r1_spool_drains_through_work(self, tmp_path):
+        # the worker role reads the same manifest: no replicas key, width 1
+        from repro.sim.dispatch import collect, work
+
+        spec, units = toy_units()
+        broker = SpoolBroker(tmp_path / "spool")
+        broker.initialize(
+            {
+                "experiment": "TOY", "seed": 0, "fast": True, "overrides": {},
+                "fingerprint": units[0].fingerprint,
+                "n_cells": len(units), "lease_timeout": 10.0,
+            },
+            units,
+        )
+        assert work(broker.root, worker="w", registry=TOY, poll=0.0) == 3
         table = collect(broker.root, registry=TOY)
         assert table.to_json() == run_sweep(spec).to_json()
 

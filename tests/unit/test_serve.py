@@ -219,12 +219,16 @@ class TestService:
         assert set(report.outcomes) <= {"delivered", "corrupted", "unresolved"}
         # ...every response replays byte-identically offline...
         assert verify_responses(CONFIG, report.responses) == []
-        # ...and the telemetry stream saw every query + publish
+        # ...and the telemetry stream saw every query + publish: one
+        # serve.publish span per epoch, in order, each with its walls
         requests = telemetry.of_type("serve.request")
         assert len(requests) == report.requests
-        assert sorted(
-            e["epoch"] for e in telemetry.of_type("serve.publish")
-        ) == list(range(1, CONFIG.epochs + 1))
+        publishes = telemetry.of_type("span")
+        assert {e["phase"] for e in publishes} == {"serve.publish"}
+        assert [e["epoch"] for e in publishes] == list(
+            range(1, CONFIG.epochs + 1)
+        )
+        assert all(e["wall_s"] > 0 and e["peak_rss_mb"] > 0 for e in publishes)
 
     def test_open_loop_load_and_status_counters(self):
         async def body(service):

@@ -210,12 +210,11 @@ class TestSpanPath:
             run_sweep(_spec(), ExecutionConfig(backend="process", workers=2))
         finally:
             set_default_writer(previous)
-        # pool workers emit no per-cell events; the parent emits the
-        # run summary and draws the pool exactly once
-        assert buf.of_type("sweep.cell") == []
-        (run,) = buf.of_type("sweep.run")
+        # pool workers emit no per-cell spans; the parent emits the
+        # sweep's span and draws the pool exactly once
+        (run,) = buf.of_type("span")
+        assert run["phase"] == "sweep.TOY"
         assert run["cells"] == 6 and run["backend"] == "process"
-        assert "kernel" not in run
         draws = buf.of_type("pool.spawn") + buf.of_type("pool.reuse")
         assert len(draws) == 1
 
@@ -308,10 +307,10 @@ class TestExecutionCounter:
 
 
 class TestSweepTelemetry:
-    """run_sweep emits per-cell timings and a run summary through the
+    """run_sweep emits a span per sweep and per in-process cell through the
     process-default telemetry sink; no sink, no overhead, no events."""
 
-    def test_serial_sweep_emits_cell_and_run_events(self):
+    def test_serial_sweep_emits_cell_and_sweep_spans(self):
         from repro.telemetry import TelemetryBuffer, set_default_writer
 
         buf = TelemetryBuffer()
@@ -320,14 +319,14 @@ class TestSweepTelemetry:
             run_sweep(_spec())
         finally:
             set_default_writer(previous)
-        cells = buf.of_type("sweep.cell")
+        *cells, run = buf.of_type("span")  # the sweep's span ends last
         assert len(cells) == 6  # 2 x 3 grid
-        assert {e["index"] for e in cells} == set(range(6))
-        assert all(e["experiment"] == "TOY" for e in cells)
-        assert all("kernel" not in e for e in cells)
-        (run,) = buf.of_type("sweep.run")
+        assert {e["phase"] for e in cells} == {"sweep.TOY.cell"}
+        assert [e["index"] for e in cells] == list(range(6))
+        assert run["phase"] == "sweep.TOY"
         assert run["cells"] == 6 and run["backend"] == "serial"
         assert run["wall_s"] >= max(e["wall_s"] for e in cells)
+        assert run["peak_rss_mb"] >= max(e["peak_rss_mb"] for e in cells)
 
     def test_unpicklable_cell_emits_degrade_event(self):
         from repro.telemetry import TelemetryBuffer, set_default_writer

@@ -22,11 +22,13 @@ from repro.telemetry import (
     TelemetryError,
     TelemetryWriter,
     check_event,
+    default_writer,
     emit_default,
     make_event,
     read_events,
     reset_default_writer,
     set_default_writer,
+    span,
     telemetry_to,
 )
 
@@ -48,10 +50,14 @@ class TestRecords:
         assert any("worker" in p for p in check_event(event))
 
     def test_bool_rejected_for_numeric_fields(self):
-        event = make_event(
-            "dispatch.execute", ts=0.0, index=1, worker="w", wall_s=True
-        )
+        event = make_event("span", ts=0.0, phase="dispatch.execute", wall_s=True)
         assert any("wall_s" in p for p in check_event(event))
+
+    def test_span_needs_a_phase(self):
+        event = make_event("span", ts=0.0, wall_s=0.5, peak_rss_mb=10.0)
+        assert any("phase" in p for p in check_event(event))
+        event = make_event("span", ts=0.0, phase="sweep.E1", wall_s=0.5)
+        assert check_event(event) == []  # peak_rss_mb is optional
 
     def test_unknown_type_and_extra_fields_tolerated(self):
         assert check_event(make_event("future.metric", ts=0.0, anything=1)) == []
@@ -259,3 +265,109 @@ class TestDefaultSink:
         finally:
             set_default_writer(before)
             reset_default_writer()
+
+
+class TestSpan:
+    """``span``: one event per completed phase, and nothing without a sink."""
+
+    def _counting(self, monkeypatch):
+        """Count the span module's clock reads and RSS samples."""
+        import time
+        import types
+
+        from repro.telemetry import spans
+
+        calls = {"clock": 0, "rss": 0}
+        rss = spans.peak_rss_mb
+
+        def counted_clock():
+            calls["clock"] += 1
+            return time.perf_counter()
+
+        def counted_rss():
+            calls["rss"] += 1
+            return rss()
+
+        monkeypatch.setattr(
+            spans, "time", types.SimpleNamespace(perf_counter=counted_clock)
+        )
+        monkeypatch.setattr(spans, "peak_rss_mb", counted_rss)
+        return calls
+
+    def test_no_sink_reads_no_clock_and_no_rss(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        reset_default_writer()
+        try:
+            calls = self._counting(monkeypatch)
+            with span("sweep.E1.cell", index=0):
+                pass
+            assert calls == {"clock": 0, "rss": 0}
+            assert default_writer() is None
+        finally:
+            reset_default_writer()
+
+    def test_buffer_sink_gets_one_event(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        buf = TelemetryBuffer()
+        with span("static.search.window", sink=buf, index=3, n=1024):
+            pass
+        (event,) = buf.events
+        assert event["type"] == "span"
+        assert event["phase"] == "static.search.window"
+        assert event["wall_s"] >= 0
+        assert event["peak_rss_mb"] > 0
+        assert (event["index"], event["n"]) == (3, 1024)
+        assert check_event(event) == []
+        assert calls == {"clock": 2, "rss": 1}
+
+    def test_default_sink_used_when_none_given(self):
+        buf = TelemetryBuffer()
+        previous = set_default_writer(buf)
+        try:
+            with span("sweep.E2"):
+                pass
+        finally:
+            set_default_writer(previous)
+        assert [e["phase"] for e in buf.of_type("span")] == ["sweep.E2"]
+
+    def test_raising_body_emits_nothing(self):
+        buf = TelemetryBuffer()
+        with pytest.raises(ValueError, match="boom"):
+            with span("dispatch.execute", sink=buf, index=0, worker="w"):
+                raise ValueError("boom")
+        assert buf.events == []
+
+    def test_unreadable_rss_emits_null_peak(self, monkeypatch):
+        from repro.telemetry import spans
+
+        monkeypatch.setattr(spans, "peak_rss_mb", lambda: None)
+        buf = TelemetryBuffer()
+        with span("serve.publish", sink=buf, epoch=1):
+            pass
+        (event,) = buf.events
+        assert event["peak_rss_mb"] is None and event["epoch"] == 1
+
+    def test_chunked_static_search_spans_each_window(self):
+        import numpy as np
+
+        from repro.core.params import SystemParams
+        from repro.core.static_case import (
+            measure_static_search,
+            synthetic_static_graph,
+        )
+        from repro.inputgraph import make_input_graph
+
+        rng = np.random.default_rng(0)
+        H = make_input_graph("chord", rng.random(256))
+        gg = synthetic_static_graph(H, SystemParams(n=256, seed=0), 0.05, rng)
+        buf = TelemetryBuffer()
+        previous = set_default_writer(buf)
+        try:
+            measure_static_search(
+                gg, 1000, np.random.default_rng(1), probe_chunk=300
+            )
+        finally:
+            set_default_writer(previous)
+        windows = buf.of_type("span")
+        assert [e["phase"] for e in windows] == ["static.search.window"] * 4
+        assert [e["index"] for e in windows] == [0, 1, 2, 3]

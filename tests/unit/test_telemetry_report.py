@@ -1,7 +1,7 @@
 """Unit tests: the telemetry summariser and its CLI surface.
 
-The summary views (dispatch funnel, sweep trends, pool, memory and
-serving sections) must be derivable from any mixed stream.
+The summary views (dispatch funnel, pool, serving section and the span
+table) must be derivable from any mixed stream.
 """
 
 import json
@@ -18,7 +18,8 @@ def _mixed_buffer() -> TelemetryBuffer:
     buf = TelemetryBuffer(clock=ticks.__next__)
     buf.emit("dispatch.serve", enqueued=2, units=2, fingerprint="f" * 20)
     buf.emit("dispatch.lease", index=0, worker="wA")
-    buf.emit("dispatch.execute", index=0, worker="wA", wall_s=0.25)
+    buf.emit("span", phase="dispatch.execute", index=0, worker="wA",
+             wall_s=0.25, peak_rss_mb=80.0)
     buf.emit("dispatch.complete", index=0, worker="wA", verdict="accepted",
              lease_latency_s=0.3)
     buf.emit("dispatch.lease", index=1, worker="wB")
@@ -30,12 +31,15 @@ def _mixed_buffer() -> TelemetryBuffer:
     buf.emit("dispatch.poison", index=1, attempts=3)
     buf.emit("dispatch.suspect", worker="wLiar", suspicion=1)
     buf.emit("dispatch.suspect", worker="wLiar", suspicion=2)
-    buf.emit("sweep.cell", experiment="E2", index=0, backend="serial",
-             wall_s=0.01)
-    buf.emit("sweep.cell", experiment="E2", index=1, backend="serial",
-             wall_s=0.03)
-    buf.emit("sweep.run", experiment="E2", cells=2, backend="serial",
-             wall_s=0.05)
+    # the five emitters' phases, in no particular order
+    buf.emit("span", phase="sweep.E2.cell", index=0, wall_s=0.01,
+             peak_rss_mb=100.0)
+    buf.emit("span", phase="sweep.E2.cell", index=1, wall_s=0.03,
+             peak_rss_mb=101.0)
+    buf.emit("span", phase="sweep.E2", cells=2, backend="serial",
+             wall_s=0.05, peak_rss_mb=101.0)
+    buf.emit("span", phase="serve.publish", epoch=1, wall_s=0.5,
+             peak_rss_mb=90.0)
     buf.emit("trials.run", backend="serial", trials=1000, wall_s=0.5)
     buf.emit("trials.run", backend="vectorized", trials=1000, wall_s=0.1)
     buf.emit("pool.spawn", workers=4, mp_method="spawn")
@@ -44,9 +48,18 @@ def _mixed_buffer() -> TelemetryBuffer:
     buf.emit("pool.broken", workers=4)
     buf.emit("sweep.degrade", experiment="E2", reason="unpicklable-cell",
              detail="PicklingError")
-    buf.emit("mem.peak", phase="static.search", peak_rss_mb=120.5, chunk=0)
-    buf.emit("mem.peak", phase="static.search", peak_rss_mb=130.25, chunk=1)
+    buf.emit("span", phase="static.search.window", index=0, wall_s=0.2,
+             peak_rss_mb=120.5)
+    buf.emit("span", phase="static.search.window", index=1, wall_s=0.4,
+             peak_rss_mb=130.25)
     return buf
+
+
+# parents before their children, siblings by name
+DOTTED_ORDER = [
+    "dispatch.execute", "serve.publish", "static.search.window",
+    "sweep.E2", "sweep.E2.cell",
+]
 
 
 class TestSummary:
@@ -55,27 +68,46 @@ class TestSummary:
         dispatch = summary["dispatch"]
         assert dispatch["served_units"] == 2
         assert dispatch["leases"] == 2
+        assert dispatch["executes"] == 1  # its dispatch.execute span
         assert dispatch["verdicts"] == {"accepted": 1, "corrupt": 1}
         assert dispatch["requeues"] == {"corrupt": 1}
         assert dispatch["lease_latency_s"]["count"] == 1
         assert dispatch["lease_latency_s"]["p50"] == 0.3
-        assert dispatch["execute_wall_s"]["max"] == 0.25
+        assert "execute_wall_s" not in dispatch  # the span table has it
 
-    def test_sweep_and_trials_sections(self):
+    def test_span_table(self):
         summary = summarize_events(_mixed_buffer().events)
-        (sweep,) = summary["sweeps"]
-        assert sweep["experiment"] == "E2" and sweep["runs"] == 1
-        assert sweep["cell_wall_s"]["count"] == 2
-        assert sweep["cell_wall_s"]["p50"] in (0.01, 0.03)
+        spans = summary["spans"]
+        assert list(spans) == DOTTED_ORDER
+        assert summary["types"]["span"] == 7
+        cells = spans["sweep.E2.cell"]
+        assert cells["count"] == 2 and cells["p50"] in (0.01, 0.03)
+        assert (cells["max"], cells["peak_rss_mb"]) == (0.03, 101.0)
+        windows = spans["static.search.window"]
+        assert (windows["count"], windows["max"]) == (2, 0.4)
+        assert windows["peak_rss_mb"] == 130.25  # the largest, not the last
+        assert spans["dispatch.execute"]["p95"] == 0.25
+        assert spans["serve.publish"]["count"] == 1
+        # the retired per-emitter sections are gone
+        assert not {"sweeps", "mem"} & set(summary)
         # trials.run has no registered shape and no section any more: a
         # stream that still carries it is counted, never summarised
         assert summary["types"]["trials.run"] == 2
         assert "trials" not in summary
 
-    def test_mem_section(self):
-        mem = summarize_events(_mixed_buffer().events)["mem"]
-        assert mem["samples"] == 2 and mem["peak_rss_mb"] == 130.25
-        assert mem["phases"]["static.search"]["max"] == 130.25
+    def test_span_rows_parents_before_children(self):
+        buf = TelemetryBuffer(clock=lambda: 1.0)
+        for phase in ("sweep.E10", "sweep.E1.cell", "sweep.E1-x", "sweep.E1",
+                      "sweep.E1.cell"):
+            buf.emit("span", phase=phase, wall_s=0.1)
+        spans = summarize_events(buf.events)["spans"]
+        assert list(spans) == ["sweep.E1", "sweep.E1.cell", "sweep.E1-x",
+                               "sweep.E10"]
+        assert spans["sweep.E1.cell"]["count"] == 2
+        # no peak in the stream (an unreadable ru_maxrss): none reported
+        assert spans["sweep.E1"]["peak_rss_mb"] is None
+        text = render_report(summarize_events(buf.events))
+        assert "peak" not in text.split("spans (")[1].split("\n", 1)[1]
 
     def test_old_bench_events_counted_not_summarised(self):
         # ledger rows live only in their BENCH_*.json files: a stream from
@@ -90,23 +122,6 @@ class TestSummary:
         assert set(summary) == {"events", "types"}
         assert "bench ledger" not in render_report(summary)
 
-    def test_old_sweep_events_with_kernel_fold_into_backend_rows(self):
-        # streams written while cells still had a kernel option carry a
-        # `kernel` field; readers ignore it and group per (experiment,
-        # backend), so old and new events land in one row
-        buf = TelemetryBuffer(clock=lambda: 1.0)
-        for kernel in ("serial", "vectorized", None):
-            extra = {} if kernel is None else {"kernel": kernel}
-            buf.emit("sweep.cell", experiment="E4", index=0,
-                     backend="serial", wall_s=0.5, **extra)
-            buf.emit("sweep.run", experiment="E4", cells=1,
-                     backend="serial", wall_s=0.5, **extra)
-        (sweep,) = summarize_events(buf.events)["sweeps"]
-        assert (sweep["experiment"], sweep["backend"]) == ("E4", "serial")
-        assert "kernel" not in sweep
-        assert sweep["runs"] == 3 and sweep["cell_wall_s"]["count"] == 3
-        assert "E4 serial" in render_report(summarize_events(buf.events))
-
     def test_pool_section(self):
         summary = summarize_events(_mixed_buffer().events)
         pool = summary["pool"]
@@ -117,7 +132,7 @@ class TestSummary:
 
     def test_no_pool_events_no_section(self):
         buf = TelemetryBuffer(clock=lambda: 1.0)
-        buf.emit("sweep.run", experiment="E2", cells=2, backend="serial",
+        buf.emit("span", phase="sweep.E2", cells=2, backend="serial",
                  wall_s=0.05)
         assert "pool" not in summarize_events(buf.events)
 
@@ -139,15 +154,27 @@ class TestSummary:
         buf.emit("future.metric", whatever=1)
         summary = summarize_events(buf.events)
         assert summary["types"] == {"future.metric": 1}
-        assert "dispatch" not in summary
+        assert "dispatch" not in summary and "spans" not in summary
 
     def test_render_is_text_with_all_sections(self):
         text = render_report(summarize_events(_mixed_buffer().events))
-        for needle in ("dispatch funnel", "sweep cells", "memory (mem.peak)",
-                       "phase static.search", "worker pool:", "broken=1",
+        for needle in ("dispatch funnel", "executions        1",
+                       "spans (phase: count, wall p50/p95/max, peak RSS):",
+                       "worker pool:", "broken=1",
                        "degrade E2:unpicklable-cell", "quorum:",
                        "suspect wLiar", "suspicion=2", "poisoned"):
             assert needle in text
+        assert "execute wall" not in text and "memory" not in text
+
+    def test_render_span_rows_in_dotted_order(self):
+        text = render_report(summarize_events(_mixed_buffer().events))
+        rows = text.split("spans (")[1].splitlines()[1:]
+        assert [row.split()[0] for row in rows] == DOTTED_ORDER
+        window = rows[DOTTED_ORDER.index("static.search.window")]
+        assert window.split() == [
+            "static.search.window", "n=2", "p50", "0.2000s", "p95",
+            "0.4000s", "max", "0.4000s", "peak", "130.2MB",
+        ]
 
 
 def _serve_events() -> list[dict]:
@@ -169,8 +196,8 @@ def _serve_events() -> list[dict]:
             "outcome": "corrupted" if i % 5 == 0 else "delivered",
         })
     events.append({
-        "v": 1, "ts": 102.0, "type": "serve.publish", "epoch": 1,
-        "wall_s": 0.05,
+        "v": 1, "ts": 102.0, "type": "span", "phase": "serve.publish",
+        "epoch": 1, "wall_s": 0.05, "peak_rss_mb": 50.0,
     })
     events.append({
         "v": 1, "ts": 99.0, "type": "churn.clipped", "model": "uniform",
@@ -201,11 +228,13 @@ class TestServeSection:
         assert (epoch0["count"], epoch0["p50"], epoch0["p99"]) == (12, 0.007, 0.012)
         assert (epoch1["count"], epoch1["p50"], epoch1["p99"]) == (8, 0.017, 0.02)
 
-    def test_publishes_and_clips(self):
-        serve = summarize_events(_serve_events())["serve"]
-        assert serve["publishes"]["count"] == 1
-        assert serve["publishes"]["epochs"] == [1]
-        assert serve["publishes"]["wall_s"]["p50"] == 0.05
+    def test_publish_span_and_clips(self):
+        summary = summarize_events(_serve_events())
+        publish = summary["spans"]["serve.publish"]
+        assert (publish["count"], publish["p50"]) == (1, 0.05)
+        assert publish["peak_rss_mb"] == 50.0
+        serve = summary["serve"]
+        assert "publishes" not in serve
         assert serve["churn_clips"] == [
             {"model": "uniform", "rate": 0.9, "cap": 0.1667}
         ]
@@ -233,8 +262,8 @@ class TestServeSection:
     def test_render_serving_section(self):
         text = render_report(summarize_events(_serve_events()))
         for needle in ("serving layer", "5.0 QPS", "p50 11.00ms",
-                       "p99 20.00ms", "epoch 0", "epoch 1",
-                       "publishes         1", "churn clipped"):
+                       "p99 20.00ms", "epoch 0", "epoch 1", "churn clipped",
+                       "serve.publish          n=1     p50 0.0500s"):
             assert needle in text
 
 
@@ -254,20 +283,18 @@ class TestCli:
         path = self._events_file(tmp_path)
         assert main(["telemetry", "report", "--events", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "dispatch funnel" in out and "memory (mem.peak)" in out
+        assert "dispatch funnel" in out and "spans (phase" in out
 
     def test_report_json(self, tmp_path, capsys):
         path = self._events_file(tmp_path)
         assert main(["telemetry", "report", "--events", str(path), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["dispatch"]["served_units"] == 2
-
-    def test_report_mem_only(self, tmp_path, capsys):
-        path = self._events_file(tmp_path)
-        assert main(["telemetry", "report", "--events", str(path), "--mem"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("memory (mem.peak):")
-        assert "dispatch funnel" not in out
+        assert sorted(summary["spans"]) == DOTTED_ORDER
+        assert summary["spans"]["sweep.E2"] == {
+            "count": 1, "p50": 0.05, "p95": 0.05, "p99": 0.05, "max": 0.05,
+            "total": 0.05, "peak_rss_mb": 101.0,
+        }
 
     def test_ledger_flags_are_gone(self, tmp_path):
         path = self._events_file(tmp_path)

@@ -170,9 +170,9 @@ coordinates) and assembles rows in deterministic grid order.  `python -m
 repro experiments` accepts `--backend {serial,process}` (`serial`, the
 default, runs cells in-process) and, with `--backend process`, `--workers
 W`: the `process` backend dispatches sweep cells (E1/E2/E3/E5/E6
-genuinely cell-parallel), E12's churn cases, and — via `run_all` — whole
-experiments across a spawn-safe pool, **bit-identical** to serial for a
-fixed `--seed`, so every table below is reproducible at any worker count.
+genuinely cell-parallel) and E12's churn cases across a spawn-safe pool,
+**bit-identical** to serial for a fixed `--seed`, so every table below
+is reproducible at any worker count.
 
 Backend selection: the `process` backend dispatches through a
 **process-wide warm pool** (`repro.sim.pool` — spawn's interpreter-boot
@@ -199,9 +199,9 @@ functions avoid it.  Determinism is never backend-dependent: per-cell
 `SeedSequence` streams are spawned in the parent, so in-process and
 process execution render byte-identical tables at any worker count
 (property-tested in `tests/property/test_stacked_equivalence.py`).
-`tools/smoke_parallel.py` separately checks the experiment-level pool
-(`run_all` on the process backend, one experiment per task) against the
-in-process suite: all fifteen fast tables must render byte-identical.
+CI's `smoke-parallel` job diffs all fifteen fast tables of `repro
+experiments --backend process --workers 4` against the in-process run:
+they must render byte-identical.
 
 Both the static-case pipeline and the sequential-trajectory experiments
 run on batched kernels: group construction is a one-pass CSR kernel (flat
@@ -248,10 +248,10 @@ value-identical — property-tested in
 `tests/property/test_index_dtype.py`), and `probe_chunk` streams the
 probe batch through fixed-size windows
 (`measure_static_search_streamed`: integer accumulators ÷ probes, so
-bit-equal at any window size) with one `mem.peak` telemetry event per
-window.  The hashed groups (and a Chord finger table, where one is
-built) are built in row blocks (`repro.idspace.ring.row_blocks`): one
-block of ~2^18 points at a time on one thread, or blocks of ~2^18 points
+bit-equal at any window size) with one `static.search.window` telemetry
+span per window.  The hashed groups (and a Chord finger table, where
+one is built) are built in row blocks (`repro.idspace.ring.row_blocks`):
+one block of ~2^18 points at a time on one thread, or blocks of ~2^18 points
 over the thread count, two per thread in flight, so ~2^19 points in all,
 and no `(n, m)` point or index array is ever held.  The blocks' lookups,
 row sorts and dedups run on up to four threads
@@ -283,8 +283,9 @@ scheduled arrival, so queueing counts — no coordinated omission)
 traffic, `--min-epoch` guarantees the drill overlapped N live
 transitions, and `--out` records response lines for the oracle check.
 Every query emits a `serve.request` event and every swap a
-`serve.publish`; `repro telemetry report` renders QPS, p50/p95/p99
-latency, per-epoch breakdown, and publish walls from the stream.
+`serve.publish` span; `repro telemetry report` renders QPS, p50/p95/p99
+latency and the per-epoch breakdown, and its span table the publish
+walls.
 `benchmarks/bench_serve.py` times one query set twice: as a plain loop
 over the service's per-query code path (`offline`) and through the live
 service (`closed`).  CI's `smoke-serve` job runs `tools/smoke_serve.py` (>= 500
@@ -294,15 +295,18 @@ offline/closed speedup is more than 25% below the base's.
 
 Telemetry (TELEMETRY.md, `repro.telemetry`): every sink above — the
 dispatch spool's `events.log`, sweep runs (opt-in via
-`REPRO_TELEMETRY=/path.jsonl`), the worker pool, the memory probes and
+`REPRO_TELEMETRY=/path.jsonl`), the worker pool, the static search and
 the serving layer — emits versioned schema-checked jsonl events through
 one writer (atomic O_APPEND lines, safe under concurrent OS-process
-workers).  `python -m repro telemetry report --events run.jsonl`
+workers).  Every timing and memory reading is one `span` event (dotted
+phase, wall time, peak RSS): a sweep (`sweep.E1`) and its in-process
+cells (`sweep.E1.cell`), a static-search window, an epoch publish, a
+dispatched unit.  `python -m repro telemetry report --events run.jsonl`
 renders the dispatch funnel (lease/verdict/requeue counts, latency
-percentiles), sweep cell-timing stats, the pool, memory peaks and the
-serving latencies.  Benchmark speedups are not events: their tools
-append JSON lines, which `tools/judge_speedups.py` judges in CI's
-`paired-gate` job.
+percentiles), the pool, the serving latencies and one span table (per
+phase: count, wall p50/p95/max, peak RSS).  Benchmark speedups are not
+events: their tools append JSON lines, which `tools/judge_speedups.py`
+judges in CI's `paired-gate` job.
 
 `--cache` / `--no-cache` / `--force` drive the on-disk result cache
 (`benchmarks/output/cache/`, keyed by experiment/seed/fast/overrides/

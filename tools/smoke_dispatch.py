@@ -21,6 +21,10 @@ equivocator (``--chaos equivocate:1`` — hash-consistent wrong answers
 that verify clean); the honest majority must outvote it on every unit
 and the collected table must again match the oracle byte-for-byte.
 
+In both drills every accepted completion in the spool's trail must have
+its own ``dispatch.execute`` span from the same worker (a killed worker
+leaves one more span, for the unit it never completed).
+
 Exercised by the ``smoke-dispatch`` job in ``.github/workflows/ci.yml``;
 also handy locally::
 
@@ -36,6 +40,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 LEASE_TIMEOUT = 2.0
@@ -56,6 +61,25 @@ def repro(*args: str, check: bool = True) -> subprocess.CompletedProcess:
             f"{proc.stdout}\n{proc.stderr}"
         )
     return proc
+
+
+def check_execute_spans(experiment: str, events: list[dict]) -> None:
+    """One ``dispatch.execute`` span per accepted completion, by worker."""
+    executed = Counter(
+        (e["index"], e["worker"]) for e in events
+        if e["type"] == "span" and e["phase"] == "dispatch.execute"
+    )
+    accepted = Counter(
+        (e["index"], e["worker"]) for e in events
+        if e["type"] == "dispatch.complete" and e["verdict"] == "accepted"
+    )
+    unspanned = accepted - executed
+    assert accepted and not unspanned, (
+        f"{experiment}: accepted completions without a dispatch.execute "
+        f"span: {sorted(unspanned)}"
+    )
+    print(f"  {experiment}: {sum(executed.values())} dispatch.execute "
+          f"span(s) cover all {sum(accepted.values())} accepted completions")
 
 
 def smoke_one(
@@ -139,6 +163,7 @@ def smoke_one(
         f"{experiment}: event trail covers {len(completed)} of "
         f"{served_units} units"
     )
+    check_execute_spans(experiment, events)
     print(f"  {experiment}: telemetry trail complete "
           f"({len(events)} events, {served_units} units verified)")
     if telemetry_out is not None:
@@ -212,6 +237,7 @@ def smoke_quorum(
     assert len(settled) == served_units, (
         f"{experiment}: quorum settled {len(settled)} of {served_units} units"
     )
+    check_execute_spans(experiment, events)
     print(f"  {experiment}: quorum outvoted the equivocator on all "
           f"{served_units} units, table byte-identical to run_experiment")
     if telemetry_out is not None:

@@ -14,7 +14,8 @@ The ISSUE-10 acceptance drill, end to end through the real CLI surface:
    replay (:func:`repro.serve.oracle.verify_responses`) — one diverging
    byte fails the job;
 4. render ``repro telemetry report`` over the service's event stream and
-   require the serving section's QPS and p50/p99 latency lines.
+   require the serving section's QPS and p50/p99 latency lines, and a
+   ``serve.publish`` span row counting exactly ``--epochs`` publishes.
 
 The serving layer's speed is gated elsewhere: CI's ``paired-gate`` job
 runs ``benchmarks/bench_serve.py --verify`` on the base and head
@@ -145,6 +146,13 @@ def main(argv: list[str] | None = None) -> int:
         for needle in ("serving layer", "QPS", "p50", "p99"):
             if needle not in result.stdout:
                 failures.append(f"telemetry report lacks {needle!r}")
+        row = re.search(r"^\s+serve\.publish\s+n=(\d+)", result.stdout, re.M)
+        if row is None or int(row.group(1)) != args.epochs:
+            failures.append(
+                f"telemetry report's serve.publish span row is "
+                f"{row.group(0).strip() if row else 'missing'}; "
+                f"want n={args.epochs}"
+            )
 
     if failures:
         for failure in failures:

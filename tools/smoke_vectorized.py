@@ -20,8 +20,8 @@ dispatched across the warm worker pool in contiguous spans
    ``--process-margin``).  On smaller hosts the speedup is only recorded
    (a pool cannot beat one core).
 
-``REPRO_TELEMETRY=<path>`` records the runtime's own events
-(``sweep.run``, ``pool.spawn``/``pool.reuse``, ``sweep.degrade``).
+``REPRO_TELEMETRY=<path>`` records the runtime's own events (the
+``sweep.<EXP>`` spans, ``pool.spawn``/``pool.reuse``, ``sweep.degrade``).
 Usage::
 
     PYTHONPATH=src python tools/smoke_vectorized.py [--quick]
